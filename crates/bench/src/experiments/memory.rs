@@ -12,10 +12,11 @@
 //!   headline contract (enforced by `tests/alloc_discipline.rs` and
 //!   asserted here when telemetry is armed): **zero** allocations.
 //! * **cDTW unbuffered** — one plain `cdtw_distance` call, the shape a
-//!   caller pays without scratch reuse (window + two rows per call).
+//!   caller pays without scratch reuse (window + DP scratch per call).
 //! * **FastDTW (tuned)** — one radius-1 call. Every call rebuilds its
 //!   coarsened series, projected windows, and per-level scratch, so
-//!   its peak grows with the level count while cDTW's stays two rows.
+//!   its peak grows with the level count while cDTW's stays O(band width)
+//!   scratch (two rows, or three diagonals on the wavefront route).
 //! * **FastDTW (reference)** — the same call through the canonical
 //!   cell-list + hash-map structure the ecosystem actually runs.
 //!
@@ -311,7 +312,7 @@ mod tests {
                 peak(row, "dp_peak_bytes")
                     <= peak(row, "cdtw_cold_peak_bytes").max(peak(row, "fastdtw_peak_bytes"))
             );
-            // FastDTW's transient footprint dwarfs the band's two rows.
+            // FastDTW's transient footprint dwarfs the band's DP scratch.
             assert!(
                 peak(row, "fastdtw_peak_bytes") > peak(row, "cdtw_cold_peak_bytes"),
                 "case {}",

@@ -115,8 +115,10 @@ mod tests {
     use super::*;
     use tsdtw_datasets::ucr_format::write_ucr;
 
-    fn make_archive() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("tsdtw-bakeoff-test");
+    /// A fresh archive per test: tests run in parallel, and a shared
+    /// directory lets one test delete the other's files mid-run.
+    fn make_archive(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("tsdtw-bakeoff-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         for (name, seed) in [("Alpha", 1u64), ("Beta", 2u64)] {
@@ -136,7 +138,7 @@ mod tests {
 
     #[test]
     fn runs_over_a_directory_of_dataset_pairs() {
-        let dir = make_archive();
+        let dir = make_archive("pairs");
         let out = run(&raw(&[
             "--dir",
             dir.to_str().unwrap(),
@@ -154,7 +156,7 @@ mod tests {
 
     #[test]
     fn limit_restricts_dataset_count() {
-        let dir = make_archive();
+        let dir = make_archive("limit");
         let out = run(&raw(&[
             "--dir",
             dir.to_str().unwrap(),

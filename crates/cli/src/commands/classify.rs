@@ -157,8 +157,14 @@ mod tests {
     use tsdtw_datasets::cbf::dataset;
     use tsdtw_datasets::ucr_format::write_ucr;
 
+    /// A fresh directory per test thread: tests run in parallel, and a
+    /// shared path lets one test truncate a file while another reads it.
     fn setup() -> (std::path::PathBuf, std::path::PathBuf) {
-        let dir = std::env::temp_dir().join("tsdtw-classify-test");
+        let dir = std::env::temp_dir().join(format!(
+            "tsdtw-classify-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dataset(64, 8, 42).unwrap();
         let (train, test) = data.split_stratified(4).unwrap();
@@ -227,9 +233,7 @@ mod tests {
     #[test]
     fn stats_switch_sums_work_over_the_split() {
         let (train, test) = setup();
-        let json = std::env::temp_dir()
-            .join("tsdtw-classify-test")
-            .join("work.json");
+        let json = train.with_file_name("work.json");
         let out = run(&raw(&[
             "--train",
             train.to_str().unwrap(),
@@ -252,9 +256,7 @@ mod tests {
     #[test]
     fn metrics_flag_meters_without_stats_output() {
         let (train, test) = setup();
-        let prom = std::env::temp_dir()
-            .join("tsdtw-classify-test")
-            .join("metrics.prom");
+        let prom = train.with_file_name("metrics.prom");
         let out = run(&raw(&[
             "--train",
             train.to_str().unwrap(),

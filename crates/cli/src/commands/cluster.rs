@@ -77,8 +77,13 @@ mod tests {
     use tsdtw_datasets::cbf::dataset;
     use tsdtw_datasets::ucr_format::write_ucr;
 
+    /// A fresh directory per test thread (see `classify`'s tests).
     fn setup() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("tsdtw-cluster-test");
+        let dir = std::env::temp_dir().join(format!(
+            "tsdtw-cluster-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dataset(48, 5, 17).unwrap();
         let p = dir.join("data.tsv");

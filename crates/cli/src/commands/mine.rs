@@ -74,8 +74,10 @@ mod tests {
         s.iter().map(|v| v.to_string()).collect()
     }
 
-    fn periodic_with_anomaly() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("tsdtw-mine-test");
+    /// A fresh file per test: tests run in parallel, and a shared path
+    /// lets one test truncate the series while another reads it.
+    fn periodic_with_anomaly(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("tsdtw-mine-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("series.txt");
         let mut s: Vec<f64> = (0..320).map(|i| (i as f64 * 0.2).sin()).collect();
@@ -88,7 +90,7 @@ mod tests {
 
     #[test]
     fn motif_finds_repeats_and_discord_finds_the_anomaly() {
-        let p = periodic_with_anomaly();
+        let p = periodic_with_anomaly("find");
         let m_out = run_motif(&raw(&["--file", p.to_str().unwrap(), "--m", "31"])).unwrap();
         assert!(m_out.contains("top motif"), "{m_out}");
         let d_out = run_discord(&raw(&["--file", p.to_str().unwrap(), "--m", "31"])).unwrap();
@@ -108,7 +110,7 @@ mod tests {
 
     #[test]
     fn threads_flag_is_bitwise_output_invariant() {
-        let p = periodic_with_anomaly();
+        let p = periodic_with_anomaly("threads");
         for threads in ["2", "4"] {
             let serial = run_motif(&raw(&["--file", p.to_str().unwrap(), "--m", "31"])).unwrap();
             let par = run_motif(&raw(&[

@@ -232,17 +232,20 @@ fn run_trend(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     }
     let mut trends = Vec::new();
     let mut ledgers = Vec::new();
+    let mut out = String::new();
     for exp in &experiments {
-        let records = history::load(root, exp)?;
-        trends.push(trend::analyze(exp, &records, &cfg));
-        ledgers.push(records);
+        let ledger = history::load(root, exp)?;
+        if let Some(note) = &ledger.note {
+            out.push_str(&format!("note: {note}\n"));
+        }
+        trends.push(trend::analyze(exp, &ledger.records, &cfg));
+        ledgers.push(ledger.records);
     }
     let dashboard = trend::render_dashboard(&trends, &cfg);
     let out_file = out_path.unwrap_or_else(|| root.join("TREND.md").to_string_lossy().into_owned());
     crate::stats::write_atomic(Path::new(&out_file), &dashboard)?;
 
     let dirty: Vec<&trend::ExperimentTrend> = trends.iter().filter(|t| !t.is_clean()).collect();
-    let mut out = String::new();
     for t in &trends {
         let verdict = if t.is_clean() { "clean" } else { "DRIFT" };
         out.push_str(&format!(

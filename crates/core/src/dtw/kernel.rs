@@ -27,6 +27,14 @@
 //! segmented tier, monomorphized per cost by the generic sweep functions;
 //! everything else stays on the proven generic loop.
 //!
+//! Distance-only windowed calls have one more tier, the anti-diagonal
+//! wavefront (the private `dtw::wavefront` module). Its lanes beat the
+//! row sweep's left-neighbor chain clearly — whether or not the core is
+//! shared — only once a diagonal holds enough cells, so `Auto` takes it
+//! for opted-in costs whose window is at least [`WAVEFRONT_MIN_WIDTH`]
+//! cells wide; narrower windows, path recovery and early abandoning stay
+//! on the row sweep.
+//!
 //! The process-wide default (consulted by the plain, non-`_kernel` entry
 //! points) is [`Kernel::Auto`] and can be overridden with
 //! [`set_default_kernel`] — the CLI `--kernel` flag and the repro harness
@@ -44,7 +52,9 @@ use crate::cost::CostFn;
 pub enum Kernel {
     /// Resolve per cost function: segmented when
     /// [`CostFn::SEGMENTED_FAST`] is `true`, generic otherwise. At the
-    /// full-window distance entry points, highly run-compressible
+    /// windowed distance entry points, opted-in costs on windows at least
+    /// [`WAVEFRONT_MIN_WIDTH`] cells wide run in wavefront order instead.
+    /// At the full-window distance entry points, highly run-compressible
     /// inputs (runs/points ≤ [`crate::rle::AUTO_THRESHOLD`]) route to
     /// the RLE block kernel instead.
     #[default]
@@ -61,12 +71,12 @@ pub enum Kernel {
     Rle,
     /// Force anti-diagonal (wavefront) evaluation of the banded DP at
     /// the windowed distance entry points
-    /// (the `dtw::wavefront` module): cells on one anti-diagonal have no
-    /// mutual data dependency, so the inner loop runs in fixed-width
-    /// lanes the compiler autovectorizes. Bitwise-equal to the row
-    /// sweep cell for cell. Contexts the wavefront does not cover
-    /// (path recovery, early abandoning, min-row) degrade to the
-    /// `Auto` sweep resolution.
+    /// (the `dtw::wavefront` module) for every window width and cost:
+    /// cells on one anti-diagonal have no mutual data dependency, so the
+    /// inner loop runs in fixed-width lanes the compiler autovectorizes.
+    /// Bitwise-equal to the row sweep cell for cell. Contexts the
+    /// wavefront does not cover (path recovery, early abandoning,
+    /// min-row) degrade to the `Auto` sweep resolution.
     Wavefront,
     /// Prefer the query-batched struct-of-lanes kernel
     /// ([`crate::dtw::batch`]) at the mining scan entry points (k-NN /
@@ -89,7 +99,7 @@ impl Kernel {
         (
             Kernel::Auto,
             "auto",
-            "resolve per cost (segmented fast path), per input (RLE on compressible data) and per call shape (batched mining scans)",
+            "resolve per cost (segmented fast path), per window width (wavefront on wide windows), per input (RLE on compressible data) and per call shape (batched mining scans)",
         ),
         (Kernel::Generic, "generic", "guarded per-cell row sweep"),
         (
@@ -153,7 +163,39 @@ impl Kernel {
             Kernel::Segmented => true,
         }
     }
+
+    /// Whether a distance-only windowed call whose widest row holds
+    /// `width` cells runs in wavefront order for cost `C`: always under
+    /// [`Kernel::Wavefront`]; under [`Kernel::Auto`] when `C` opts in via
+    /// [`CostFn::SEGMENTED_FAST`] (the wavefront's bitwise-equality proof
+    /// assumes non-negative costs) and `width ≥ WAVEFRONT_MIN_WIDTH`;
+    /// never otherwise.
+    #[inline]
+    pub(crate) fn wavefront<C: CostFn>(self, width: usize) -> bool {
+        match self {
+            Kernel::Wavefront => true,
+            Kernel::Auto => C::SEGMENTED_FAST && width >= WAVEFRONT_MIN_WIDTH,
+            Kernel::Generic | Kernel::Segmented | Kernel::Rle | Kernel::Batched => false,
+        }
+    }
 }
+
+/// Narrowest window, in cells per row
+/// ([`SearchWindow::max_row_width`](crate::window::SearchWindow::max_row_width)),
+/// at which [`Kernel::Auto`] evaluates a distance-only windowed call in
+/// wavefront order.
+///
+/// A property of the input shape, not a tuning knob. Measured as
+/// segmented ÷ wavefront time per cell on Sakoe–Chiba bands: on an idle
+/// core the wavefront wins from width 33 (1.36–1.41×, 2.2–2.3× at width
+/// 401). Its gain is issue slots the latency-bound row sweep leaves idle,
+/// so it shrinks when another thread shares the physical core: in the
+/// slowest tenth of 30 ms slices it is 0.83–1.02× at widths 33–49,
+/// 1.05–1.13× at 77 and 1.18–1.24× from 129, while its time per cell
+/// swings up to 2× with that load and the row sweep's stays within
+/// ~1.25×. From 129 the wavefront wins clearly either way
+/// (DESIGN.md §16).
+pub const WAVEFRONT_MIN_WIDTH: usize = 129;
 
 // Encoded Kernel for the process-wide default: 0 = Auto, 1 = Generic,
 // 2 = Segmented, 3 = Rle, 4 = Wavefront, 5 = Batched.
@@ -223,6 +265,29 @@ mod tests {
         assert!(!Kernel::Wavefront.segmented::<OptOutCost>());
         assert!(Kernel::Batched.segmented::<SquaredCost>());
         assert!(!Kernel::Batched.segmented::<OptOutCost>());
+    }
+
+    #[test]
+    fn auto_takes_the_wavefront_from_the_crossover_width() {
+        let w = WAVEFRONT_MIN_WIDTH;
+        assert!(!Kernel::Auto.wavefront::<SquaredCost>(w - 1));
+        assert!(Kernel::Auto.wavefront::<SquaredCost>(w));
+        assert!(Kernel::Auto.wavefront::<AbsoluteCost>(w + 1));
+        assert!(Kernel::Auto.wavefront::<Rooted<SquaredCost>>(w));
+        // Opted-out costs stay on the row sweep at any width.
+        assert!(!Kernel::Auto.wavefront::<OptOutCost>(w));
+        assert!(!Kernel::Auto.wavefront::<OptOutCost>(usize::MAX));
+        // Explicit tiers ignore the width.
+        assert!(Kernel::Wavefront.wavefront::<SquaredCost>(1));
+        assert!(Kernel::Wavefront.wavefront::<OptOutCost>(1));
+        for k in [
+            Kernel::Generic,
+            Kernel::Segmented,
+            Kernel::Rle,
+            Kernel::Batched,
+        ] {
+            assert!(!k.wavefront::<SquaredCost>(usize::MAX), "{k:?}");
+        }
     }
 
     #[test]

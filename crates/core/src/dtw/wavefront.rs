@@ -33,16 +33,24 @@
 //! never two in a row — the connectivity constraint bounds the gap
 //! between consecutive row intervals at one diagonal.
 //!
-//! **Storage.** Three rolling buffers of length `n + 2`, indexed by
-//! `row + 1`, hold diagonals `d`, `d-1` and `d-2`. After filling
-//! `[b_d, a_d]` the kernel writes `+∞` sentinels at indices `b_d` and
-//! `a_d + 2`; because the cursors move at most one step per diagonal,
-//! every predecessor read of the next two diagonals lands either on a
-//! written cell or on one of those sentinels — and a sentinel read is
-//! always a genuinely out-of-window predecessor, so `+∞` is the correct
-//! value. `y` is consulted once per diagonal as `y[d - i]`, a backwards
-//! stride; the kernel reverses it once into scratch so the lane loop
-//! reads all five streams (x, reversed-y, up, left, diag) forward.
+//! **Storage.** Three rolling buffers hold diagonals `d`, `d-1` and
+//! `d-2`, each in `max_row_width + 2` slots: row `i` of diagonal `d`
+//! sits at index `i - b_d + 1`, and indices `0` and `cnt + 1` (with
+//! `cnt = a_d - b_d + 1`) hold `+∞` sentinels. A diagonal never has more
+//! cells than the widest row — row `a_d` spans `[d - a_d, d - b_d]`
+//! because `hi` is monotone — so the scratch is O(band width), not
+//! O(series length). Relative to cell `(i, d-i)` at lane `k = i - b_d`,
+//! the `up` and `left` predecessors sit on diagonal `d-1` at `k + s₁`
+//! and `k + s₁ + 1` with `s₁ = b_d - b_{d-1} ∈ {0, 1}`, and `diag` on
+//! `d-2` at `k + s₂` with `s₂ = b_d - b_{d-2} ∈ {0, 1, 2}`. Because the
+//! cursors advance at most one row per diagonal (`b_d ≥ b_{d-1}`,
+//! `a_d ≤ a_{d-1} + 1`), every such read lands either on a cell written
+//! for that diagonal or on one of its two sentinels — and a sentinel
+//! read is always a genuinely out-of-window predecessor, so `+∞` is the
+//! correct value. `y` is consulted once per diagonal as `y[d - i]`, a
+//! backwards stride; the kernel reverses it once into scratch so the
+//! lane loop reads all five streams (x, reversed-y, up, left, diag)
+//! forward.
 
 use crate::cost::CostFn;
 use crate::error::Result;
@@ -92,22 +100,26 @@ pub(crate) fn wavefront_distance<C: CostFn, M: Meter>(
         meter.cells((hi - lo + 1) as u64);
     }
 
-    buf.wf_prev2.clear();
-    buf.wf_prev2.resize(n + 2, f64::INFINITY);
-    buf.wf_prev.clear();
-    buf.wf_prev.resize(n + 2, f64::INFINITY);
-    buf.wf_cur.clear();
-    buf.wf_cur.resize(n + 2, f64::INFINITY);
+    // Every diagonal fits in `width` cells plus its two sentinels.
+    let slots = width + 2;
+    for diagonal in [&mut buf.wf_prev2, &mut buf.wf_prev, &mut buf.wf_cur] {
+        diagonal.clear();
+        diagonal.resize(slots, f64::INFINITY);
+    }
     buf.yrev.clear();
     buf.yrev.extend(y.iter().rev());
 
     // Diagonal 0 is the corner cell alone: the sweep computes it as
-    // `acc = 0.0 + cost`, bitwise the bare cost on this domain.
-    buf.wf_cur[0] = f64::INFINITY;
+    // `acc = 0.0 + cost`, bitwise the bare cost on this domain. Its
+    // sentinels at 0 and 2 are already `+∞`.
     buf.wf_cur[1] = cost.cost(x[0], y[0]);
-    buf.wf_cur[2] = f64::INFINITY;
     rotate(buf);
 
+    // First rows b_{d-1} and b_{d-2} of the two previous diagonals. The
+    // buffer standing in for diagonal -1 is all `+∞`, so its base only
+    // has to keep the reads in range; 0 does.
+    let mut base1 = 0usize;
+    let mut base2 = 0usize;
     // Cursors over the admissible row interval [imin, imax] = [b_d, a_d].
     let mut imin = 0usize;
     let mut imax = 0usize;
@@ -121,21 +133,24 @@ pub(crate) fn wavefront_distance<C: CostFn, M: Meter>(
         while imax + 1 < n && (imax + 1) + window.row_bounds(imax + 1).0 <= d {
             imax += 1;
         }
+        let s1 = imin - base1;
+        let s2 = imin - base2;
 
         if imin <= imax {
             let cnt = imax - imin + 1;
+            debug_assert!(cnt <= width, "a diagonal never outgrows the widest row");
             // y[d - i] for i in [imin, imax] is yrev[i + m - 1 - d],
             // a forward slice (imin ≥ d - m + 1 by admissibility).
             let yoff = imin + m - 1 - d;
             let xs = &x[imin..imin + cnt];
             let yr = &buf.yrev[yoff..yoff + cnt];
-            // Predecessors of (i, d-i): up = (i-1, j) and left = (i, j-1)
-            // live on diagonal d-1 at indices i and i+1; diag = (i-1, j-1)
-            // on d-2 at index i.
-            let up_s = &buf.wf_prev[imin..imin + cnt];
-            let left_s = &buf.wf_prev[imin + 1..imin + 1 + cnt];
-            let diag_s = &buf.wf_prev2[imin..imin + cnt];
-            let out = &mut buf.wf_cur[imin + 1..imin + 1 + cnt];
+            // Predecessors of (i, d-i) at lane k = i - imin: up = (i-1, j)
+            // and left = (i, j-1) on diagonal d-1 at k + s1 and k + s1 + 1;
+            // diag = (i-1, j-1) on d-2 at k + s2.
+            let up_s = &buf.wf_prev[s1..s1 + cnt];
+            let left_s = &buf.wf_prev[s1 + 1..s1 + 1 + cnt];
+            let diag_s = &buf.wf_prev2[s2..s2 + cnt];
+            let out = &mut buf.wf_cur[1..1 + cnt];
 
             // Fixed-width lanes with the fused three-way min; every lane
             // is independent, so this loop vectorizes as written.
@@ -156,18 +171,20 @@ pub(crate) fn wavefront_distance<C: CostFn, M: Meter>(
             }
         }
 
-        // Sentinels bracketing the written interval (for an empty
-        // diagonal, imin = imax + 1 and the two writes are adjacent).
-        // Reads on diagonals d+1 and d+2 stay within [b_d, a_d + 2] of
+        // Sentinels bracketing the written cells at 0 and cnt + 1 (for
+        // an empty diagonal, imin = imax + 1 and they are 0 and 1).
+        // Reads on diagonals d+1 and d+2 stay within [0, cnt + 1] of
         // this buffer by cursor monotonicity, so nothing stale escapes.
-        buf.wf_cur[imin] = f64::INFINITY;
-        buf.wf_cur[imax + 2] = f64::INFINITY;
+        buf.wf_cur[0] = f64::INFINITY;
+        buf.wf_cur[imax + 2 - imin] = f64::INFINITY;
         rotate(buf);
+        base2 = base1;
+        base1 = imin;
     }
 
-    // After the final rotation the last diagonal sits in wf_prev; the
-    // bottom-right cell (n-1, m-1) is at index n.
-    Ok(cost.finish(buf.wf_prev[n]))
+    // After the final rotation the last diagonal — the bottom-right cell
+    // (n-1, m-1) alone — sits in wf_prev at index 1.
+    Ok(cost.finish(buf.wf_prev[1]))
 }
 
 /// `(prev2, prev, cur) ← (prev, cur, prev2)` — the retired `prev2`

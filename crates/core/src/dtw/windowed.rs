@@ -7,8 +7,11 @@
 //! approximate algorithms literally share their inner loop.
 //!
 //! The distance-only variant uses rolling two-row storage (`O(max row
-//! width)` memory); the path variant additionally records one traceback byte
-//! per admissible cell.
+//! width)` memory), or — on windows at least
+//! [`WAVEFRONT_MIN_WIDTH`](super::kernel::WAVEFRONT_MIN_WIDTH) cells wide —
+//! three rolling anti-diagonals of the same order plus a reversed `y`
+//! (the private `wavefront` module); the path variant additionally
+//! records one traceback byte per admissible cell.
 //!
 //! Both kernels exist in `*_metered` form, generic over
 //! [`Meter`]: the meter records evaluated cells,
@@ -74,8 +77,9 @@ pub struct DtwBuffer {
     pub(crate) prev: Vec<f64>,
     pub(crate) cur: Vec<f64>,
     /// Wavefront-tier rolling diagonals (`d-2`, `d-1`, `d`), length
-    /// `n + 2`; empty unless [`Kernel::Wavefront`] has run through this
-    /// buffer. See [`super::wavefront`].
+    /// `max_row_width + 2`; empty unless a call has run in wavefront
+    /// order through this buffer (`Kernel::wavefront`). See
+    /// [`super::wavefront`].
     pub(crate) wf_prev2: Vec<f64>,
     pub(crate) wf_prev: Vec<f64>,
     pub(crate) wf_cur: Vec<f64>,
@@ -198,15 +202,15 @@ pub fn windowed_distance_metered_kernel<C: CostFn, M: Meter>(
 ) -> Result<f64> {
     check_inputs(x, y, window)?;
     let _span = tsdtw_obs::span("dtw_windowed");
-    if kernel == Kernel::Wavefront {
+    let width = window.max_row_width();
+    if kernel.wavefront::<C>(width) {
         // Anti-diagonal evaluation; bitwise-equal and meter-identical to
-        // the row sweep below (module docs carry the proof). Only the
-        // explicit tier routes here — `Auto` stays on the row sweep.
+        // the row sweep below (module docs carry the proof). `Auto` routes
+        // here once the window is wide enough for the lanes to win.
         return super::wavefront::wavefront_distance(x, y, window, cost, buf, meter);
     }
     let n = x.len();
 
-    let width = window.max_row_width();
     buf.reset_rows(width);
     meter.dp_buffer_bytes(2 * width as u64 * std::mem::size_of::<f64>() as u64);
 

@@ -19,21 +19,30 @@
 use tsdtw::core::cost::SquaredCost;
 use tsdtw::core::dtw::banded::{cdtw_distance_metered_with_buf, BandedDtw};
 use tsdtw::core::dtw::early_abandon::{cdtw_distance_ea_metered_buf_kernel, EaOutcome};
-use tsdtw::core::dtw::windowed::DtwBuffer;
+use tsdtw::core::dtw::kernel::WAVEFRONT_MIN_WIDTH;
+use tsdtw::core::dtw::windowed::{windowed_distance_metered_kernel, DtwBuffer};
 use tsdtw::core::fastdtw::fastdtw_metered;
 use tsdtw::core::lower_bounds::keogh::{lb_keogh_with_contrib, suffix_sums_into};
 use tsdtw::core::lower_bounds::Cascade;
 use tsdtw::core::norm::znorm;
-use tsdtw::core::Envelope;
+use tsdtw::core::{Envelope, Kernel, SearchWindow};
 use tsdtw::datasets::ecg::beats;
 use tsdtw::datasets::random_walk::random_walks;
 use tsdtw::mining::{DistanceSpec, LabeledView};
-use tsdtw_obs::{heap_telemetry_enabled, spans_enabled, AllocScope, WorkMeter};
+use tsdtw_obs::{heap_telemetry_enabled, spans_enabled, AllocScope, NoMeter, WorkMeter};
 
 /// Whether the zero-allocation assertions are provable in this build:
 /// allocator armed, spans quiet (see module docs).
 fn strict() -> bool {
     heap_telemetry_enabled() && !spans_enabled()
+}
+
+/// Scratch bytes a fresh buffer holds after one wavefront call on a
+/// window `width` cells wide with an `m`-point `y`: three diagonals of
+/// `width + 2` slots plus the reversed `y`. The row sweep fills only its
+/// two `width`-slot rows, so reaching this floor marks the route.
+fn wavefront_scratch_bytes(width: usize, m: usize) -> usize {
+    (3 * (width + 2) + m) * std::mem::size_of::<f64>()
 }
 
 /// The analytic DP high-water mark the meters derive never exceeds the
@@ -77,77 +86,156 @@ fn dp_peak_bytes_is_bounded_by_allocator_peak() {
 
 /// A warmed `BandedDtw` evaluator (owned window + scratch rows) makes
 /// zero allocations per call, across many calls and differing inputs of
-/// the same shape.
+/// the same shape — on the row sweep (band 26) and on the wavefront
+/// route `Auto` takes for windows at least `WAVEFRONT_MIN_WIDTH` wide.
 #[test]
 fn warmed_banded_evaluator_never_allocates() {
     let n = 256;
     let pool = beats(6, n, 0xD15C + 1).expect("generator");
-    let mut eval = BandedDtw::new(n, n, 26).expect("valid shape");
+    for band in [26, WAVEFRONT_MIN_WIDTH / 2] {
+        let wide = 2 * band + 1 >= WAVEFRONT_MIN_WIDTH;
 
-    // Warm-up: first call sizes the rows.
-    let d0 = eval
-        .distance(&pool[0], &pool[1], SquaredCost)
-        .expect("valid inputs");
-
-    let probe = AllocScope::begin();
-    let mut acc = 0u64;
-    for x in &pool {
-        for y in &pool {
-            let d = eval.distance(x, y, SquaredCost).expect("valid inputs");
-            acc += u64::from(d.is_finite());
+        // Warm-up: the first call sizes the scratch. Its allocations
+        // reveal the route: Auto must allocate exactly what the forced
+        // tier of its route does, not what the other one does.
+        let cold_allocs = |kernel: Kernel| {
+            let mut eval = BandedDtw::new(n, n, band).expect("valid shape");
+            let probe = AllocScope::begin();
+            eval.distance_metered_kernel(&pool[0], &pool[1], SquaredCost, &mut NoMeter, kernel)
+                .expect("valid inputs");
+            probe.end().allocs
+        };
+        if strict() {
+            let (taken, other) = if wide {
+                (Kernel::Wavefront, Kernel::Segmented)
+            } else {
+                (Kernel::Segmented, Kernel::Wavefront)
+            };
+            assert_eq!(cold_allocs(Kernel::Auto), cold_allocs(taken), "band {band}");
+            assert_ne!(cold_allocs(Kernel::Auto), cold_allocs(other), "band {band}");
         }
-    }
-    let d1 = eval
-        .distance(&pool[0], &pool[1], SquaredCost)
-        .expect("valid inputs");
-    let warm = probe.end();
+        let mut eval = BandedDtw::new(n, n, band).expect("valid shape");
+        let d0 = eval
+            .distance(&pool[0], &pool[1], SquaredCost)
+            .expect("valid inputs");
 
-    assert_eq!(acc, (pool.len() * pool.len()) as u64);
-    assert_eq!(d0.to_bits(), d1.to_bits(), "warm call changed the result");
-    if strict() {
-        assert!(
-            warm.is_zero(),
-            "warmed BandedDtw loop touched the heap: {warm:?}"
-        );
+        let probe = AllocScope::begin();
+        let mut acc = 0u64;
+        for x in &pool {
+            for y in &pool {
+                let d = eval.distance(x, y, SquaredCost).expect("valid inputs");
+                acc += u64::from(d.is_finite());
+            }
+        }
+        let d1 = eval
+            .distance(&pool[0], &pool[1], SquaredCost)
+            .expect("valid inputs");
+        let warm = probe.end();
+
+        assert_eq!(acc, (pool.len() * pool.len()) as u64);
+        assert_eq!(d0.to_bits(), d1.to_bits(), "warm call changed the result");
+        if strict() {
+            assert!(
+                warm.is_zero(),
+                "warmed BandedDtw loop (band {band}) touched the heap: {warm:?}"
+            );
+        }
     }
 }
 
 /// The buffered free-function path (`cdtw_distance_metered_with_buf` with
 /// a hoisted [`DtwBuffer`]) is allocation-free once the buffer has seen
-/// the shape: the memoized window plus capacity-retaining rows cover
-/// every subsequent call.
+/// the shape: the memoized window plus capacity-retaining rows (or
+/// diagonals, on the wavefront route) cover every subsequent call.
 #[test]
 fn warmed_buffered_cdtw_never_allocates() {
     let n = 200;
-    let band = 20;
     let pool = random_walks(5, n, 0xD15C + 2).expect("generator");
-    let mut buf = DtwBuffer::new();
-    let mut meter = WorkMeter::new();
+    for band in [20, WAVEFRONT_MIN_WIDTH / 2] {
+        let mut buf = DtwBuffer::new();
+        let mut meter = WorkMeter::new();
 
-    // Warm-up builds the window and grows the rows through `buf`.
-    cdtw_distance_metered_with_buf(&pool[0], &pool[1], band, SquaredCost, &mut buf, &mut meter)
-        .expect("valid inputs");
-    let warmed_capacity = buf.capacity_bytes();
-    assert!(warmed_capacity > 0, "warm-up must leave scratch behind");
+        // Warm-up builds the window and grows the scratch through `buf`.
+        cdtw_distance_metered_with_buf(&pool[0], &pool[1], band, SquaredCost, &mut buf, &mut meter)
+            .expect("valid inputs");
+        let warmed_capacity = buf.capacity_bytes();
+        let width = SearchWindow::sakoe_chiba(n, n, band).max_row_width();
+        assert!(warmed_capacity > 0, "warm-up must leave scratch behind");
+        assert_eq!(
+            warmed_capacity >= wavefront_scratch_bytes(width, n),
+            width >= WAVEFRONT_MIN_WIDTH,
+            "band {band} took the wrong route"
+        );
 
-    let probe = AllocScope::begin();
-    for x in &pool {
-        for y in &pool {
-            cdtw_distance_metered_with_buf(x, y, band, SquaredCost, &mut buf, &mut meter)
-                .expect("valid inputs");
+        let probe = AllocScope::begin();
+        for x in &pool {
+            for y in &pool {
+                cdtw_distance_metered_with_buf(x, y, band, SquaredCost, &mut buf, &mut meter)
+                    .expect("valid inputs");
+            }
+        }
+        let warm = probe.end();
+
+        assert_eq!(
+            buf.capacity_bytes(),
+            warmed_capacity,
+            "steady-state calls must not grow the scratch"
+        );
+        if strict() {
+            assert!(
+                warm.is_zero(),
+                "warmed buffered cDTW loop (band {band}) touched the heap: {warm:?}"
+            );
         }
     }
-    let warm = probe.end();
+}
 
-    assert_eq!(
-        buf.capacity_bytes(),
-        warmed_capacity,
-        "steady-state calls must not grow the scratch rows"
+/// The wavefront route's scratch is O(band width), not O(series length):
+/// after warm-up calls through both the row sweep and the wavefront on
+/// one buffer, it holds at most the sweep's two rows, three diagonals of
+/// `width + 2` slots, and the reversed `y` — however long the series —
+/// and further calls never grow it.
+#[test]
+fn wavefront_scratch_is_bounded_by_window_width() {
+    let (n, m) = (4096usize, 3500usize);
+    let pool = random_walks(2, n, 0xD15C + 7).expect("generator");
+    let (x, y) = (&pool[0][..], &pool[1][..m]);
+    let band = WAVEFRONT_MIN_WIDTH;
+    let w = SearchWindow::sakoe_chiba(n, m, band);
+    let width = w.max_row_width();
+    assert!(width >= WAVEFRONT_MIN_WIDTH && width < m / 10);
+
+    let mut buf = DtwBuffer::new();
+    let mut meter = WorkMeter::new();
+    let mut call = |kernel: Kernel, buf: &mut DtwBuffer| {
+        windowed_distance_metered_kernel(x, y, &w, SquaredCost, buf, &mut meter, kernel)
+            .expect("valid inputs")
+    };
+    let swept = call(Kernel::Segmented, &mut buf);
+    let auto = call(Kernel::Auto, &mut buf);
+    assert_eq!(swept.to_bits(), auto.to_bits());
+
+    let warmed = buf.capacity_bytes();
+    let bound = (2 * width + 3 * (width + 2) + m) * std::mem::size_of::<f64>();
+    assert!(
+        warmed >= wavefront_scratch_bytes(width, m),
+        "Auto must take the wavefront route at width {width}"
     );
+    assert!(
+        warmed <= bound,
+        "wavefront scratch {warmed} B exceeds the O(width) bound {bound} B"
+    );
+
+    let probe = AllocScope::begin();
+    for _ in 0..3 {
+        assert_eq!(call(Kernel::Auto, &mut buf).to_bits(), auto.to_bits());
+    }
+    let warm = probe.end();
+    assert_eq!(buf.capacity_bytes(), warmed);
     if strict() {
         assert!(
             warm.is_zero(),
-            "warmed buffered cDTW loop touched the heap: {warm:?}"
+            "warmed wavefront calls touched the heap: {warm:?}"
         );
     }
 }
@@ -352,20 +440,22 @@ fn prepared_cascade_clone_never_allocates() {
 
 /// The paper's memory claim, end to end: FastDTW's per-call transient
 /// peak grows with its level count, while banded `cDTW`'s footprint stays
-/// a band-window plus two rows — O(N) with a small constant — so the
-/// ratio widens as series grow.
+/// a band-window plus O(width) DP scratch — O(N) with a small constant —
+/// so the ratio widens as series grow.
 #[test]
 fn fastdtw_peak_grows_with_levels_while_cdtw_stays_linear() {
     if !heap_telemetry_enabled() {
         return; // nothing measurable without the counting allocator
     }
-    let sizes = [512usize, 1024, 2048, 4096];
+    let sizes = [1024usize, 2048, 4096, 8192];
     let mut cdtw_peaks = Vec::new();
     let mut fast_peaks = Vec::new();
     let mut levels = Vec::new();
     for (k, &n) in sizes.iter().enumerate() {
         let pool = random_walks(2, n, 0xD15C + 5 + k as u64).expect("generator");
         let band = n / 10;
+        // One route for every size, so the footprints compare like for like.
+        assert!(2 * band + 1 >= WAVEFRONT_MIN_WIDTH);
 
         let probe = AllocScope::begin();
         let mut eval = BandedDtw::new(n, n, band).expect("valid shape");

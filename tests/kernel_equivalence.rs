@@ -14,16 +14,20 @@
 //! radius 0 up), Itakura parallelograms, FastDTW projected windows
 //! (exercised through the real multi-level recursion), and the full
 //! matrix. Costs cover both monomorphized fast paths (`SquaredCost`,
-//! `AbsoluteCost`) and an opted-out wrapper (`Rooted`), so forcing
-//! `Kernel::Segmented` on a cost that `Auto` would route generically is
-//! exercised too. The early-abandoning kernel with an infinite
+//! `AbsoluteCost`), the `Rooted` wrapper (which changes only `finish`),
+//! and a cost that does not opt in, which `Auto` must route generically. The early-abandoning kernel with an infinite
 //! threshold must equal the plain kernel bitwise in both tiers.
 //!
 //! The throughput tiers extend the same contract:
 //!
-//! * the **wavefront** tier (anti-diagonal evaluation, explicit-only
-//!   routing) runs through every window family above and must match the
-//!   row sweep bitwise, with an identical `WorkMeter`;
+//! * the **wavefront** tier (anti-diagonal evaluation) runs through
+//!   every window family above and must match the row sweep bitwise,
+//!   with an identical `WorkMeter`. `Kernel::Auto` takes it for opted-in
+//!   costs once a window is [`WAVEFRONT_MIN_WIDTH`] cells wide, so the
+//!   crossover test pins Auto against Generic on windows one cell
+//!   narrower than, exactly at, and one cell wider than the crossover in
+//!   every family — including full windows with `n > m`, where the
+//!   longest diagonal is as long as the widest row;
 //! * the **batched** tier (one query against up to [`LANES`] same-length
 //!   candidates in struct-of-lanes layout) must match the scalar banded
 //!   kernel per lane — distances bitwise, early-abandon outcomes and
@@ -44,6 +48,7 @@ use tsdtw::core::dtw::batch::{
 };
 use tsdtw::core::dtw::early_abandon::{cdtw_distance_ea_metered_kernel, EaOutcome};
 use tsdtw::core::dtw::full::dtw_distance_kernel;
+use tsdtw::core::dtw::kernel::WAVEFRONT_MIN_WIDTH;
 use tsdtw::core::dtw::windowed::{
     windowed_distance_metered_kernel, windowed_with_path_kernel, DtwBuffer,
 };
@@ -187,8 +192,8 @@ proptest! {
         let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
         assert_window_tiers_match(&x, &y, &w, SquaredCost);
         assert_window_tiers_match(&x, &y, &w, AbsoluteCost);
-        // Rooted opts out of SEGMENTED_FAST: Auto routes it generically,
-        // yet forcing Segmented must still agree bitwise.
+        // Rooted inherits the inner cost's opt-in and changes only
+        // `finish`, which every tier must apply identically.
         assert_window_tiers_match(&x, &y, &w, Rooted(SquaredCost));
     }
 
@@ -471,6 +476,126 @@ fn projected_and_dilated_window_shapes_match() {
             bits(d_gen),
             bits(naive_windowed(&x, &y, &dilated, SquaredCost))
         );
+    }
+}
+
+/// A cost that does not opt in via `CostFn::SEGMENTED_FAST`, so `Auto`
+/// must keep it on the row sweep at every width.
+#[derive(Clone, Copy)]
+struct OptedOutSquared;
+
+impl CostFn for OptedOutSquared {
+    fn cost(&self, a: f64, b: f64) -> f64 {
+        SquaredCost.cost(a, b)
+    }
+}
+
+/// Whether `Auto` takes the wavefront route on `w`. Only that route
+/// touches the diagonal buffers, whose `3 · (width + 2)` slots plus the
+/// reversed `y` outgrow the sweep's two `width`-slot rows, so a fresh
+/// buffer's capacity after one call reveals the route.
+fn auto_takes_wavefront<C: CostFn>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) -> bool {
+    let mut buf = DtwBuffer::new();
+    windowed_distance_metered_kernel(x, y, w, cost, &mut buf, &mut NoMeter, Kernel::Auto).unwrap();
+    buf.capacity_bytes() >= (3 * (w.max_row_width() + 2) + y.len()) * std::mem::size_of::<f64>()
+}
+
+/// Auto against Generic around the wavefront crossover: for each window
+/// family, windows of width `WAVEFRONT_MIN_WIDTH - 1`, `WAVEFRONT_MIN_WIDTH`
+/// and `WAVEFRONT_MIN_WIDTH + 1` must agree bitwise with identical meters,
+/// and Auto must route exactly the ones at or above the crossover (for an
+/// opted-in cost) to the wavefront.
+#[test]
+fn auto_matches_generic_around_the_wavefront_crossover() {
+    use tsdtw::core::path::WarpingPath;
+    let c = WAVEFRONT_MIN_WIDTH;
+    let targets = [c - 1, c, c + 1];
+    let series = |n: usize, phase: f64| -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i as f64 + phase) * 0.21).sin() * 3.0 + (i as f64 * 0.043).cos())
+            .collect()
+    };
+
+    // Candidate windows per family, sized from the crossover; each family
+    // must hit every target width.
+    let mut families: Vec<(&str, Vec<SearchWindow>)> = Vec::new();
+    let mut bands = Vec::new();
+    for (n, m) in [(c + 47, c + 47), (c + 57, c + 42), (c + 37, c + 64)] {
+        for band in c / 2 - 20..c / 2 + 8 {
+            bands.push(SearchWindow::sakoe_chiba(n, m, band));
+        }
+    }
+    families.push(("sakoe-chiba", bands));
+    let mut itakura = Vec::new();
+    for (n, m) in [(2 * c, 2 * c), (2 * c + 24, 2 * c), (2 * c, 2 * c + 40)] {
+        for hundredths in 110u32..600 {
+            itakura.push(SearchWindow::itakura(n, m, hundredths as f64 / 100.0).unwrap());
+        }
+    }
+    families.push(("itakura", itakura));
+    let mut projected = Vec::new();
+    let h = c / 2;
+    for (a, b) in [
+        (h + 20, h + 20),
+        (h + 16, h + 22),
+        (h + 15, h + 27),
+        (h + 24, h + 22),
+        // b = h saturates the widest rows at the odd width 2h + 1 = c.
+        (h + 20, h),
+    ] {
+        // A straight-line staircase over the a × b half-resolution grid.
+        let steps = a.max(b);
+        let low = WarpingPath::new(
+            (0..steps)
+                .map(|k| (k * (a - 1) / (steps - 1), k * (b - 1) / (steps - 1)))
+                .collect(),
+        )
+        .unwrap();
+        for (n, m) in [(2 * a, 2 * b), (2 * a - 1, 2 * b + 1)] {
+            for radius in 0..c / 4 + 8 {
+                projected.push(SearchWindow::from_low_res_path(&low, n, m, radius));
+            }
+        }
+    }
+    families.push(("fastdtw-projected", projected));
+    // Full windows with n > m: the longest diagonal holds min(n, m) = m
+    // cells, exactly the widest row.
+    families.push((
+        "full n>m",
+        targets
+            .iter()
+            .map(|&t| SearchWindow::full(t + 17, t))
+            .collect(),
+    ));
+
+    for (family, windows) in families {
+        let mut seen = [false; 3];
+        for w in &windows {
+            let width = w.max_row_width();
+            let Some(slot) = targets.iter().position(|&t| t == width) else {
+                continue;
+            };
+            seen[slot] = true;
+            let x = series(w.n_rows(), 0.0);
+            let y = series(w.n_cols(), 1.7);
+            // Auto vs Generic (and every other tier): bitwise distances,
+            // equal meters.
+            assert_window_tiers_match(&x, &y, w, SquaredCost);
+            assert_window_tiers_match(&x, &y, w, AbsoluteCost);
+            assert_window_tiers_match(&x, &y, w, OptedOutSquared);
+            let on_wavefront = width >= c;
+            assert_eq!(
+                auto_takes_wavefront(&x, &y, w, SquaredCost),
+                on_wavefront,
+                "{family}: width {width} took the wrong route"
+            );
+            assert_eq!(auto_takes_wavefront(&x, &y, w, AbsoluteCost), on_wavefront);
+            assert!(
+                !auto_takes_wavefront(&x, &y, w, OptedOutSquared),
+                "{family}: an opted-out cost must stay on the row sweep"
+            );
+        }
+        assert_eq!(seen, [true; 3], "{family} must cover widths {targets:?}");
     }
 }
 
