@@ -24,6 +24,14 @@
 //!   `(seg_hi, hi]` keep the guarded logic. Degenerate rows
 //!   (`seg_lo > seg_hi`) fall back to the generic sweep wholesale.
 //!
+//! Three sweeps share this shape: distance-only, min-tracking (the
+//! early-abandon test value) and path. The path sweep, which FastDTW runs
+//! at every level, also records one traceback byte per cell into the
+//! row's slice of the direction plane. Its tie-break `pick` takes the
+//! minimum as `diag.min(up).min(left)`, like the other two, and derives
+//! the direction from the same comparisons without a branch, so a path
+//! cell costs about what a distance cell costs plus the byte store.
+//!
 //! **Bitwise-equality contract.** The segmented tier performs the same
 //! per-cell operations in the same order as the generic tier: the interior
 //! merely substitutes the guard results that are statically known
@@ -38,8 +46,6 @@
 //! are tier-invariant by construction.
 
 use crate::cost::CostFn;
-use crate::matrix::WindowedDirections;
-use crate::path::Direction;
 
 /// The guarded three-neighbor minimum at column `j` (see module docs).
 #[inline(always)]
@@ -60,6 +66,36 @@ fn guarded_best(j: usize, lo: usize, plo: usize, phi: usize, prev: &[f64], cur: 
         f64::INFINITY
     };
     diag.min(up).min(left)
+}
+
+/// The guarded `(diag, up, left)` neighbors of column `j`, for the path
+/// rows' tie-break: the same guards as [`guarded_best`], which the
+/// distance and min sweeps use to fold the minimum directly.
+#[inline(always)]
+fn guarded_neighbors(
+    j: usize,
+    lo: usize,
+    plo: usize,
+    phi: usize,
+    prev: &[f64],
+    cur: &[f64],
+) -> (f64, f64, f64) {
+    let up = if j >= plo && j <= phi {
+        prev[j - plo]
+    } else {
+        f64::INFINITY
+    };
+    let diag = if j > plo && j - 1 <= phi {
+        prev[j - 1 - plo]
+    } else {
+        f64::INFINITY
+    };
+    let left = if j > lo {
+        cur[j - 1 - lo]
+    } else {
+        f64::INFINITY
+    };
+    (diag, up, left)
 }
 
 /// Fills one distance row with the guarded per-cell loop.
@@ -276,23 +312,32 @@ pub(crate) fn min_row<C: CostFn>(
 }
 
 /// The tie-break shared by both path tiers: diagonal first, then the
-/// vertical step, matching the classic presentation.
+/// vertical step, matching the classic presentation. Returns the
+/// neighbor minimum and the chosen step as its
+/// [`Direction`](crate::path::Direction) byte.
+///
+/// The minimum is `diag.min(up).min(left)`, the expression the distance
+/// sweep uses. The step is Diagonal if `diag <= up && diag <= left`, else
+/// Up if `up <= left`, else Left, computed from those comparisons as
+/// data rather than control flow: which neighbor wins changes from cell
+/// to cell with the data, so a branching choice mispredicts often.
 #[inline(always)]
-fn pick(diag: f64, up: f64, left: f64) -> (f64, Direction) {
-    if diag <= up && diag <= left {
-        (diag, Direction::Diagonal)
-    } else if up <= left {
-        (up, Direction::Up)
-    } else {
-        (left, Direction::Left)
-    }
+fn pick(diag: f64, up: f64, left: f64) -> (f64, u8) {
+    let on_diag = (diag <= up) & (diag <= left);
+    let off_diag = u8::from(!on_diag);
+    // `left < up` is `!(up <= left)`: the recurrence domain holds no NaN.
+    let left_wins = u8::from(left < up);
+    // Diagonal = 0, Up = 1, Left = 2.
+    let dir = off_diag + (off_diag & left_wins);
+    (diag.min(up).min(left), dir)
 }
 
-/// Fills one row and records traceback directions, guarded tier.
+/// Fills one row and records traceback directions, guarded tier. `dirs`
+/// is the row's slice of the
+/// [`WindowedDirections`](crate::matrix::WindowedDirections) plane.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn path_row_generic<C: CostFn>(
-    i: usize,
     xi: f64,
     y: &[f64],
     lo: usize,
@@ -301,43 +346,30 @@ pub(crate) fn path_row_generic<C: CostFn>(
     phi: usize,
     prev: &[f64],
     cur: &mut [f64],
-    dirs: &mut WindowedDirections,
+    dirs: &mut [u8],
     cost: C,
 ) {
     for j in lo..=hi {
-        let up = if j >= plo && j <= phi {
-            prev[j - plo]
-        } else {
-            f64::INFINITY
-        };
-        let diag = if j > plo && j - 1 <= phi {
-            prev[j - 1 - plo]
-        } else {
-            f64::INFINITY
-        };
-        let left = if j > lo {
-            cur[j - 1 - lo]
-        } else {
-            f64::INFINITY
-        };
+        let (diag, up, left) = guarded_neighbors(j, lo, plo, phi, prev, cur);
         let (best, dir) = pick(diag, up, left);
         debug_assert!(
             best.is_finite(),
-            "unreachable cell ({i}, {j}) in validated window"
+            "unreachable cell (col {j}) in validated window"
         );
         cur[j - lo] = cost.cost(xi, y[j]) + best;
-        dirs.set(i, j, dir);
+        dirs[j - lo] = dir;
     }
 }
 
 /// Fills one row and records traceback directions, segmented tier. The
 /// interior applies [`pick`] to the same (diag, up, left) values the
 /// guarded tier would compute, so both the costs *and* the recorded
-/// directions — hence the traced path — are identical.
+/// directions — hence the traced path — are identical. Like
+/// [`distance_row_segmented`], it slices `prev`, `y`, `cur` and the
+/// direction row once, so the interior indexes five equal-length slices.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn path_row_segmented<C: CostFn>(
-    i: usize,
     xi: f64,
     y: &[f64],
     lo: usize,
@@ -346,34 +378,20 @@ pub(crate) fn path_row_segmented<C: CostFn>(
     phi: usize,
     prev: &[f64],
     cur: &mut [f64],
-    dirs: &mut WindowedDirections,
+    dirs: &mut [u8],
     cost: C,
 ) {
     let seg_lo = lo.max(plo + 1);
     let seg_hi = hi.min(phi);
     if seg_lo > seg_hi {
-        return path_row_generic(i, xi, y, lo, hi, plo, phi, prev, cur, dirs, cost);
+        return path_row_generic(xi, y, lo, hi, plo, phi, prev, cur, dirs, cost);
     }
     for j in lo..seg_lo {
-        let up = if j >= plo && j <= phi {
-            prev[j - plo]
-        } else {
-            f64::INFINITY
-        };
-        let diag = if j > plo && j - 1 <= phi {
-            prev[j - 1 - plo]
-        } else {
-            f64::INFINITY
-        };
-        let left = if j > lo {
-            cur[j - 1 - lo]
-        } else {
-            f64::INFINITY
-        };
+        let (diag, up, left) = guarded_neighbors(j, lo, plo, phi, prev, cur);
         let (best, dir) = pick(diag, up, left);
         debug_assert!(best.is_finite());
         cur[j - lo] = cost.cost(xi, y[j]) + best;
-        dirs.set(i, j, dir);
+        dirs[j - lo] = dir;
     }
     let len = seg_hi - seg_lo + 1;
     let mut left = if seg_lo > lo {
@@ -381,36 +399,24 @@ pub(crate) fn path_row_segmented<C: CostFn>(
     } else {
         f64::INFINITY
     };
+    let up_s = &prev[seg_lo - plo..seg_lo - plo + len];
+    let diag_s = &prev[seg_lo - 1 - plo..seg_lo - 1 - plo + len];
+    let y_s = &y[seg_lo..seg_lo + len];
+    let out = &mut cur[seg_lo - lo..seg_lo - lo + len];
+    let dir_s = &mut dirs[seg_lo - lo..seg_lo - lo + len];
     for k in 0..len {
-        let j = seg_lo + k;
-        let up = prev[j - plo];
-        let diag = prev[j - 1 - plo];
-        let (best, dir) = pick(diag, up, left);
-        let v = cost.cost(xi, y[j]) + best;
-        cur[j - lo] = v;
-        dirs.set(i, j, dir);
+        let (best, dir) = pick(diag_s[k], up_s[k], left);
+        let v = cost.cost(xi, y_s[k]) + best;
+        out[k] = v;
+        dir_s[k] = dir;
         left = v;
     }
     for j in seg_hi + 1..=hi {
-        let up = if j >= plo && j <= phi {
-            prev[j - plo]
-        } else {
-            f64::INFINITY
-        };
-        let diag = if j > plo && j - 1 <= phi {
-            prev[j - 1 - plo]
-        } else {
-            f64::INFINITY
-        };
-        let left = if j > lo {
-            cur[j - 1 - lo]
-        } else {
-            f64::INFINITY
-        };
+        let (diag, up, left) = guarded_neighbors(j, lo, plo, phi, prev, cur);
         let (best, dir) = pick(diag, up, left);
         debug_assert!(best.is_finite());
         cur[j - lo] = cost.cost(xi, y[j]) + best;
-        dirs.set(i, j, dir);
+        dirs[j - lo] = dir;
     }
 }
 
@@ -419,7 +425,6 @@ pub(crate) fn path_row_segmented<C: CostFn>(
 #[inline(always)]
 pub(crate) fn path_row<C: CostFn>(
     segmented: bool,
-    i: usize,
     xi: f64,
     y: &[f64],
     lo: usize,
@@ -428,12 +433,12 @@ pub(crate) fn path_row<C: CostFn>(
     phi: usize,
     prev: &[f64],
     cur: &mut [f64],
-    dirs: &mut WindowedDirections,
+    dirs: &mut [u8],
     cost: C,
 ) {
     if segmented {
-        path_row_segmented(i, xi, y, lo, hi, plo, phi, prev, cur, dirs, cost);
+        path_row_segmented(xi, y, lo, hi, plo, phi, prev, cur, dirs, cost);
     } else {
-        path_row_generic(i, xi, y, lo, hi, plo, phi, prev, cur, dirs, cost);
+        path_row_generic(xi, y, lo, hi, plo, phi, prev, cur, dirs, cost);
     }
 }

@@ -343,7 +343,6 @@ pub fn windowed_with_path_metered_kernel<C: CostFn, M: Meter>(
         let (lo, hi) = window.row_bounds(i);
         sweep::path_row(
             segmented,
-            i,
             xi,
             y,
             lo,
@@ -352,7 +351,7 @@ pub fn windowed_with_path_metered_kernel<C: CostFn, M: Meter>(
             phi,
             &buf.prev,
             &mut buf.cur,
-            &mut dirs,
+            dirs.row_mut(i),
             cost,
         );
         std::mem::swap(&mut buf.prev, &mut buf.cur);

@@ -25,7 +25,13 @@
 //! This module hosts the **tuned** implementation: it shares its inner DP
 //! loop with the exact kernels (see [`windowed`](crate::dtw::windowed)),
 //! reuses buffers, stores its window as per-row ranges, and performs no
-//! per-cell allocation — FastDTW done as well as we know how.
+//! per-cell allocation — FastDTW done as well as we know how. Each level
+//! pays for its cells and little else: the path sweep picks the traceback
+//! step without a branch and writes it through the row's slice of the
+//! direction plane, and [`SearchWindow::dilate`] reads two bounds per row
+//! (O(n), not O(n·r)). What remains beyond `cDTW_w`'s cost is FastDTW's
+//! extra cells plus one traceback byte per cell, which is the comparison
+//! the paper makes.
 //!
 //! The [`reference`](mod@reference) submodule is a faithful transliteration of the
 //! *canonical* implementation (Salvador & Chan's reference, as consumed by
@@ -435,5 +441,15 @@ mod tests {
     fn rejects_empty_inputs() {
         assert!(fastdtw_distance(&[], &[1.0], 1, SquaredCost).is_err());
         assert!(fastdtw_distance(&[1.0], &[], 1, SquaredCost).is_err());
+    }
+
+    #[test]
+    fn coarsening_huge_finite_input_stays_finite() {
+        // Adjacent samples whose sum exceeds f64::MAX must still coarsen
+        // to a finite mean, or every coarser level would see ∞.
+        let x = [1.7e308; 64];
+        assert_eq!(dtw_distance(&x, &x, SquaredCost), Ok(0.0));
+        assert_eq!(fastdtw_distance(&x, &x, 1, SquaredCost), Ok(0.0));
+        assert_eq!(fastdtw_ref_distance(&x, &x, 1, SquaredCost), Ok(0.0));
     }
 }

@@ -26,6 +26,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::cost::CostFn;
 use crate::error::{check_finite, check_nonempty, Result};
+use crate::paa::pair_mean;
 use crate::path::WarpingPath;
 use tsdtw_obs::{FastDtwLevel, Meter, NoMeter};
 
@@ -120,10 +121,11 @@ fn recurse<C: CostFn, M: Meter>(
     dtw_over_window(x, y, &window, cost, meter)
 }
 
-/// Pairwise means, dropping the unpaired tail of odd-length input — the
-/// reference behavior (`range(0, len(x) - len(x) % 2, 2)`).
+/// Pairwise means ([`pair_mean`], finite for finite input), dropping the
+/// unpaired tail of odd-length input — the reference behavior
+/// (`range(0, len(x) - len(x) % 2, 2)`).
 fn reduce_by_half(x: &[f64]) -> Vec<f64> {
-    x.chunks_exact(2).map(|p| (p[0] + p[1]) * 0.5).collect()
+    x.chunks_exact(2).map(|p| pair_mean(p[0], p[1])).collect()
 }
 
 /// Every cell of the matrix as an explicit list — the reference base case.

@@ -102,6 +102,20 @@ impl WindowedDirections {
         self.data[idx] = d as u8;
     }
 
+    /// Row `i`'s direction bytes, one per admissible column from `lo[i]`
+    /// on: the path sweep writes a row through this slice rather than
+    /// through [`set`](Self::set)'s per-cell offset arithmetic.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [u8] {
+        let start = self.row_offsets[i];
+        let end = self
+            .row_offsets
+            .get(i + 1)
+            .copied()
+            .unwrap_or(self.data.len());
+        &mut self.data[start..end]
+    }
+
     /// Reads the direction for cell `(i, j)`. The cell must be admissible.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> Direction {
@@ -173,5 +187,19 @@ mod tests {
         d.set(1, 2, Direction::Diagonal);
         d.set(2, 2, Direction::Up);
         assert_eq!(d.traceback((2, 2)), vec![(0, 0), (0, 1), (1, 2), (2, 2)]);
+    }
+
+    #[test]
+    fn row_slices_address_the_same_cells_as_set() {
+        let w = SearchWindow::from_bounds(4, vec![0, 0, 1, 2], vec![1, 2, 3, 3]).unwrap();
+        let mut d = WindowedDirections::for_window(&w);
+        for i in 0..w.n_rows() {
+            let (lo, hi) = w.row_bounds(i);
+            let row = d.row_mut(i);
+            assert_eq!(row.len(), hi - lo + 1);
+            row[hi - lo] = Direction::Up as u8;
+            assert_eq!(d.get(i, hi), Direction::Up);
+            assert_eq!(d.get(i, lo) == Direction::Unreached, lo != hi);
+        }
     }
 }

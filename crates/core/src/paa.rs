@@ -52,7 +52,24 @@ pub fn paa(src: &[f64], n_segments: usize) -> Result<Vec<f64>> {
     Ok(out)
 }
 
-/// FastDTW's coarsening step: pairwise means, halving the length.
+/// The mean of two finite values, finite for every such pair.
+///
+/// `(a + b) * 0.5` overflows to `±∞` once the sum exceeds `f64::MAX`
+/// (e.g. two samples of `1.7e308`), so that case falls back to
+/// `a * 0.5 + b * 0.5`. Every pair whose sum is finite keeps the bits of
+/// the plain formula. Both FastDTW implementations coarsen through this.
+#[inline]
+pub(crate) fn pair_mean(a: f64, b: f64) -> f64 {
+    let sum = a + b;
+    if sum.is_finite() {
+        sum * 0.5
+    } else {
+        a * 0.5 + b * 0.5
+    }
+}
+
+/// FastDTW's coarsening step: pairwise means ([`pair_mean`]), halving the
+/// length.
 ///
 /// Odd-length series follow Salvador & Chan's reference implementation: the
 /// final unpaired sample becomes its own coarse point, so a series of
@@ -62,7 +79,7 @@ pub fn halve(src: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(src.len().div_ceil(2));
     let mut chunks = src.chunks_exact(2);
     for pair in &mut chunks {
-        out.push((pair[0] + pair[1]) * 0.5);
+        out.push(pair_mean(pair[0], pair[1]));
     }
     if let [tail] = chunks.remainder() {
         out.push(*tail);
@@ -87,6 +104,22 @@ mod tests {
     #[test]
     fn halve_singleton() {
         assert_eq!(halve(&[7.0]), vec![7.0]);
+    }
+
+    #[test]
+    fn pair_mean_stays_finite_where_the_sum_overflows() {
+        assert_eq!(pair_mean(1.7e308, 1.7e308), 1.7e308);
+        assert_eq!(pair_mean(-f64::MAX, -f64::MAX), -f64::MAX);
+        // Finite sums keep the plain formula's bits.
+        for (a, b) in [
+            (0.1, 0.2),
+            (1.0, -3.0),
+            (f64::MAX, -f64::MAX),
+            (5e-324, 5e-324),
+        ] {
+            assert_eq!(pair_mean(a, b).to_bits(), ((a + b) * 0.5).to_bits());
+        }
+        assert_eq!(halve(&[1.7e308; 5]), vec![1.7e308; 3]);
     }
 
     #[test]

@@ -225,22 +225,27 @@ impl SearchWindow {
     /// Returns a copy of this window dilated by `radius` in Chebyshev
     /// distance: a cell is admissible in the result iff some admissible cell
     /// of `self` lies within `radius` rows *and* `radius` columns of it.
+    ///
+    /// O(n): with non-decreasing bounds the union of rows `i − radius ..=
+    /// i + radius` spans `lo[i − radius] ..= hi[i + radius]` (clamped to the
+    /// matrix), so each row reads two bounds instead of scanning
+    /// `2·radius + 1` rows. Every window meets that precondition: the public
+    /// constructors build monotone bounds or validate or repair them, and
+    /// the projection of a monotone path inside
+    /// [`from_low_res_path`](Self::from_low_res_path) is monotone before
+    /// its repair.
     pub fn dilate(&self, radius: usize) -> Self {
+        debug_assert!(
+            self.lo.windows(2).all(|p| p[0] <= p[1]) && self.hi.windows(2).all(|p| p[0] <= p[1]),
+            "dilate needs non-decreasing bounds"
+        );
         let n_rows = self.lo.len();
-        let mut lo = vec![usize::MAX; n_rows];
-        let mut hi = vec![0usize; n_rows];
-        for i in 0..n_rows {
-            let r0 = i.saturating_sub(radius);
-            let r1 = (i + radius).min(n_rows - 1);
-            let mut l = usize::MAX;
-            let mut h = 0usize;
-            for r in r0..=r1 {
-                l = l.min(self.lo[r]);
-                h = h.max(self.hi[r]);
-            }
-            lo[i] = l.saturating_sub(radius);
-            hi[i] = (h + radius).min(self.n_cols - 1);
-        }
+        let lo = (0..n_rows)
+            .map(|i| self.lo[i.saturating_sub(radius)].saturating_sub(radius))
+            .collect();
+        let hi = (0..n_rows)
+            .map(|i| (self.hi[(i + radius).min(n_rows - 1)] + radius).min(self.n_cols - 1))
+            .collect();
         SearchWindow::assemble(self.n_cols, lo, hi)
     }
 

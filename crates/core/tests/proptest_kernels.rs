@@ -16,6 +16,7 @@ use tsdtw_core::lower_bounds::kim::lb_kim_hierarchy;
 use tsdtw_core::lower_bounds::yi::lb_yi_symmetric;
 use tsdtw_core::multivariate::{mdtw_d_distance, MultiSeries};
 use tsdtw_core::open_end::open_end_dtw;
+use tsdtw_core::path::WarpingPath;
 use tsdtw_core::window::SearchWindow;
 
 fn series(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -179,18 +180,90 @@ proptest! {
         }
     }
 
-    /// Dilation only grows windows and preserves validity.
+    /// Dilation only grows windows, preserves validity, and equals the
+    /// Chebyshev union of `2r + 1` rows bound for bound — on Sakoe–Chiba
+    /// bands of unequal lengths, Itakura parallelograms and FastDTW
+    /// projections of random low-resolution paths (both dilated directly
+    /// and as `from_low_res_path` dilates them internally).
     #[test]
-    fn dilation_grows(n in 2usize..40, band in 0usize..5, r in 0usize..5) {
-        let w = SearchWindow::sakoe_chiba(n, n, band);
-        let d = w.dilate(r);
-        prop_assert!(d.validate().is_ok());
-        prop_assert!(d.cell_count() >= w.cell_count());
-        for i in 0..n {
-            let (lo, hi) = w.row_bounds(i);
-            for j in lo..=hi {
-                prop_assert!(d.contains(i, j));
+    fn dilation_grows(
+        n in 2usize..40,
+        m in 1usize..40,
+        band in 0usize..5,
+        r in 0usize..12,
+        slope_tenths in 11u32..40,
+        steps in prop::collection::vec(0u8..3, 80),
+    ) {
+        let low = low_res_path(n.div_ceil(2), m.div_ceil(2), &steps);
+        let projected = SearchWindow::from_low_res_path(&low, n, m, 0);
+        let windows = [
+            SearchWindow::sakoe_chiba(n, m, band),
+            SearchWindow::itakura(n, m, slope_tenths as f64 / 10.0).unwrap(),
+            projected.clone(),
+        ];
+        for w in &windows {
+            let d = w.dilate(r);
+            prop_assert_eq!(bounds(&d), chebyshev_union(w, r), "{:?} dilated by {}", w, r);
+            prop_assert!(d.validate().is_ok());
+            prop_assert!(d.cell_count() >= w.cell_count());
+            for i in 0..n {
+                let (lo, hi) = w.row_bounds(i);
+                for j in lo..=hi {
+                    prop_assert!(d.contains(i, j));
+                }
             }
         }
+        // The projection of a low-resolution path at its matching
+        // resolution is already a valid window, so the corner fix and
+        // connectivity repair after the internal dilation change nothing.
+        let internal = SearchWindow::from_low_res_path(&low, n, m, r);
+        prop_assert_eq!(bounds(&internal), chebyshev_union(&projected, r));
     }
+}
+
+/// Every row's `(lo, hi)`.
+fn bounds(w: &SearchWindow) -> Vec<(usize, usize)> {
+    (0..w.n_rows()).map(|i| w.row_bounds(i)).collect()
+}
+
+/// Dilation by definition: row `i` spans the union of rows
+/// `i − r ..= i + r`, widened by `r` columns each way and clamped to the
+/// matrix. Makes no assumption about the bounds' monotonicity.
+fn chebyshev_union(w: &SearchWindow, r: usize) -> Vec<(usize, usize)> {
+    let n = w.n_rows();
+    (0..n)
+        .map(|i| {
+            let rows = i.saturating_sub(r)..=(i + r).min(n - 1);
+            let lo = rows.clone().map(|k| w.row_bounds(k).0).min().unwrap();
+            let hi = rows.map(|k| w.row_bounds(k).1).max().unwrap();
+            (lo.saturating_sub(r), (hi + r).min(w.n_cols() - 1))
+        })
+        .collect()
+}
+
+/// A monotone staircase path over an `a × b` grid from `(0, 0)` to
+/// `(a − 1, b − 1)`, taking diagonal / down / right steps as `steps`
+/// dictates (0 / 1 / 2) until an edge forces the direction.
+fn low_res_path(a: usize, b: usize, steps: &[u8]) -> WarpingPath {
+    let (mut i, mut j) = (0, 0);
+    let mut cells = vec![(0, 0)];
+    let mut choices = steps.iter().cycle();
+    while (i, j) != (a - 1, b - 1) {
+        if i == a - 1 {
+            j += 1;
+        } else if j == b - 1 {
+            i += 1;
+        } else {
+            match choices.next().unwrap() {
+                0 => {
+                    i += 1;
+                    j += 1;
+                }
+                1 => i += 1,
+                _ => j += 1,
+            }
+        }
+        cells.push((i, j));
+    }
+    WarpingPath::new(cells).unwrap()
 }

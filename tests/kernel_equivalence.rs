@@ -6,7 +6,11 @@
 //! full-matrix reference DP:
 //!
 //! * distances compare by `to_bits()` — not approximate equality;
-//! * warping paths compare exactly (`WarpingPath` is `Eq`);
+//! * warping paths compare exactly (`WarpingPath` is `Eq`), across tiers
+//!   and against the naive DP's own traceback, which prefers the
+//!   diagonal, then up, then left (`<=` throughout). The Sakoe–Chiba,
+//!   full-matrix, Itakura and FastDTW properties also run on tie-heavy
+//!   integer series in −2..=2, where that tie-break decides the path;
 //! * work accounting compares by full [`WorkMeter`] equality — counters
 //!   are recorded from window bounds alone, so no tier may change them.
 //!
@@ -53,7 +57,8 @@ use tsdtw::core::dtw::windowed::{
     windowed_distance_metered_kernel, windowed_with_path_kernel, DtwBuffer,
 };
 use tsdtw::core::fastdtw::fastdtw_metered_kernel;
-use tsdtw::core::{Kernel, SearchWindow};
+use tsdtw::core::paa::halve;
+use tsdtw::core::{Kernel, SearchWindow, WarpingPath};
 use tsdtw_obs::{NoMeter, WorkMeter};
 
 fn bits(x: f64) -> u64 {
@@ -63,8 +68,9 @@ fn bits(x: f64) -> u64 {
 /// Naive full-matrix reference: materializes the whole `n × m` grid,
 /// fills only admissible cells, reads inadmissible neighbors as `+∞`,
 /// and uses the exact expression the kernels use
-/// (`cost + diag.min(up).min(left)`), so equality is bitwise.
-fn naive_windowed<C: CostFn>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) -> f64 {
+/// (`cost + diag.min(up).min(left)`), so equality is bitwise. Returns the
+/// accumulated (unfinished) grid; inadmissible cells stay `+∞`.
+fn naive_matrix<C: CostFn>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) -> Vec<Vec<f64>> {
     let n = x.len();
     let m = y.len();
     let mut dp = vec![vec![f64::INFINITY; m]; n];
@@ -98,7 +104,70 @@ fn naive_windowed<C: CostFn>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) ->
             dp[i][j] = c + diag.min(up).min(left);
         }
     }
-    cost.finish(dp[n - 1][m - 1])
+    dp
+}
+
+/// The naive reference distance over `w`.
+fn naive_windowed<C: CostFn>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) -> f64 {
+    cost.finish(naive_matrix(x, y, w, cost)[x.len() - 1][y.len() - 1])
+}
+
+/// `naive_windowed`'s full-matrix DP plus a traceback from `(n-1, m-1)`
+/// that prefers the diagonal, then the vertical step, then the horizontal
+/// one, comparing with `<=`: the tie-break every path tier documents.
+/// Returns the finished distance and the path cells in forward order.
+fn naive_windowed_path<C: CostFn>(
+    x: &[f64],
+    y: &[f64],
+    w: &SearchWindow,
+    cost: C,
+) -> (f64, Vec<(usize, usize)>) {
+    let dp = naive_matrix(x, y, w, cost);
+    let (mut i, mut j) = (x.len() - 1, y.len() - 1);
+    let dist = cost.finish(dp[i][j]);
+    let mut cells = vec![(i, j)];
+    while (i, j) != (0, 0) {
+        let diag = if i > 0 && j > 0 {
+            dp[i - 1][j - 1]
+        } else {
+            f64::INFINITY
+        };
+        let up = if i > 0 { dp[i - 1][j] } else { f64::INFINITY };
+        let left = if j > 0 { dp[i][j - 1] } else { f64::INFINITY };
+        if diag <= up && diag <= left {
+            i -= 1;
+            j -= 1;
+        } else if up <= left {
+            i -= 1;
+        } else {
+            j -= 1;
+        }
+        cells.push((i, j));
+    }
+    cells.reverse();
+    (dist, cells)
+}
+
+/// FastDTW rebuilt from its public layers (`paa::halve`,
+/// `SearchWindow::from_low_res_path`) with [`naive_windowed_path`] solving
+/// every level, so each level's tie-break is checked against the oracle
+/// rather than only across tiers (which share it).
+fn naive_fastdtw(x: &[f64], y: &[f64], radius: usize) -> (f64, Vec<(usize, usize)>) {
+    let window = if x.len() <= radius + 2 || y.len() <= radius + 2 {
+        SearchWindow::full(x.len(), y.len())
+    } else {
+        let (_, low) = naive_fastdtw(&halve(x), &halve(y), radius);
+        let low = WarpingPath::new(low).unwrap();
+        SearchWindow::from_low_res_path(&low, x.len(), y.len(), radius)
+    };
+    naive_windowed_path(x, y, &window, SquaredCost)
+}
+
+/// Integer-valued series in −2..=2. Accumulated costs are then small
+/// integers, so neighbor ties, where only the tie-break decides the
+/// path, are common rather than measure-zero.
+fn tie_heavy(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec((-2i32..3).prop_map(f64::from), len)
 }
 
 /// Runs one window through both tiers and the naive reference with a
@@ -124,16 +193,17 @@ fn assert_window_tiers_match<C: CostFn + Copy>(x: &[f64], y: &[f64], w: &SearchW
     prop_assert_eq!(bits(d_gen), bits(d_seg), "generic vs segmented");
     prop_assert_eq!(bits(d_gen), bits(d_auto), "generic vs auto");
     prop_assert_eq!(bits(d_gen), bits(d_wav), "generic vs wavefront");
-    prop_assert_eq!(bits(d_gen), bits(naive_windowed(x, y, w, cost)), "vs naive");
+    let (d_naive, p_naive) = naive_windowed_path(x, y, w, cost);
+    prop_assert_eq!(bits(d_gen), bits(d_naive), "vs naive");
     prop_assert_eq!(&m_gen, &m_seg, "meters must be tier-invariant");
     prop_assert_eq!(&m_gen, &m_auto);
     prop_assert_eq!(&m_gen, &m_wav, "wavefront meters must match the sweep");
 
-    let (pd_gen, p_gen) = windowed_with_path_kernel(x, y, w, cost, Kernel::Generic).unwrap();
-    let (pd_seg, p_seg) = windowed_with_path_kernel(x, y, w, cost, Kernel::Segmented).unwrap();
-    prop_assert_eq!(bits(pd_gen), bits(pd_seg), "path-kernel distance");
-    prop_assert_eq!(bits(pd_gen), bits(d_gen), "path kernel vs distance kernel");
-    prop_assert_eq!(p_gen, p_seg, "paths must be identical across tiers");
+    for kernel in [Kernel::Generic, Kernel::Segmented, Kernel::Auto] {
+        let (pd, p) = windowed_with_path_kernel(x, y, w, cost, kernel).unwrap();
+        prop_assert_eq!(bits(pd), bits(d_naive), "{:?} path-kernel distance", kernel);
+        prop_assert_eq!(p.cells(), &p_naive[..], "{:?} path vs naive", kernel);
+    }
 }
 
 /// Runs `ys` against `x` through the batched kernel in scan order
@@ -188,13 +258,17 @@ proptest! {
         x in prop::collection::vec(-10.0f64..10.0, 1..28),
         y in prop::collection::vec(-10.0f64..10.0, 1..28),
         band in 0usize..10,
+        xt in tie_heavy(1..28),
+        yt in tie_heavy(1..28),
     ) {
-        let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
-        assert_window_tiers_match(&x, &y, &w, SquaredCost);
-        assert_window_tiers_match(&x, &y, &w, AbsoluteCost);
-        // Rooted inherits the inner cost's opt-in and changes only
-        // `finish`, which every tier must apply identically.
-        assert_window_tiers_match(&x, &y, &w, Rooted(SquaredCost));
+        for (x, y) in [(&x, &y), (&xt, &yt)] {
+            let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
+            assert_window_tiers_match(x, y, &w, SquaredCost);
+            assert_window_tiers_match(x, y, &w, AbsoluteCost);
+            // Rooted inherits the inner cost's opt-in and changes only
+            // `finish`, which every tier must apply identically.
+            assert_window_tiers_match(x, y, &w, Rooted(SquaredCost));
+        }
     }
 
     /// The full matrix is the widest window; the shared [`dtw_distance_kernel`]
@@ -203,15 +277,19 @@ proptest! {
     fn full_matrix_is_tier_invariant(
         x in prop::collection::vec(-10.0f64..10.0, 1..20),
         y in prop::collection::vec(-10.0f64..10.0, 1..20),
+        xt in tie_heavy(1..20),
+        yt in tie_heavy(1..20),
     ) {
-        let w = SearchWindow::full(x.len(), y.len());
-        assert_window_tiers_match(&x, &y, &w, SquaredCost);
-        let d_gen = dtw_distance_kernel(&x, &y, SquaredCost, Kernel::Generic).unwrap();
-        let d_seg = dtw_distance_kernel(&x, &y, SquaredCost, Kernel::Segmented).unwrap();
-        let d_wav = dtw_distance_kernel(&x, &y, SquaredCost, Kernel::Wavefront).unwrap();
-        prop_assert_eq!(bits(d_gen), bits(d_seg));
-        prop_assert_eq!(bits(d_gen), bits(d_wav));
-        prop_assert_eq!(bits(d_gen), bits(naive_windowed(&x, &y, &w, SquaredCost)));
+        for (x, y) in [(&x, &y), (&xt, &yt)] {
+            let w = SearchWindow::full(x.len(), y.len());
+            assert_window_tiers_match(x, y, &w, SquaredCost);
+            let d_gen = dtw_distance_kernel(x, y, SquaredCost, Kernel::Generic).unwrap();
+            let d_seg = dtw_distance_kernel(x, y, SquaredCost, Kernel::Segmented).unwrap();
+            let d_wav = dtw_distance_kernel(x, y, SquaredCost, Kernel::Wavefront).unwrap();
+            prop_assert_eq!(bits(d_gen), bits(d_seg));
+            prop_assert_eq!(bits(d_gen), bits(d_wav));
+            prop_assert_eq!(bits(d_gen), bits(naive_windowed(x, y, &w, SquaredCost)));
+        }
     }
 
     /// Itakura parallelograms have rows whose interiors shrink to nothing
@@ -221,35 +299,48 @@ proptest! {
         x in prop::collection::vec(-10.0f64..10.0, 2..24),
         y in prop::collection::vec(-10.0f64..10.0, 2..24),
         slope_tenths in 12u32..40,
+        xt in tie_heavy(2..24),
+        yt in tie_heavy(2..24),
     ) {
         let slope = slope_tenths as f64 / 10.0;
-        let w = SearchWindow::itakura(x.len(), y.len(), slope).unwrap();
-        assert_window_tiers_match(&x, &y, &w, SquaredCost);
-        assert_window_tiers_match(&x, &y, &w, AbsoluteCost);
+        for (x, y) in [(&x, &y), (&xt, &yt)] {
+            let w = SearchWindow::itakura(x.len(), y.len(), slope).unwrap();
+            assert_window_tiers_match(x, y, &w, SquaredCost);
+            assert_window_tiers_match(x, y, &w, AbsoluteCost);
+        }
     }
 
     /// FastDTW's projected-and-dilated windows, exercised through the
     /// real multi-level recursion: distance, path, and the full meter —
     /// including the order-sensitive per-level window list — must be
-    /// identical across tiers.
+    /// identical across tiers, and distance and path must equal the
+    /// naive per-level oracle's.
     #[test]
     fn fastdtw_projected_windows_are_tier_invariant(
         x in prop::collection::vec(-10.0f64..10.0, 1..48),
         y in prop::collection::vec(-10.0f64..10.0, 1..48),
         radius in 0usize..4,
+        xt in tie_heavy(1..48),
+        yt in tie_heavy(1..48),
     ) {
-        let mut m_gen = WorkMeter::new();
-        let (d_gen, p_gen, s_gen) =
-            fastdtw_metered_kernel(&x, &y, radius, SquaredCost, &mut m_gen, Kernel::Generic)
-                .unwrap();
-        let mut m_seg = WorkMeter::new();
-        let (d_seg, p_seg, s_seg) =
-            fastdtw_metered_kernel(&x, &y, radius, SquaredCost, &mut m_seg, Kernel::Segmented)
-                .unwrap();
-        prop_assert_eq!(bits(d_gen), bits(d_seg));
-        prop_assert_eq!(p_gen, p_seg);
-        prop_assert_eq!(s_gen.levels, s_seg.levels);
-        prop_assert_eq!(&m_gen, &m_seg);
+        for (x, y) in [(&x, &y), (&xt, &yt)] {
+            let (d_naive, p_naive) = naive_fastdtw(x, y, radius);
+            let mut m_gen = WorkMeter::new();
+            let (d_gen, p_gen, s_gen) =
+                fastdtw_metered_kernel(x, y, radius, SquaredCost, &mut m_gen, Kernel::Generic)
+                    .unwrap();
+            for kernel in [Kernel::Segmented, Kernel::Auto] {
+                let mut m = WorkMeter::new();
+                let (d, p, s) =
+                    fastdtw_metered_kernel(x, y, radius, SquaredCost, &mut m, kernel).unwrap();
+                prop_assert_eq!(bits(d_gen), bits(d), "{:?}", kernel);
+                prop_assert_eq!(&p_gen, &p, "{:?}", kernel);
+                prop_assert_eq!(s_gen.levels, s.levels);
+                prop_assert_eq!(&m_gen, &m, "{:?}", kernel);
+            }
+            prop_assert_eq!(bits(d_gen), bits(d_naive), "vs the naive oracle");
+            prop_assert_eq!(p_gen.cells(), &p_naive[..], "path vs the naive oracle");
+        }
     }
 
     /// cdtw distance and path entry points (band in cells) across tiers.
@@ -395,7 +486,6 @@ proptest! {
 /// mid-row on both sides.
 #[test]
 fn projected_and_dilated_window_shapes_match() {
-    use tsdtw::core::path::WarpingPath;
     let x: Vec<f64> = (0..31).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
     let y: Vec<f64> = (0..29).map(|i| (i as f64 * 0.41).cos() * 3.0).collect();
     let low =
@@ -507,7 +597,6 @@ fn auto_takes_wavefront<C: CostFn>(x: &[f64], y: &[f64], w: &SearchWindow, cost:
 /// opted-in cost) to the wavefront.
 #[test]
 fn auto_matches_generic_around_the_wavefront_crossover() {
-    use tsdtw::core::path::WarpingPath;
     let c = WAVEFRONT_MIN_WIDTH;
     let targets = [c - 1, c, c + 1];
     let series = |n: usize, phase: f64| -> Vec<f64> {
