@@ -12,9 +12,8 @@
 //!   observability layer's < 5 % overhead budget on the banded kernel);
 //! * the sampling profiler armed at its default rate vs disarmed spans
 //!   on the same banded kernel (the profiler's < 5 % arming budget);
-//! * the tiered row sweep: segmented vs generic on a 10 % band, the
-//!   wavefront tier on the same shape, plus an auto-vs-generic pair on
-//!   an opted-out cost pinning zero dispatch overhead, and a
+//! * the DP routes: the row sweep vs the wavefront on a 10 % band, with
+//!   auto on the same shape pinning zero route-resolution overhead, and a
 //!   batched-scan pair (mining dispatch route vs direct batch-kernel
 //!   calls) pinning the batched route's dispatch overhead under 5 %;
 //! * the counting allocator armed vs per-call [`AllocScope`] probes vs
@@ -280,26 +279,12 @@ fn constraint_shapes(c: &mut Criterion) {
 }
 
 fn kernel_tiers(c: &mut Criterion) {
-    // The tiered row sweep (DESIGN.md §11): Generic guards every cell,
-    // Segmented runs a branch-free unrolled interior. Two claims pinned
-    // here: (1) Segmented beats Generic on band shapes with a wide
-    // interior; (2) dispatch is free — `Auto` on an opted-out cost must
-    // time identically to explicitly requesting Generic, because the
-    // tier resolves once per call, not per cell.
-    use tsdtw_core::cost::CostFn;
+    // The DP evaluation orders (DESIGN.md §11, §16): the row sweep
+    // (Segmented), the anti-diagonal Wavefront, and `Auto`, which on
+    // this band (409 cells wide, past `WAVEFRONT_MIN_WIDTH`) must time
+    // like the wavefront — its route resolves once per call, not per
+    // cell.
     use tsdtw_core::Kernel;
-
-    // A cost identical to SquaredCost except for the segmentation
-    // opt-in, so auto-vs-generic isolates pure dispatch overhead.
-    #[derive(Clone, Copy)]
-    struct PlainSq;
-    impl CostFn for PlainSq {
-        #[inline(always)]
-        fn cost(&self, a: f64, b: f64) -> f64 {
-            let d = a - b;
-            d * d
-        }
-    }
 
     let n = 2048;
     let x = random_walk(n, 61).unwrap();
@@ -307,20 +292,6 @@ fn kernel_tiers(c: &mut Criterion) {
     let band = n / 10;
     let mut g = c.benchmark_group("ablation_kernels");
     g.sample_size(30);
-    g.bench_function("generic", |b| {
-        b.iter(|| {
-            black_box(
-                tsdtw_core::dtw::banded::cdtw_distance_kernel(
-                    &x,
-                    &y,
-                    band,
-                    SquaredCost,
-                    Kernel::Generic,
-                )
-                .unwrap(),
-            )
-        })
-    });
     g.bench_function("segmented", |b| {
         b.iter(|| {
             black_box(
@@ -335,7 +306,7 @@ fn kernel_tiers(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function("auto_on_fast_cost", |b| {
+    g.bench_function("auto", |b| {
         b.iter(|| {
             black_box(
                 tsdtw_core::dtw::banded::cdtw_distance_kernel(
@@ -363,34 +334,9 @@ fn kernel_tiers(c: &mut Criterion) {
             )
         })
     });
-    // Dispatch-overhead pair: PlainSq has SEGMENTED_FAST = false, so
-    // Auto resolves to Generic; any timing gap to the explicit Generic
-    // call would be dispatch cost. Budget: zero.
-    g.bench_function("auto_on_plain_cost", |b| {
-        b.iter(|| {
-            black_box(
-                tsdtw_core::dtw::banded::cdtw_distance_kernel(&x, &y, band, PlainSq, Kernel::Auto)
-                    .unwrap(),
-            )
-        })
-    });
-    g.bench_function("generic_on_plain_cost", |b| {
-        b.iter(|| {
-            black_box(
-                tsdtw_core::dtw::banded::cdtw_distance_kernel(
-                    &x,
-                    &y,
-                    band,
-                    PlainSq,
-                    Kernel::Generic,
-                )
-                .unwrap(),
-            )
-        })
-    });
     // Batched-dispatch overhead pair: the mining 1-NN scan takes the
-    // struct-of-lanes route under `Auto` (length check + band
-    // resolution + group chunking per scan), so its gap to hand-rolled
+    // struct-of-lanes route (length check + band resolution + group
+    // chunking per scan), so its gap to hand-rolled
     // batch-kernel calls over the same candidates is the price of that
     // dispatch. Budget: < 5 %.
     {

@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of Wu & Keogh (ICDE 2021).
 //!
 //! ```text
-//! repro [EXPERIMENT ...] [--full] [--threads N] [--kernel K] [--out DIR]
+//! repro [EXPERIMENT ...] [--full] [--threads N] [--out DIR]
 //!       [--list] [--trace] [--profile[=FILE]]
 //!
 //!   EXPERIMENT   one or more of: fig1 fig2 caseb fig3 fig4 fig6 table2
@@ -12,14 +12,6 @@
 //!                Work counters in BENCH_<id>.json are deterministic and
 //!                independent of N, so snapshots from any thread count
 //!                diff cleanly against a serial baseline.
-//!   --kernel K   DP kernel tier for every experiment: auto (default),
-//!                generic, segmented, or rle (the list is generated
-//!                from `Kernel::ALL`). Row-sweep tiers are bitwise
-//!                equal, so work counters never depend on K — CI
-//!                exploits this by diffing a --kernel segmented run
-//!                against the serial baseline at zero tolerance. The
-//!                rle tier only engages at full-window entry points on
-//!                top of the auto sweep resolution.
 //!   --out DIR    where to write <id>.json records (default: results/)
 //!   --list       list experiments and exit
 //!   --trace      arm the flight recorder per experiment and write
@@ -105,13 +97,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--kernel" => match args.next().as_deref().and_then(tsdtw_core::Kernel::parse) {
-                Some(k) => tsdtw_core::set_default_kernel(k),
-                None => {
-                    eprintln!("--kernel needs one of: {}", tsdtw_core::Kernel::name_list());
-                    return ExitCode::FAILURE;
-                }
-            },
             "--out" => match args.next() {
                 Some(dir) => out = PathBuf::from(dir),
                 None => {
@@ -127,8 +112,8 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [EXPERIMENT ...] [--full] [--threads N] [--kernel K] \
-                     [--out DIR] [--list] [--trace] [--profile[=FILE]]\n\
+                    "usage: repro [EXPERIMENT ...] [--full] [--threads N] [--out DIR] \
+                     [--list] [--trace] [--profile[=FILE]]\n\
                      experiments: {}",
                     experiments::all()
                         .iter()
@@ -180,14 +165,13 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "tsdtw repro — scale: {} — threads: {} — kernel: {} — writing JSON to {}",
+        "tsdtw repro — scale: {} — threads: {} — writing JSON to {}",
         if scale == Scale::Full {
             "FULL (paper-scale)"
         } else {
             "QUICK"
         },
         par.n_threads,
-        tsdtw_core::default_kernel().name(),
         out.display()
     );
     if want_trace && !tsdtw_obs::spans_enabled() {

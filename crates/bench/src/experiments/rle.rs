@@ -17,11 +17,10 @@
 //! * **dispatch** — whether `Kernel::Auto` would route each pair to the
 //!   RLE kernel (ratio ≤ the 10 % threshold, inclusive).
 //!
-//! Everything metered runs through the explicit `*_kernel` /
-//! `dtw_distance_rle` entry points, never the process-wide default, so
-//! the attached `work` and `rle` sections are identical under any
-//! `--kernel` flag and any thread count — the zero-tolerance snapshot
-//! gate relies on that.
+//! Everything metered runs through the row sweep pinned with
+//! `Kernel::Segmented` or through `dtw_distance_rle`, so the attached
+//! `work` and `rle` sections are a pure function of the case at any
+//! thread count — the zero-tolerance snapshot gate relies on that.
 
 use std::hint::black_box;
 

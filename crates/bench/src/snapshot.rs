@@ -24,7 +24,7 @@
 //!            "sweep": [ { "ratio_pct": …, "rle_boundary_cells": …,
 //!                         "banded_cells": …, … }, … ] },
 //!   "tiers": { "wavefront": { "mismatch": 0, "cells_per_s": …,
-//!                             "speedup_vs_generic": … }, … },
+//!                             "speedup_vs_segmented": … }, … },
 //!   "memory": { "telemetry": true, "allocs": …, "frees": …,
 //!               "bytes_allocated": …, "peak_bytes": …, … },
 //!   "profile": { "sampler_hz": 997.0, "duration_s": …, "ticks": …,
@@ -75,7 +75,7 @@ use tsdtw_obs::{json_obj, Json, SpanStat};
 /// throughput and tier-equivalence results from the `kernels`
 /// experiment — the per-tier `mismatch` counters gate hard at any
 /// tolerance because they count cases whose distance diverged bitwise
-/// from the serial Generic reference and must stay 0, while cells/sec
+/// from the experiment's reference DP and must stay 0, while cells/sec
 /// and speedup floats are advisory; `Json::Null` for experiments that
 /// don't race kernel tiers); version 7 added the `profile` section
 /// (sampling-profiler output: sampler rate, tick/sample counts, and
@@ -104,7 +104,6 @@ pub fn env_fingerprint(n_threads: usize) -> Json {
         "family" => std::env::consts::FAMILY,
         "threads" => std::thread::available_parallelism().map(usize::from).unwrap_or(1),
         "n_threads" => n_threads,
-        "kernel" => tsdtw_core::dtw::kernel::default_kernel().name(),
         "host" => std::env::var("HOSTNAME")
             .or_else(|_| std::env::var("COMPUTERNAME"))
             .unwrap_or_else(|_| "unknown".into()),
@@ -446,7 +445,7 @@ pub fn diff(baseline: &Json, current: &Json, fail_pct: f64) -> Diff {
     gate_counters("rle", baseline, current, fail_pct, &|_| false, &mut d);
 
     // --- kernel tiers: the per-tier `mismatch` counters (cases whose
-    // distance diverged bitwise from the serial Generic reference) are 0
+    // distance diverged bitwise from the reference DP) are 0
     // in any healthy baseline, so any growth is an infinite-percent hard
     // failure; cells/sec and speedup floats are advisory by omission
     // from the counter walk --------------------------------------------
@@ -687,12 +686,12 @@ mod tests {
                 "wavefront" => json_obj! {
                     "mismatch" => 0,
                     "cells_per_s" => 1.0e9,
-                    "speedup_vs_generic" => 1.4,
+                    "speedup_vs_segmented" => 1.4,
                 },
                 "batched" => json_obj! {
                     "mismatch" => 0,
                     "cells_per_s" => 2.5e9,
-                    "speedup_vs_generic" => 3.1,
+                    "speedup_vs_segmented" => 3.1,
                 },
             },
             "profile" => json_obj! {
@@ -915,9 +914,9 @@ mod tests {
 
     #[test]
     fn tier_mismatch_is_a_hard_regression_throughput_is_advisory() {
-        // A tier whose distances stop matching the serial Generic
-        // reference fails at any tolerance (0 -> 1 is an infinite-percent
-        // growth); throughput floats never gate.
+        // A tier whose distances stop matching the reference DP fails at
+        // any tolerance (0 -> 1 is an infinite-percent growth); throughput
+        // floats never gate.
         let base = snap(1000, 1.0);
         let mut cur = snap(1000, 1.0);
         let broken = base["tiers"]["batched"].clone().with("mismatch", 2);
@@ -934,7 +933,7 @@ mod tests {
         let slower = base["tiers"]["batched"]
             .clone()
             .with("cells_per_s", 1.0)
-            .with("speedup_vs_generic", 0.01);
+            .with("speedup_vs_segmented", 0.01);
         cur.set("tiers", base["tiers"].clone().with("batched", slower));
         let d = diff(&base, &cur, 0.0);
         assert!(d.regressions.is_empty(), "{:?}", d.regressions);

@@ -26,7 +26,7 @@
 //!   acceptance band for every later run.
 //!
 //! Timing comparisons only consult prior records from a *comparable
-//! environment* (same os/arch/host, worker count, kernel, span
+//! environment* (same os/arch/host, worker count, span
 //! instrumentation): a laptop-recorded seed history must not raise
 //! timing alarms on a CI runner. Counters, being deterministic, are
 //! compared across any environment.
@@ -108,12 +108,11 @@ impl ExperimentTrend {
 /// are deliberately *not* keyed — they are deterministic everywhere.
 fn comparability_key(rec: &Json) -> String {
     format!(
-        "{}|{}|{}|{}|{}|{}",
+        "{}|{}|{}|{}|{}",
         rec["env"]["os"].as_str().unwrap_or("?"),
         rec["env"]["arch"].as_str().unwrap_or("?"),
         rec["env"]["host"].as_str().unwrap_or("?"),
         rec["env"]["n_threads"].as_i64().unwrap_or(-1),
-        rec["env"]["kernel"].as_str().unwrap_or("?"),
         rec["spans_enabled"].as_bool().unwrap_or(false),
     )
 }
@@ -403,8 +402,7 @@ mod tests {
             "spans_enabled" => false,
             "env" => json_obj! {
                 "os" => "linux", "arch" => "x86_64", "family" => "unix",
-                "threads" => 8, "n_threads" => 4, "kernel" => "tiered",
-                "host" => host,
+                "threads" => 8, "n_threads" => 4, "host" => host,
             },
             "wall_s" => wall,
             "work" => json_obj! { "cells" => cells, "window_cells" => cells * 2 },

@@ -9,26 +9,14 @@ use tsdtw_core::dtw::banded::percent_to_band;
 use tsdtw_mining::knn::DistanceSpec;
 use tsdtw_obs::WorkMeter;
 
-/// `tsdtw help dist`. The `--kernel` lines are generated from
-/// [`tsdtw_core::Kernel::ALL`] — the same table `Kernel::parse` reads —
-/// so the help text cannot drift from what the parser accepts.
-pub fn help() -> String {
-    let tiers: String = tsdtw_core::Kernel::ALL
-        .iter()
-        .map(|(_, name, summary)| format!("                   {name}: {summary}\n"))
-        .collect();
-    format!(
-        "\
+/// `tsdtw help dist`.
+pub const HELP: &str = "\
 tsdtw dist --a FILE --b FILE [--measure M] [--w PCT] [--radius R] [--znorm]
-           [--kernel K] [--threads N] [--stats] [--stats-json FILE]
+           [--threads N] [--stats] [--stats-json FILE]
            [--trace FILE] [--metrics FILE] [--explain[=FILE]]
            [--profile[=FILE]]
   M: dtw | cdtw (default, needs --w) | fastdtw | fastdtw-ref (need --radius)
      | euclidean
-  --kernel K     DP kernel tier, one of: {names} (default auto)
-{tiers}                 Row-sweep tiers are bitwise equal; rle engages at
-                 full-window entry points and matches them bitwise on
-                 exactly-representable (integer/dyadic) inputs.
   --threads N    accepted for uniformity with the other commands (a single
                  pair is evaluated serially; N is only validated)
   --stats        print DP-cell / window / buffer counters for the evaluation
@@ -44,10 +32,7 @@ tsdtw dist --a FILE --b FILE [--measure M] [--w PCT] [--radius R] [--znorm]
                  self-vs-total table (needs --features obs to catch frames).
                  --profile=FILE also writes the collapsed stacks to FILE
                  (flamegraph.pl compatible; render with `tsdtw report flame`)
-  series files: one value per line, '#' comments allowed",
-        names = tsdtw_core::Kernel::name_list(),
-    )
-}
+  series files: one finite value per line, '#' comments allowed";
 
 /// Runs the command, returning the printable result.
 pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
@@ -59,7 +44,6 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
             "measure",
             "w",
             "radius",
-            "kernel",
             "threads",
             stats::STATS_JSON_FLAG,
             stats::TRACE_FLAG,
@@ -77,17 +61,6 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     // A single pair runs serially; the flag exists so scripts can pass the
     // same --threads to every command, and bad values still fail fast.
     let _par = tsdtw_mining::ParConfig::new(args.get_or("threads", 1)?)?;
-    if let Some(k) = args.optional("kernel") {
-        match tsdtw_core::Kernel::parse(k) {
-            Some(kernel) => tsdtw_core::set_default_kernel(kernel),
-            None => {
-                return Err(Box::new(ArgError(format!(
-                    "unknown kernel {k:?}; expected one of: {}",
-                    tsdtw_core::Kernel::name_list()
-                ))))
-            }
-        }
-    }
     let mut a = read_series(Path::new(args.required("a")?))?;
     let mut b = read_series(Path::new(args.required("b")?))?;
     if args.has("znorm") {
@@ -165,14 +138,6 @@ mod tests {
         s.iter().map(|v| v.to_string()).collect()
     }
 
-    /// Tests that set (or whose assertions depend on) the process-wide
-    /// default kernel take this lock, so the `--kernel` sweep cannot
-    /// race a concurrently-running test that asserts exact counters.
-    fn kernel_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     #[test]
     fn computes_each_measure() {
         let (a, b) = setup("tsdtw-dist-test");
@@ -248,9 +213,6 @@ mod tests {
 
     #[test]
     fn metrics_flag_writes_a_prometheus_exposition() {
-        // The cell-count assertion below needs the default (auto)
-        // kernel: take the lock so the --kernel sweep can't interleave.
-        let _guard = kernel_lock();
         let (a, b) = setup("tsdtw-dist-metrics-test");
         let prom = std::env::temp_dir()
             .join("tsdtw-dist-metrics-test")
@@ -304,68 +266,6 @@ mod tests {
                 !parsed["traceEvents"].as_array().unwrap().is_empty(),
                 "obs build records span events"
             );
-        }
-    }
-
-    #[test]
-    fn kernel_flag_selects_a_tier_without_changing_the_distance() {
-        let _guard = kernel_lock();
-        let (a, b) = setup("tsdtw-dist-kernel-test");
-        // Every tier from the single-source table, on a banded measure
-        // (rle degrades to the sweep there) and on full DTW (where rle
-        // actually engages; the integer-valued test series are in its
-        // bitwise guarantee class). This also exercises the set/get
-        // atomic round-trip for every variant.
-        for measure in ["cdtw", "dtw"] {
-            let base = raw(&[
-                "--a",
-                a.to_str().unwrap(),
-                "--b",
-                b.to_str().unwrap(),
-                "--measure",
-                measure,
-                "--w",
-                "40",
-            ]);
-            let mut outputs = Vec::new();
-            for &(k, name, _) in tsdtw_core::Kernel::ALL {
-                let mut argv = base.clone();
-                argv.push("--kernel".into());
-                argv.push(name.into());
-                outputs.push(run(&argv).unwrap());
-                assert_eq!(
-                    tsdtw_core::default_kernel(),
-                    k,
-                    "global after --kernel {name}"
-                );
-            }
-            // Tiers are bitwise equal, so the printed output is identical.
-            for o in &outputs[1..] {
-                assert_eq!(&outputs[0], o, "measure {measure}");
-            }
-            tsdtw_core::set_default_kernel(tsdtw_core::Kernel::Auto);
-
-            let mut bad = base;
-            bad.push("--kernel".into());
-            bad.push("nope".into());
-            let r = run(&bad);
-            assert!(r.is_err(), "unknown kernel must be rejected");
-            // The error names every accepted tier (generated from ALL).
-            let msg = r.err().unwrap().to_string();
-            assert!(
-                msg.contains(&tsdtw_core::Kernel::name_list()),
-                "error should list tiers: {msg}"
-            );
-        }
-        tsdtw_core::set_default_kernel(tsdtw_core::Kernel::Auto);
-    }
-
-    #[test]
-    fn help_lists_every_kernel_tier() {
-        let h = help();
-        for &(_, name, summary) in tsdtw_core::Kernel::ALL {
-            assert!(h.contains(name), "help missing tier {name}");
-            assert!(h.contains(summary), "help missing summary for {name}");
         }
     }
 

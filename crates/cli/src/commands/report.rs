@@ -377,13 +377,12 @@ fn run_show(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     ));
     let env = &snap["env"];
     out.push_str(&format!(
-        "env          {}/{} host {} — {} worker(s) of {} cpu(s), kernel {}, spans {}\n",
+        "env          {}/{} host {} — {} worker(s) of {} cpu(s), spans {}\n",
         env["os"].as_str().unwrap_or("?"),
         env["arch"].as_str().unwrap_or("?"),
         env["host"].as_str().unwrap_or("?"),
         env["n_threads"].as_i64().unwrap_or(-1),
         env["threads"].as_i64().unwrap_or(-1),
-        env["kernel"].as_str().unwrap_or("?"),
         if snap["spans_enabled"].as_bool() == Some(true) {
             "on"
         } else {
@@ -472,11 +471,11 @@ fn run_show(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
             );
             out.push_str(&format!(
                 "  {:<12} {:>10} {:>14} {:>14}\n",
-                "tier", "mismatch", "cells/s", "vs generic"
+                "tier", "mismatch", "cells/s", "vs segmented"
             ));
             if let Some(entries) = tiers.as_object() {
                 for (name, t) in entries {
-                    let speedup = t["speedup_vs_generic"]
+                    let speedup = t["speedup_vs_segmented"]
                         .as_f64()
                         .map(|v| format!("{v:.2}x"))
                         .unwrap_or_else(|| "-".into());
@@ -874,13 +873,13 @@ mod tests {
         s.set(
             "tiers",
             json_obj! {
-                "generic" => json_obj! {
+                "segmented" => json_obj! {
                     "mismatch" => 0, "cells_per_s" => 8.0e8,
-                    "speedup_vs_generic" => 1.0,
+                    "speedup_vs_segmented" => 1.0,
                 },
                 "batched" => json_obj! {
                     "mismatch" => 0, "cells_per_s" => 2.4e9,
-                    "speedup_vs_generic" => 3.0,
+                    "speedup_vs_segmented" => 3.0,
                 },
             },
         );

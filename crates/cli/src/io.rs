@@ -1,8 +1,8 @@
 //! Series and dataset file I/O for the CLI.
 //!
 //! Two formats:
-//! * **plain series** — one f64 per line (comments with `#`, blanks
-//!   skipped), for `dist` / `search` inputs;
+//! * **plain series** — one finite f64 per line (comments with `#`,
+//!   blanks skipped), for `dist` / `search` / `motif` / `discord` inputs;
 //! * **UCR labeled datasets** — delegated to
 //!   [`tsdtw_datasets::ucr_format`].
 
@@ -25,10 +25,16 @@ fn parse_series(text: &str, path: &Path) -> Result<Vec<f64>> {
         if t.is_empty() || t.starts_with('#') {
             continue;
         }
-        let v: f64 = t.parse().map_err(|_| Error::InvalidParameter {
+        let bad = |what: &str| Error::InvalidParameter {
             name: "series",
-            reason: format!("{}:{}: unparsable value {t:?}", path.display(), lineno + 1),
-        })?;
+            reason: format!("{}:{}: {what} value {t:?}", path.display(), lineno + 1),
+        };
+        let v: f64 = t.parse().map_err(|_| bad("unparsable"))?;
+        // Rust's f64 parser accepts NaN and ±inf (and overflows to inf);
+        // no measure is defined on them.
+        if !v.is_finite() {
+            return Err(bad("non-finite"));
+        }
         out.push(v);
     }
     if out.is_empty() {
@@ -66,6 +72,19 @@ mod tests {
     fn parse_rejects_garbage_and_empty() {
         assert!(parse_series("1.0\nfoo\n", Path::new("t")).is_err());
         assert!(parse_series("# only comments\n", Path::new("t")).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_values_with_their_line() {
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity", "1e400"] {
+            let err = parse_series(&format!("1.0\n{bad}\n2.0\n"), Path::new("s.txt"))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("s.txt:2: non-finite value \"{bad}\"")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -36,20 +36,18 @@ commands:
             flame (render collapsed profiler stacks)
   help      this message, or per-command help";
 
-fn command_help(name: &str) -> Option<String> {
+fn command_help(name: &str) -> Option<&'static str> {
     match name {
-        // dist's help is generated (its --kernel lines come from
-        // `Kernel::ALL`); the rest are static.
-        "dist" => Some(commands::dist::help()),
-        "classify" => Some(commands::classify::HELP.to_string()),
-        "search" => Some(commands::search::HELP.to_string()),
-        "window" => Some(commands::window::HELP.to_string()),
-        "cluster" => Some(commands::cluster::HELP.to_string()),
-        "motif" => Some(commands::mine::HELP_MOTIF.to_string()),
-        "discord" => Some(commands::mine::HELP_DISCORD.to_string()),
-        "bakeoff" => Some(commands::bakeoff::HELP.to_string()),
-        "generate" => Some(commands::generate::HELP.to_string()),
-        "report" => Some(commands::report::HELP.to_string()),
+        "dist" => Some(commands::dist::HELP),
+        "classify" => Some(commands::classify::HELP),
+        "search" => Some(commands::search::HELP),
+        "window" => Some(commands::window::HELP),
+        "cluster" => Some(commands::cluster::HELP),
+        "motif" => Some(commands::mine::HELP_MOTIF),
+        "discord" => Some(commands::mine::HELP_DISCORD),
+        "bakeoff" => Some(commands::bakeoff::HELP),
+        "generate" => Some(commands::generate::HELP),
+        "report" => Some(commands::report::HELP),
         _ => None,
     }
 }

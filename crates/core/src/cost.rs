@@ -15,23 +15,13 @@
 /// A local (pointwise) cost between two sample values.
 ///
 /// Implementations must be cheap — this is the innermost call of every DP —
-/// and must return non-negative, finite values for finite inputs so that
-/// accumulated costs remain ordered and `f64::INFINITY` can serve as the
-/// "unreachable cell" sentinel.
+/// and must return non-negative values, finite for finite inputs short of
+/// overflow, so that accumulated costs remain ordered. `f64::INFINITY`
+/// stands in for cells outside the search window; a cost that overflows
+/// to it ([`SquaredCost`] at `|a − b| ≳ 1.34e154`) makes the distance
+/// `+∞`, and every kernel still returns a path inside its window. Every
+/// cost takes the same kernel routes.
 pub trait CostFn: Copy {
-    /// Whether [`Kernel::Auto`](crate::dtw::kernel::Kernel) may route this
-    /// cost through the segmented (branch-free interior) row sweep.
-    ///
-    /// The segmented tier is bitwise-equal to the generic tier for *every*
-    /// cost — it performs the same per-cell operations in the same order —
-    /// so this is purely a performance hint: the fused-min fast path only
-    /// pays off when the cost call inlines to a couple of arithmetic ops.
-    /// [`SquaredCost`] and [`AbsoluteCost`] (the two costs every experiment
-    /// in this crate uses) opt in; exotic user costs stay on the proven
-    /// generic sweep under `Auto` and can still be forced onto the
-    /// segmented tier with `Kernel::Segmented`.
-    const SEGMENTED_FAST: bool = false;
-
     /// The cost of aligning sample value `a` with sample value `b`.
     fn cost(&self, a: f64, b: f64) -> f64;
 
@@ -51,8 +41,6 @@ pub trait CostFn: Copy {
 pub struct SquaredCost;
 
 impl CostFn for SquaredCost {
-    const SEGMENTED_FAST: bool = true;
-
     #[inline(always)]
     fn cost(&self, a: f64, b: f64) -> f64 {
         let d = a - b;
@@ -65,8 +53,6 @@ impl CostFn for SquaredCost {
 pub struct AbsoluteCost;
 
 impl CostFn for AbsoluteCost {
-    const SEGMENTED_FAST: bool = true;
-
     #[inline(always)]
     fn cost(&self, a: f64, b: f64) -> f64 {
         (a - b).abs()
@@ -83,10 +69,6 @@ impl CostFn for AbsoluteCost {
 pub struct Rooted<C: CostFn>(pub C);
 
 impl<C: CostFn> CostFn for Rooted<C> {
-    // Rooting only changes `finish`, not the per-cell work, so the wrapper
-    // inherits the inner cost's fast-path eligibility.
-    const SEGMENTED_FAST: bool = C::SEGMENTED_FAST;
-
     #[inline(always)]
     fn cost(&self, a: f64, b: f64) -> f64 {
         self.0.cost(a, b)

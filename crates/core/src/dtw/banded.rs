@@ -16,8 +16,8 @@ use crate::path::WarpingPath;
 use crate::window::SearchWindow;
 use tsdtw_obs::{Meter, NoMeter};
 
-use super::kernel::{default_kernel, Kernel};
-use super::windowed::{windowed_distance_metered_kernel, windowed_with_path_kernel, DtwBuffer};
+use super::kernel::Kernel;
+use super::windowed::{windowed_distance_metered_kernel, windowed_with_path, DtwBuffer};
 
 /// Converts the paper's percentage form of the warping constraint into a
 /// band radius in cells: `⌈w/100 · n⌉`.
@@ -59,7 +59,7 @@ pub fn cdtw_distance<C: CostFn>(x: &[f64], y: &[f64], band: usize, cost: C) -> R
     cdtw_distance_metered(x, y, band, cost, &mut NoMeter)
 }
 
-/// [`cdtw_distance`] with an explicit kernel tier.
+/// [`cdtw_distance`] with an explicit kernel route.
 pub fn cdtw_distance_kernel<C: CostFn>(
     x: &[f64],
     y: &[f64],
@@ -81,7 +81,7 @@ pub fn cdtw_distance_metered<C: CostFn, M: Meter>(
     meter: &mut M,
 ) -> Result<f64> {
     let mut buf = DtwBuffer::new();
-    cdtw_distance_metered_with_buf_kernel(x, y, band, cost, &mut buf, meter, default_kernel())
+    cdtw_distance_metered_with_buf_kernel(x, y, band, cost, &mut buf, meter, Kernel::Auto)
 }
 
 /// [`cdtw_distance_metered`] reusing caller-provided scratch space — the
@@ -95,10 +95,10 @@ pub fn cdtw_distance_metered_with_buf<C: CostFn, M: Meter>(
     buf: &mut DtwBuffer,
     meter: &mut M,
 ) -> Result<f64> {
-    cdtw_distance_metered_with_buf_kernel(x, y, band, cost, buf, meter, default_kernel())
+    cdtw_distance_metered_with_buf_kernel(x, y, band, cost, buf, meter, Kernel::Auto)
 }
 
-/// [`cdtw_distance_metered_with_buf`] with an explicit kernel tier.
+/// [`cdtw_distance_metered_with_buf`] with an explicit kernel route.
 ///
 /// When the band covers the whole matrix (`band >= max(n, m)` — the
 /// full-window form 1-NN mining's `FullDtw` spec uses), `Kernel::Rle`
@@ -151,17 +151,6 @@ pub fn cdtw_with_path<C: CostFn>(
     band: usize,
     cost: C,
 ) -> Result<(f64, WarpingPath)> {
-    cdtw_with_path_kernel(x, y, band, cost, default_kernel())
-}
-
-/// [`cdtw_with_path`] with an explicit kernel tier.
-pub fn cdtw_with_path_kernel<C: CostFn>(
-    x: &[f64],
-    y: &[f64],
-    band: usize,
-    cost: C,
-    kernel: Kernel,
-) -> Result<(f64, WarpingPath)> {
     if x.is_empty() {
         return Err(Error::EmptyInput { which: "x" });
     }
@@ -170,7 +159,7 @@ pub fn cdtw_with_path_kernel<C: CostFn>(
     }
     check_band(x.len(), y.len(), band)?;
     let window = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
-    windowed_with_path_kernel(x, y, &window, cost, kernel)
+    windowed_with_path(x, y, &window, cost)
 }
 
 /// A reusable `cDTW_w` evaluator for repeated comparisons of series of a
@@ -240,10 +229,10 @@ impl BandedDtw {
         cost: C,
         meter: &mut M,
     ) -> Result<f64> {
-        self.distance_metered_kernel(x, y, cost, meter, default_kernel())
+        self.distance_metered_kernel(x, y, cost, meter, Kernel::Auto)
     }
 
-    /// [`BandedDtw::distance_metered`] with an explicit kernel tier.
+    /// [`BandedDtw::distance_metered`] with an explicit kernel route.
     pub fn distance_metered_kernel<C: CostFn, M: Meter>(
         &mut self,
         x: &[f64],

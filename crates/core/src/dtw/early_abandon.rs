@@ -29,7 +29,7 @@ use crate::window::SearchWindow;
 use tsdtw_obs::{Meter, NoMeter};
 
 use super::banded::check_band;
-use super::kernel::{default_kernel, Kernel};
+use super::kernel::Kernel;
 use super::sweep;
 use super::windowed::DtwBuffer;
 
@@ -90,34 +90,30 @@ pub fn cdtw_distance_ea_metered<C: CostFn, M: Meter>(
     cost: C,
     meter: &mut M,
 ) -> Result<EaOutcome> {
-    cdtw_distance_ea_metered_kernel(x, y, band, threshold, cb, cost, meter, default_kernel())
-}
-
-/// [`cdtw_distance_ea_metered`] with an explicit kernel tier. The
-/// per-row minimum that drives the abandon test folds left-to-right in
-/// both tiers, so the abandonment row — and with it every counter — is
-/// tier-invariant.
-#[allow(clippy::too_many_arguments)]
-pub fn cdtw_distance_ea_metered_kernel<C: CostFn, M: Meter>(
-    x: &[f64],
-    y: &[f64],
-    band: usize,
-    threshold: f64,
-    cb: Option<&[f64]>,
-    cost: C,
-    meter: &mut M,
-    kernel: Kernel,
-) -> Result<EaOutcome> {
     let mut buf = DtwBuffer::new();
-    cdtw_distance_ea_metered_buf_kernel(x, y, band, threshold, cb, cost, &mut buf, meter, kernel)
+    cdtw_distance_ea_metered_buf_kernel(
+        x,
+        y,
+        band,
+        threshold,
+        cb,
+        cost,
+        &mut buf,
+        meter,
+        Kernel::Auto,
+    )
 }
 
-/// [`cdtw_distance_ea_metered_kernel`] reusing caller-provided scratch:
+/// [`cdtw_distance_ea_metered`] reusing caller-provided scratch:
 /// the DP rows *and* the memoized band window both live in `buf`, so a
 /// warmed scan loop over a fixed `(n, m, band)` shape (the UCR
 /// subsequence search) evaluates candidates without touching the heap —
 /// the contract `tests/alloc_discipline.rs` gates. Counters are
 /// identical to the unbuffered form.
+///
+/// Early abandoning has one route, the row sweep, so `_kernel` changes
+/// nothing; it is taken so scan loops pass the same [`Kernel`] they pass
+/// the distance entry points.
 #[allow(clippy::too_many_arguments)]
 pub fn cdtw_distance_ea_metered_buf_kernel<C: CostFn, M: Meter>(
     x: &[f64],
@@ -128,7 +124,7 @@ pub fn cdtw_distance_ea_metered_buf_kernel<C: CostFn, M: Meter>(
     cost: C,
     buf: &mut DtwBuffer,
     meter: &mut M,
-    kernel: Kernel,
+    _kernel: Kernel,
 ) -> Result<EaOutcome> {
     check_nonempty("x", x)?;
     check_nonempty("y", y)?;
@@ -149,7 +145,7 @@ pub fn cdtw_distance_ea_metered_buf_kernel<C: CostFn, M: Meter>(
     }
     let _span = tsdtw_obs::span("dtw_ea");
     let window = buf.take_sakoe_chiba(x.len(), y.len(), band);
-    let r = ea_core(x, y, band, threshold, cb, cost, &window, buf, meter, kernel);
+    let r = ea_core(x, y, band, threshold, cb, cost, &window, buf, meter);
     buf.cache_window(band, window);
     r
 }
@@ -167,7 +163,6 @@ fn ea_core<C: CostFn, M: Meter>(
     window: &SearchWindow,
     buf: &mut DtwBuffer,
     meter: &mut M,
-    kernel: Kernel,
 ) -> Result<EaOutcome> {
     let n = x.len();
     let band_area = window.cell_count() as u64;
@@ -203,22 +198,10 @@ fn ea_core<C: CostFn, M: Meter>(
     let mut plo = lo0;
     let mut phi = hi0;
 
-    let segmented = kernel.segmented::<C>();
     for (i, &xi) in x.iter().enumerate().skip(1) {
         let (lo, hi) = window.row_bounds(i);
         meter.cells((hi - lo + 1) as u64);
-        row_min = sweep::min_row(
-            segmented,
-            xi,
-            y,
-            lo,
-            hi,
-            plo,
-            phi,
-            &buf.prev,
-            &mut buf.cur,
-            cost,
-        );
+        row_min = sweep::min_row(xi, y, lo, hi, plo, phi, &buf.prev, &mut buf.cur, cost);
         if row_min + suffix_bound(cb, i) > threshold {
             meter.ea_rows((i + 1) as u64, n as u64);
             return Ok(EaOutcome::Abandoned { rows_filled: i + 1 });

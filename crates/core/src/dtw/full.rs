@@ -10,7 +10,7 @@ use crate::error::{check_finite, check_nonempty, Result};
 use crate::path::WarpingPath;
 use crate::window::SearchWindow;
 
-use super::kernel::{default_kernel, Kernel};
+use super::kernel::Kernel;
 use super::sweep;
 
 /// Exact unconstrained DTW distance between `x` and `y`.
@@ -18,14 +18,14 @@ use super::sweep;
 /// Time `O(n·m)`, memory `O(min(n, m))` (the shorter series indexes the
 /// columns).
 pub fn dtw_distance<C: CostFn>(x: &[f64], y: &[f64], cost: C) -> Result<f64> {
-    dtw_distance_kernel(x, y, cost, default_kernel())
+    dtw_distance_kernel(x, y, cost, Kernel::Auto)
 }
 
-/// [`dtw_distance`] with an explicit kernel tier.
+/// [`dtw_distance`] with an explicit kernel route.
 ///
-/// The full matrix is the degenerate window `lo = 0, hi = m - 1` on every
-/// row, so the segmented tier's interior is the whole row except column 0 —
-/// the entire DP runs branch-free.
+/// The full matrix is the window `lo = 0, hi = m - 1` on every row, so
+/// the row sweep's interior is the whole row except column 0 — the
+/// entire DP runs branch-free.
 ///
 /// `Kernel::Rle` routes through the run-length block kernel
 /// ([`crate::rle`]); `Kernel::Auto` does the same when the pair is
@@ -65,20 +65,8 @@ pub fn dtw_distance_kernel<C: CostFn>(
         prev[j] = acc;
     }
 
-    let segmented = kernel.segmented::<C>();
     for &ri in rows.iter().skip(1) {
-        sweep::distance_row(
-            segmented,
-            ri,
-            cols,
-            0,
-            m - 1,
-            0,
-            m - 1,
-            &prev,
-            &mut cur,
-            cost,
-        );
+        sweep::distance_row(ri, cols, 0, m - 1, 0, m - 1, &prev, &mut cur, cost);
         std::mem::swap(&mut prev, &mut cur);
     }
 

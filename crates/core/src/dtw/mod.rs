@@ -15,13 +15,13 @@
 //!   "cDTW-only" optimizations of Rakthanmanon et al. the paper credits
 //!   with two to five further orders of magnitude.
 //!
-//! All of these fill their rows through the tiered sweep in the private
-//! `sweep` module; [`kernel`] selects the tier (`Auto | Generic |
-//! Segmented | Rle | Wavefront | Batched`) with a bitwise-equality
-//! guarantee between tiers. The private `wavefront` module evaluates the
-//! windowed DP in anti-diagonal lane order, and [`batch`] runs up to
-//! [`batch::LANES`] same-length candidates against one query in
-//! struct-of-lanes layout — the shape of the mining scans.
+//! All of these fill their rows through the one row sweep in the private
+//! `sweep` module. [`kernel`] routes distance calls by their input
+//! (`Kernel::Auto`) or pins a route (`Segmented | Rle | Wavefront`), with
+//! a bitwise-equality guarantee between routes. The private `wavefront`
+//! module evaluates the windowed DP in anti-diagonal lane order, and
+//! [`batch`] runs up to [`batch::LANES`] same-length candidates against
+//! one query in struct-of-lanes layout — the shape of the mining scans.
 //!
 //! [`SearchWindow`]: crate::window::SearchWindow
 
@@ -38,6 +38,6 @@ pub mod windowed;
 pub use banded::{cdtw_distance, cdtw_with_path, percent_to_band};
 pub use early_abandon::cdtw_distance_ea;
 pub use full::{dtw_distance, dtw_with_path};
-pub use kernel::{default_kernel, set_default_kernel, Kernel};
+pub use kernel::Kernel;
 pub use pruned::{pruned_dtw_auto, pruned_dtw_distance};
 pub use windowed::{windowed_distance, windowed_with_path};

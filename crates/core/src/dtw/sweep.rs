@@ -1,4 +1,4 @@
-//! The tiered row sweep shared by every DP kernel.
+//! The DP row sweep shared by every DP kernel.
 //!
 //! A "row sweep" fills row `i` of the accumulated-cost matrix given the
 //! previous row: for each admissible column `j ∈ [lo, hi]`,
@@ -11,97 +11,162 @@
 //! ```
 //!
 //! where `[plo, phi]` is the previous row's admissible interval and both
-//! rolling rows are stored relative to their own `lo`. Each sweep comes in
-//! two tiers (selected by the caller per
-//! [`Kernel`](super::kernel::Kernel)):
-//!
-//! * `*_generic` — the guarded loop above, correct for any window shape;
-//! * `*_segmented` — splits the row at `seg_lo = max(lo, plo + 1)` and
-//!   `seg_hi = min(hi, phi)`. Inside `[seg_lo, seg_hi]` both `up` and
-//!   `diag` are admissible *by construction* (the segmentation invariant),
-//!   so the interior loop carries `left` in a register and runs with no
-//!   per-cell overlap checks; the prefix `[lo, seg_lo)` and suffix
-//!   `(seg_hi, hi]` keep the guarded logic. Degenerate rows
-//!   (`seg_lo > seg_hi`) fall back to the generic sweep wholesale.
+//! rolling rows are stored relative to their own `lo`. Each sweep splits
+//! the row at `seg_lo = max(lo, plo + 1)` and `seg_hi = min(hi, phi)`.
+//! Inside `[seg_lo, seg_hi]` both `up` and `diag` are admissible *by
+//! construction* (the segmentation invariant), so the interior loop
+//! carries `left` in a register and runs with no per-cell overlap checks;
+//! the prefix `[lo, seg_lo)` and suffix `(seg_hi, hi]` keep the guards
+//! above. Degenerate rows (`seg_lo > seg_hi`: a window narrower than one
+//! cell of overlap, or sliding faster than one column per row) run the
+//! guarded rule over the whole row, in a function kept out of line so it
+//! does not bloat the hot row bodies.
 //!
 //! Three sweeps share this shape: distance-only, min-tracking (the
 //! early-abandon test value) and path. The path sweep, which FastDTW runs
 //! at every level, also records one traceback byte per cell into the
-//! row's slice of the direction plane. Its tie-break `pick` takes the
-//! minimum as `diag.min(up).min(left)`, like the other two, and derives
-//! the direction from the same comparisons without a branch, so a path
-//! cell costs about what a distance cell costs plus the byte store.
+//! row's slice of the direction plane. Its tie-break takes the minimum as
+//! `diag.min(up).min(left)`, like the other two, and derives the
+//! direction from the same comparisons without a branch, so a path cell
+//! costs about what a distance cell costs plus the byte store.
 //!
-//! **Bitwise-equality contract.** The segmented tier performs the same
-//! per-cell operations in the same order as the generic tier: the interior
-//! merely substitutes the guard results that are statically known
-//! (`up`/`diag` in-range, `left` = previously written value or the `∞`
-//! carried past `lo`). The recurrence domain contains no NaN (inputs are
-//! validated finite, costs are finite and non-negative) and no `-0.0`
+//! **Cost overflow.** The guards stand in `∞` for an out-of-window
+//! neighbor. A finite input pair whose cost overflows (`|x − y| ≳
+//! 1.34e154` under [`SquaredCost`](crate::cost::SquaredCost)) makes
+//! in-window cells `∞` as well, and then a guard's `∞` ties the minimum.
+//! The value is still right (the minimum of the in-window neighbors is
+//! `∞` too), but the traceback step must not leave the window, so a
+//! guarded cell picks its step only among in-window neighbors, keeping
+//! the diagonal → up → left order on `<=`. Interior cells need no such
+//! care: their diagonal is always in the window and wins every tie it is
+//! part of, and `up` beats an out-of-window `left` at the row start.
+//!
+//! **Bitwise contract.** Every cell performs exactly the textbook
+//! guarded DP's operations, `cost + diag.min(up).min(left)` on the same
+//! operand values: the interior merely substitutes the guard results
+//! that are statically known. The recurrence domain contains no NaN
+//! (inputs are validated finite, costs are non-negative) and no `-0.0`
 //! (accumulated costs are sums of non-negative terms), so `f64::min` and
-//! `+` are deterministic pure functions of their operand values and the two
-//! tiers agree bit for bit on every window shape. `tests/kernel_equivalence.rs`
-//! enforces this differentially; the meters are recorded by the callers
-//! (per row, from the window bounds alone), so all `WorkMeter` counters
-//! are tier-invariant by construction.
+//! `+` are deterministic pure functions of their operand values and the
+//! sweep agrees bit for bit with the full-matrix oracle in
+//! `tests/kernel_equivalence.rs`, distances, paths and `∞` included. The
+//! meters are recorded by the callers (per row, from the window bounds
+//! alone).
+
+use std::ops::Range;
 
 use crate::cost::CostFn;
 
-/// The guarded three-neighbor minimum at column `j` (see module docs).
-#[inline(always)]
-fn guarded_best(j: usize, lo: usize, plo: usize, phi: usize, prev: &[f64], cur: &[f64]) -> f64 {
-    let up = if j >= plo && j <= phi {
-        prev[j - plo]
-    } else {
-        f64::INFINITY
-    };
-    let diag = if j > plo && j - 1 <= phi {
-        prev[j - 1 - plo]
-    } else {
-        f64::INFINITY
-    };
-    let left = if j > lo {
-        cur[j - 1 - lo]
-    } else {
-        f64::INFINITY
-    };
-    diag.min(up).min(left)
+/// The three neighbors of column `j` under the row guards (module
+/// docs): each neighbor's value, `+∞` outside the window, and whether
+/// its cell lies inside the window.
+#[derive(Clone, Copy)]
+struct Guarded {
+    diag: f64,
+    up: f64,
+    left: f64,
+    in_diag: bool,
+    in_up: bool,
+    in_left: bool,
 }
 
-/// The guarded `(diag, up, left)` neighbors of column `j`, for the path
-/// rows' tie-break: the same guards as [`guarded_best`], which the
-/// distance and min sweeps use to fold the minimum directly.
+impl Guarded {
+    #[inline(always)]
+    fn at(j: usize, lo: usize, plo: usize, phi: usize, prev: &[f64], cur: &[f64]) -> Self {
+        let in_up = j >= plo && j <= phi;
+        let in_diag = j > plo && j - 1 <= phi;
+        let in_left = j > lo;
+        debug_assert!(
+            in_diag || in_up || in_left,
+            "unreachable cell (col {j}) in validated window"
+        );
+        Guarded {
+            diag: if in_diag {
+                prev[j - 1 - plo]
+            } else {
+                f64::INFINITY
+            },
+            up: if in_up { prev[j - plo] } else { f64::INFINITY },
+            left: if in_left {
+                cur[j - 1 - lo]
+            } else {
+                f64::INFINITY
+            },
+            in_diag,
+            in_up,
+            in_left,
+        }
+    }
+
+    /// The neighbor minimum, the expression the interior uses.
+    #[inline(always)]
+    fn best(self) -> f64 {
+        self.diag.min(self.up).min(self.left)
+    }
+
+    /// [`pick`] restricted to in-window neighbors: a neighbor outside the
+    /// window never wins, even when an overflowed in-window cost ties
+    /// its guard's `∞`. On finite cells this is exactly [`pick`], since
+    /// a guard's `∞` then loses every comparison it takes part in.
+    #[inline(always)]
+    fn pick(self) -> (f64, u8) {
+        let on_diag = self.in_diag
+            & (!self.in_up | (self.diag <= self.up))
+            & (!self.in_left | (self.diag <= self.left));
+        let up_wins = self.in_up & (!self.in_left | (self.up <= self.left));
+        (self.best(), step(on_diag, !up_wins))
+    }
+}
+
+/// The traceback byte for a step: Diagonal = 0, Up = 1, Left = 2.
 #[inline(always)]
-fn guarded_neighbors(
-    j: usize,
+fn step(on_diag: bool, left_wins: bool) -> u8 {
+    let off_diag = u8::from(!on_diag);
+    off_diag + (off_diag & u8::from(left_wins))
+}
+
+/// The interior tie-break: diagonal first, then the vertical step,
+/// matching the classic presentation. Returns the neighbor minimum and
+/// the chosen step as its [`Direction`](crate::path::Direction) byte.
+///
+/// The minimum is `diag.min(up).min(left)`, the expression the distance
+/// sweep uses. The step is Diagonal if `diag <= up && diag <= left`, else
+/// Up if `up <= left`, else Left, computed from those comparisons as
+/// data rather than control flow: which neighbor wins changes from cell
+/// to cell with the data, so a branching choice mispredicts often.
+#[inline(always)]
+fn pick(diag: f64, up: f64, left: f64) -> (f64, u8) {
+    let on_diag = (diag <= up) & (diag <= left);
+    // `left < up` is `!(up <= left)`: the recurrence domain holds no NaN.
+    (diag.min(up).min(left), step(on_diag, left < up))
+}
+
+/// Fills distance-row columns `js` with the guarded rule.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn distance_cells<C: CostFn>(
+    xi: f64,
+    y: &[f64],
+    js: Range<usize>,
     lo: usize,
     plo: usize,
     phi: usize,
     prev: &[f64],
-    cur: &[f64],
-) -> (f64, f64, f64) {
-    let up = if j >= plo && j <= phi {
-        prev[j - plo]
-    } else {
-        f64::INFINITY
-    };
-    let diag = if j > plo && j - 1 <= phi {
-        prev[j - 1 - plo]
-    } else {
-        f64::INFINITY
-    };
-    let left = if j > lo {
-        cur[j - 1 - lo]
-    } else {
-        f64::INFINITY
-    };
-    (diag, up, left)
+    cur: &mut [f64],
+    cost: C,
+) {
+    for j in js {
+        let best = Guarded::at(j, lo, plo, phi, prev, cur).best();
+        cur[j - lo] = cost.cost(xi, y[j]) + best;
+    }
 }
 
-/// Fills one distance row with the guarded per-cell loop.
+/// A degenerate distance row, guarded cell by cell. Kept out of line:
+/// inlined, it would grow every row body it sits in.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn distance_row_generic<C: CostFn>(
+#[cold]
+#[inline(never)]
+fn distance_row_degenerate<C: CostFn>(
     xi: f64,
     y: &[f64],
     lo: usize,
@@ -112,21 +177,14 @@ pub(crate) fn distance_row_generic<C: CostFn>(
     cur: &mut [f64],
     cost: C,
 ) {
-    for j in lo..=hi {
-        let best = guarded_best(j, lo, plo, phi, prev, cur);
-        debug_assert!(
-            best.is_finite(),
-            "unreachable cell (col {j}) in validated window"
-        );
-        cur[j - lo] = cost.cost(xi, y[j]) + best;
-    }
+    distance_cells(xi, y, lo..hi + 1, lo, plo, phi, prev, cur, cost);
 }
 
-/// Fills one distance row with the three-segment sweep: guarded prefix,
-/// branch-free 4-wide-unrolled interior, guarded suffix.
+/// Fills one distance row: guarded prefix, branch-free 4-wide-unrolled
+/// interior, guarded suffix.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn distance_row_segmented<C: CostFn>(
+pub(crate) fn distance_row<C: CostFn>(
     xi: f64,
     y: &[f64],
     lo: usize,
@@ -140,21 +198,15 @@ pub(crate) fn distance_row_segmented<C: CostFn>(
     let seg_lo = lo.max(plo + 1);
     let seg_hi = hi.min(phi);
     if seg_lo > seg_hi {
-        // No interior (window narrower than 1 cell of overlap, or sliding
-        // faster than one column per row): the guarded loop handles it.
-        return distance_row_generic(xi, y, lo, hi, plo, phi, prev, cur, cost);
+        return distance_row_degenerate(xi, y, lo, hi, plo, phi, prev, cur, cost);
     }
-    for j in lo..seg_lo {
-        let best = guarded_best(j, lo, plo, phi, prev, cur);
-        debug_assert!(best.is_finite());
-        cur[j - lo] = cost.cost(xi, y[j]) + best;
-    }
+    distance_cells(xi, y, lo..seg_lo, lo, plo, phi, prev, cur, cost);
     let len = seg_hi - seg_lo + 1;
     // Interior invariant: for j ∈ [seg_lo, seg_hi], j ≥ plo + 1 makes both
     // `up` (prev[j]) and `diag` (prev[j-1]) admissible, and j ≤ phi keeps
     // them in the previous row's storage. `left` is the running value — the
     // cell written one step earlier, seeded from the prefix (or ∞ at the
-    // row start), exactly what the guarded loop would have read.
+    // row start), exactly what the guarded rule would have read.
     let mut left = if seg_lo > lo {
         cur[seg_lo - 1 - lo]
     } else {
@@ -183,41 +235,39 @@ pub(crate) fn distance_row_segmented<C: CostFn>(
         left = v;
         k += 1;
     }
-    for j in seg_hi + 1..=hi {
-        let best = guarded_best(j, lo, plo, phi, prev, cur);
-        debug_assert!(best.is_finite());
-        cur[j - lo] = cost.cost(xi, y[j]) + best;
-    }
+    distance_cells(xi, y, seg_hi + 1..hi + 1, lo, plo, phi, prev, cur, cost);
 }
 
-/// Tier dispatch for the distance sweep. `segmented` is resolved once per
-/// call by the kernel entry point (`kernel.segmented::<C>()`).
+/// Fills min-row columns `js` with the guarded rule, folding each value
+/// into `row_min` left to right.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn distance_row<C: CostFn>(
-    segmented: bool,
+fn min_cells<C: CostFn>(
     xi: f64,
     y: &[f64],
+    js: Range<usize>,
     lo: usize,
-    hi: usize,
     plo: usize,
     phi: usize,
     prev: &[f64],
     cur: &mut [f64],
     cost: C,
-) {
-    if segmented {
-        distance_row_segmented(xi, y, lo, hi, plo, phi, prev, cur, cost);
-    } else {
-        distance_row_generic(xi, y, lo, hi, plo, phi, prev, cur, cost);
+    mut row_min: f64,
+) -> f64 {
+    for j in js {
+        let v = cost.cost(xi, y[j]) + Guarded::at(j, lo, plo, phi, prev, cur).best();
+        cur[j - lo] = v;
+        row_min = row_min.min(v);
     }
+    row_min
 }
 
-/// Fills one row and returns its minimum (the early-abandon test value),
-/// guarded tier.
+/// A degenerate min row, guarded cell by cell; out of line like
+/// [`distance_row_degenerate`].
 #[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn min_row_generic<C: CostFn>(
+#[cold]
+#[inline(never)]
+fn min_row_degenerate<C: CostFn>(
     xi: f64,
     y: &[f64],
     lo: usize,
@@ -228,22 +278,26 @@ pub(crate) fn min_row_generic<C: CostFn>(
     cur: &mut [f64],
     cost: C,
 ) -> f64 {
-    let mut row_min = f64::INFINITY;
-    for j in lo..=hi {
-        let v = cost.cost(xi, y[j]) + guarded_best(j, lo, plo, phi, prev, cur);
-        cur[j - lo] = v;
-        row_min = row_min.min(v);
-    }
-    row_min
+    min_cells(
+        xi,
+        y,
+        lo..hi + 1,
+        lo,
+        plo,
+        phi,
+        prev,
+        cur,
+        cost,
+        f64::INFINITY,
+    )
 }
 
-/// Fills one row and returns its minimum, segmented tier. The running
-/// minimum folds left-to-right exactly as the generic tier does, so the
-/// abandonment decision (and therefore the `ea_*`/`cells` counters) cannot
-/// differ between tiers.
+/// Fills one row and returns its minimum (the early-abandon test value).
+/// The running minimum folds left to right across prefix, interior and
+/// suffix, so the abandonment row is a function of the cell values alone.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn min_row_segmented<C: CostFn>(
+pub(crate) fn min_row<C: CostFn>(
     xi: f64,
     y: &[f64],
     lo: usize,
@@ -257,14 +311,20 @@ pub(crate) fn min_row_segmented<C: CostFn>(
     let seg_lo = lo.max(plo + 1);
     let seg_hi = hi.min(phi);
     if seg_lo > seg_hi {
-        return min_row_generic(xi, y, lo, hi, plo, phi, prev, cur, cost);
+        return min_row_degenerate(xi, y, lo, hi, plo, phi, prev, cur, cost);
     }
-    let mut row_min = f64::INFINITY;
-    for j in lo..seg_lo {
-        let v = cost.cost(xi, y[j]) + guarded_best(j, lo, plo, phi, prev, cur);
-        cur[j - lo] = v;
-        row_min = row_min.min(v);
-    }
+    let mut row_min = min_cells(
+        xi,
+        y,
+        lo..seg_lo,
+        lo,
+        plo,
+        phi,
+        prev,
+        cur,
+        cost,
+        f64::INFINITY,
+    );
     let len = seg_hi - seg_lo + 1;
     let mut left = if seg_lo > lo {
         cur[seg_lo - 1 - lo]
@@ -281,63 +341,49 @@ pub(crate) fn min_row_segmented<C: CostFn>(
         row_min = row_min.min(v);
         left = v;
     }
-    for j in seg_hi + 1..=hi {
-        let v = cost.cost(xi, y[j]) + guarded_best(j, lo, plo, phi, prev, cur);
-        cur[j - lo] = v;
-        row_min = row_min.min(v);
-    }
-    row_min
+    min_cells(
+        xi,
+        y,
+        seg_hi + 1..hi + 1,
+        lo,
+        plo,
+        phi,
+        prev,
+        cur,
+        cost,
+        row_min,
+    )
 }
 
-/// Tier dispatch for the min-tracking sweep.
+/// Fills path-row columns `js` with the guarded rule and its in-window
+/// step choice ([`Guarded::pick`]).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn min_row<C: CostFn>(
-    segmented: bool,
+fn path_cells<C: CostFn>(
     xi: f64,
     y: &[f64],
+    js: Range<usize>,
     lo: usize,
-    hi: usize,
     plo: usize,
     phi: usize,
     prev: &[f64],
     cur: &mut [f64],
+    dirs: &mut [u8],
     cost: C,
-) -> f64 {
-    if segmented {
-        min_row_segmented(xi, y, lo, hi, plo, phi, prev, cur, cost)
-    } else {
-        min_row_generic(xi, y, lo, hi, plo, phi, prev, cur, cost)
+) {
+    for j in js {
+        let (best, dir) = Guarded::at(j, lo, plo, phi, prev, cur).pick();
+        cur[j - lo] = cost.cost(xi, y[j]) + best;
+        dirs[j - lo] = dir;
     }
 }
 
-/// The tie-break shared by both path tiers: diagonal first, then the
-/// vertical step, matching the classic presentation. Returns the
-/// neighbor minimum and the chosen step as its
-/// [`Direction`](crate::path::Direction) byte.
-///
-/// The minimum is `diag.min(up).min(left)`, the expression the distance
-/// sweep uses. The step is Diagonal if `diag <= up && diag <= left`, else
-/// Up if `up <= left`, else Left, computed from those comparisons as
-/// data rather than control flow: which neighbor wins changes from cell
-/// to cell with the data, so a branching choice mispredicts often.
-#[inline(always)]
-fn pick(diag: f64, up: f64, left: f64) -> (f64, u8) {
-    let on_diag = (diag <= up) & (diag <= left);
-    let off_diag = u8::from(!on_diag);
-    // `left < up` is `!(up <= left)`: the recurrence domain holds no NaN.
-    let left_wins = u8::from(left < up);
-    // Diagonal = 0, Up = 1, Left = 2.
-    let dir = off_diag + (off_diag & left_wins);
-    (diag.min(up).min(left), dir)
-}
-
-/// Fills one row and records traceback directions, guarded tier. `dirs`
-/// is the row's slice of the
-/// [`WindowedDirections`](crate::matrix::WindowedDirections) plane.
+/// A degenerate path row, guarded cell by cell; out of line like
+/// [`distance_row_degenerate`].
 #[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn path_row_generic<C: CostFn>(
+#[cold]
+#[inline(never)]
+fn path_row_degenerate<C: CostFn>(
     xi: f64,
     y: &[f64],
     lo: usize,
@@ -349,27 +395,16 @@ pub(crate) fn path_row_generic<C: CostFn>(
     dirs: &mut [u8],
     cost: C,
 ) {
-    for j in lo..=hi {
-        let (diag, up, left) = guarded_neighbors(j, lo, plo, phi, prev, cur);
-        let (best, dir) = pick(diag, up, left);
-        debug_assert!(
-            best.is_finite(),
-            "unreachable cell (col {j}) in validated window"
-        );
-        cur[j - lo] = cost.cost(xi, y[j]) + best;
-        dirs[j - lo] = dir;
-    }
+    path_cells(xi, y, lo..hi + 1, lo, plo, phi, prev, cur, dirs, cost);
 }
 
-/// Fills one row and records traceback directions, segmented tier. The
-/// interior applies [`pick`] to the same (diag, up, left) values the
-/// guarded tier would compute, so both the costs *and* the recorded
-/// directions — hence the traced path — are identical. Like
-/// [`distance_row_segmented`], it slices `prev`, `y`, `cur` and the
+/// Fills one row and records traceback directions. `dirs` is the row's
+/// slice of the [`WindowedDirections`](crate::matrix::WindowedDirections)
+/// plane. Like [`distance_row`], it slices `prev`, `y`, `cur` and the
 /// direction row once, so the interior indexes five equal-length slices.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn path_row_segmented<C: CostFn>(
+pub(crate) fn path_row<C: CostFn>(
     xi: f64,
     y: &[f64],
     lo: usize,
@@ -384,15 +419,9 @@ pub(crate) fn path_row_segmented<C: CostFn>(
     let seg_lo = lo.max(plo + 1);
     let seg_hi = hi.min(phi);
     if seg_lo > seg_hi {
-        return path_row_generic(xi, y, lo, hi, plo, phi, prev, cur, dirs, cost);
+        return path_row_degenerate(xi, y, lo, hi, plo, phi, prev, cur, dirs, cost);
     }
-    for j in lo..seg_lo {
-        let (diag, up, left) = guarded_neighbors(j, lo, plo, phi, prev, cur);
-        let (best, dir) = pick(diag, up, left);
-        debug_assert!(best.is_finite());
-        cur[j - lo] = cost.cost(xi, y[j]) + best;
-        dirs[j - lo] = dir;
-    }
+    path_cells(xi, y, lo..seg_lo, lo, plo, phi, prev, cur, dirs, cost);
     let len = seg_hi - seg_lo + 1;
     let mut left = if seg_lo > lo {
         cur[seg_lo - 1 - lo]
@@ -411,34 +440,16 @@ pub(crate) fn path_row_segmented<C: CostFn>(
         dir_s[k] = dir;
         left = v;
     }
-    for j in seg_hi + 1..=hi {
-        let (diag, up, left) = guarded_neighbors(j, lo, plo, phi, prev, cur);
-        let (best, dir) = pick(diag, up, left);
-        debug_assert!(best.is_finite());
-        cur[j - lo] = cost.cost(xi, y[j]) + best;
-        dirs[j - lo] = dir;
-    }
-}
-
-/// Tier dispatch for the path sweep.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn path_row<C: CostFn>(
-    segmented: bool,
-    xi: f64,
-    y: &[f64],
-    lo: usize,
-    hi: usize,
-    plo: usize,
-    phi: usize,
-    prev: &[f64],
-    cur: &mut [f64],
-    dirs: &mut [u8],
-    cost: C,
-) {
-    if segmented {
-        path_row_segmented(xi, y, lo, hi, plo, phi, prev, cur, dirs, cost);
-    } else {
-        path_row_generic(xi, y, lo, hi, plo, phi, prev, cur, dirs, cost);
-    }
+    path_cells(
+        xi,
+        y,
+        seg_hi + 1..hi + 1,
+        lo,
+        plo,
+        phi,
+        prev,
+        cur,
+        dirs,
+        cost,
+    );
 }

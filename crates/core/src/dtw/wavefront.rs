@@ -19,8 +19,8 @@
 //! `cost + left` (addition is commutative bitwise on this domain — no
 //! NaNs survive validation and costs are non-negative, so the `-0.0`
 //! corner cannot arise). Distances are therefore bitwise equal to the
-//! Generic/Segmented tiers on every window shape — the contract
-//! `tests/kernel_equivalence.rs` locks.
+//! row sweep on every window shape, `+∞` from an overflowing cost
+//! included — the contract `tests/kernel_equivalence.rs` locks.
 //!
 //! **Geometry.** With validated windows (`lo`/`hi` monotone
 //! non-decreasing, `lo[i] ≤ hi[i-1] + 1`), both `f(i) = i + lo[i]` and
@@ -288,7 +288,7 @@ mod tests {
             AbsoluteCost,
             &mut buf,
             &mut WorkMeter::new(),
-            Kernel::Generic,
+            Kernel::Segmented,
         )
         .unwrap();
         let d_wf = windowed_distance_metered_kernel(

@@ -20,11 +20,10 @@
 //! empty methods leave the un-instrumented code unchanged (the
 //! `meter_ablation` bench group in `tsdtw-bench` guards this).
 //!
-//! Rows are filled by the tiered sweep in the private `sweep` module;
-//! `*_kernel`
-//! variants take an explicit [`Kernel`] tier, the plain forms consult the
-//! process-wide default ([`super::kernel::default_kernel`]). Tiers are
-//! bitwise-equal, so which one runs is observable only in wall-clock time.
+//! Rows are filled by the row sweep in the private `sweep` module. The
+//! distance `*_kernel` variants take an explicit [`Kernel`] route, the
+//! plain forms pass [`Kernel::Auto`]. Routes are bitwise-equal, so which
+//! one runs is observable only in wall-clock time.
 
 // The DP kernels below index both series and both rolling rows by the
 // column variable `j`; iterator-chain rewrites obscure the recurrence.
@@ -37,7 +36,7 @@ use crate::path::{Direction, WarpingPath};
 use crate::window::SearchWindow;
 use tsdtw_obs::{Meter, NoMeter};
 
-use super::kernel::{default_kernel, Kernel};
+use super::kernel::Kernel;
 use super::sweep;
 
 /// Validates the series pair against the window dimensions.
@@ -76,7 +75,7 @@ fn check_inputs(x: &[f64], y: &[f64], window: &SearchWindow) -> Result<()> {
 pub struct DtwBuffer {
     pub(crate) prev: Vec<f64>,
     pub(crate) cur: Vec<f64>,
-    /// Wavefront-tier rolling diagonals (`d-2`, `d-1`, `d`), length
+    /// Wavefront rolling diagonals (`d-2`, `d-1`, `d`), length
     /// `max_row_width + 2`; empty unless a call has run in wavefront
     /// order through this buffer (`Kernel::wavefront`). See
     /// [`super::wavefront`].
@@ -97,7 +96,7 @@ impl DtwBuffer {
     }
 
     /// Bytes of scratch currently reserved by the DP rows (plus the
-    /// wavefront tier's diagonal buffers, if that tier has run). After a
+    /// wavefront's diagonal buffers, if a call has run in that order). After a
     /// warm-up call this bounds the steady-state working set of every
     /// subsequent same-shape call (the `alloc_discipline` suite checks
     /// it against allocator-observed traffic).
@@ -149,7 +148,7 @@ pub fn windowed_distance<C: CostFn>(
     windowed_distance_with_buf(x, y, window, cost, &mut buf)
 }
 
-/// [`windowed_distance`] with an explicit kernel tier.
+/// [`windowed_distance`] with an explicit kernel route.
 pub fn windowed_distance_kernel<C: CostFn>(
     x: &[f64],
     y: &[f64],
@@ -185,12 +184,12 @@ pub fn windowed_distance_metered<C: CostFn, M: Meter>(
     buf: &mut DtwBuffer,
     meter: &mut M,
 ) -> Result<f64> {
-    windowed_distance_metered_kernel(x, y, window, cost, buf, meter, default_kernel())
+    windowed_distance_metered_kernel(x, y, window, cost, buf, meter, Kernel::Auto)
 }
 
-/// [`windowed_distance_metered`] with an explicit kernel tier. All meter
+/// [`windowed_distance_metered`] with an explicit kernel route. All meter
 /// counters are recorded from the window bounds alone, so they are
-/// identical at every tier.
+/// identical on every route.
 pub fn windowed_distance_metered_kernel<C: CostFn, M: Meter>(
     x: &[f64],
     y: &[f64],
@@ -203,7 +202,7 @@ pub fn windowed_distance_metered_kernel<C: CostFn, M: Meter>(
     check_inputs(x, y, window)?;
     let _span = tsdtw_obs::span("dtw_windowed");
     let width = window.max_row_width();
-    if kernel.wavefront::<C>(width) {
+    if kernel.wavefront(width) {
         // Anti-diagonal evaluation; bitwise-equal and meter-identical to
         // the row sweep below (module docs carry the proof). `Auto` routes
         // here once the window is wide enough for the lanes to win.
@@ -228,23 +227,11 @@ pub fn windowed_distance_metered_kernel<C: CostFn, M: Meter>(
     let mut plo = lo0;
     let mut phi = hi0;
 
-    let segmented = kernel.segmented::<C>();
     for (i, &xi) in x.iter().enumerate().skip(1) {
         let (lo, hi) = window.row_bounds(i);
         meter.window_cells((hi - lo + 1) as u64);
         meter.cells((hi - lo + 1) as u64);
-        sweep::distance_row(
-            segmented,
-            xi,
-            y,
-            lo,
-            hi,
-            plo,
-            phi,
-            &buf.prev,
-            &mut buf.cur,
-            cost,
-        );
+        sweep::distance_row(xi, y, lo, hi, plo, phi, &buf.prev, &mut buf.cur, cost);
         std::mem::swap(&mut buf.prev, &mut buf.cur);
         plo = lo;
         phi = hi;
@@ -269,40 +256,15 @@ pub fn windowed_with_path<C: CostFn>(
     windowed_with_path_metered(x, y, window, cost, &mut NoMeter)
 }
 
-/// [`windowed_with_path`] with an explicit kernel tier.
-pub fn windowed_with_path_kernel<C: CostFn>(
-    x: &[f64],
-    y: &[f64],
-    window: &SearchWindow,
-    cost: C,
-    kernel: Kernel,
-) -> Result<(f64, WarpingPath)> {
-    windowed_with_path_metered_kernel(x, y, window, cost, &mut NoMeter, kernel)
-}
-
 /// [`windowed_with_path`] with work accounting. The peak-buffer figure
 /// includes the traceback byte per admissible cell on top of the two
-/// rolling rows.
+/// rolling rows. Path recovery always runs the row sweep.
 pub fn windowed_with_path_metered<C: CostFn, M: Meter>(
     x: &[f64],
     y: &[f64],
     window: &SearchWindow,
     cost: C,
     meter: &mut M,
-) -> Result<(f64, WarpingPath)> {
-    windowed_with_path_metered_kernel(x, y, window, cost, meter, default_kernel())
-}
-
-/// [`windowed_with_path_metered`] with an explicit kernel tier. Both the
-/// distance and the traced path are tier-invariant (the tie-break runs on
-/// bitwise-identical neighbor values).
-pub fn windowed_with_path_metered_kernel<C: CostFn, M: Meter>(
-    x: &[f64],
-    y: &[f64],
-    window: &SearchWindow,
-    cost: C,
-    meter: &mut M,
-    kernel: Kernel,
 ) -> Result<(f64, WarpingPath)> {
     check_inputs(x, y, window)?;
     let _span = tsdtw_obs::span("dtw_windowed");
@@ -338,11 +300,9 @@ pub fn windowed_with_path_metered_kernel<C: CostFn, M: Meter>(
     let mut plo = lo0;
     let mut phi = hi0;
 
-    let segmented = kernel.segmented::<C>();
     for (i, &xi) in x.iter().enumerate().skip(1) {
         let (lo, hi) = window.row_bounds(i);
         sweep::path_row(
-            segmented,
             xi,
             y,
             lo,

@@ -46,8 +46,7 @@ pub mod reference;
 pub use reference::{fastdtw_ref_distance, fastdtw_ref_metered, fastdtw_ref_with_path};
 
 use crate::cost::CostFn;
-use crate::dtw::kernel::{default_kernel, Kernel};
-use crate::dtw::windowed::windowed_with_path_metered_kernel;
+use crate::dtw::windowed::windowed_with_path_metered;
 use crate::error::{check_finite, check_nonempty, Error, Result};
 use crate::paa::halve;
 use crate::path::WarpingPath;
@@ -115,30 +114,16 @@ pub fn fastdtw_metered<C: CostFn, M: Meter>(
     cost: C,
     meter: &mut M,
 ) -> Result<(f64, WarpingPath, FastDtwStats)> {
-    fastdtw_metered_kernel(x, y, radius, cost, meter, default_kernel())
-}
-
-/// [`fastdtw_metered`] with an explicit kernel tier for every per-level
-/// refinement DP (including the exact base case).
-pub fn fastdtw_metered_kernel<C: CostFn, M: Meter>(
-    x: &[f64],
-    y: &[f64],
-    radius: usize,
-    cost: C,
-    meter: &mut M,
-    kernel: Kernel,
-) -> Result<(f64, WarpingPath, FastDtwStats)> {
     check_nonempty("x", x)?;
     check_nonempty("y", y)?;
     check_finite("x", x)?;
     check_finite("y", y)?;
     let _span = tsdtw_obs::span("fastdtw");
     let mut stats = FastDtwStats::default();
-    let (d, p) = recurse(x, y, radius, cost, &mut stats, 0, meter, kernel)?;
+    let (d, p) = recurse(x, y, radius, cost, &mut stats, 0, meter)?;
     Ok((d, p, stats))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn recurse<C: CostFn, M: Meter>(
     x: &[f64],
     y: &[f64],
@@ -147,7 +132,6 @@ fn recurse<C: CostFn, M: Meter>(
     stats: &mut FastDtwStats,
     depth: u32,
     meter: &mut M,
-    kernel: Kernel,
 ) -> Result<(f64, WarpingPath)> {
     assert!(depth < MAX_LEVELS, "FastDTW recursion failed to converge");
     stats.levels += 1;
@@ -171,21 +155,12 @@ fn recurse<C: CostFn, M: Meter>(
         }
         let _span = tsdtw_obs::span("fastdtw_base");
         let window = SearchWindow::full(x.len(), y.len());
-        return windowed_with_path_metered_kernel(x, y, &window, cost, meter, kernel);
+        return windowed_with_path_metered(x, y, &window, cost, meter);
     }
 
     let shrunk_x = halve(x);
     let shrunk_y = halve(y);
-    let (_, low_res_path) = recurse(
-        &shrunk_x,
-        &shrunk_y,
-        radius,
-        cost,
-        stats,
-        depth + 1,
-        meter,
-        kernel,
-    )?;
+    let (_, low_res_path) = recurse(&shrunk_x, &shrunk_y, radius, cost, stats, depth + 1, meter)?;
 
     let _span = tsdtw_obs::span("fastdtw_level");
     let window = {
@@ -209,7 +184,7 @@ fn recurse<C: CostFn, M: Meter>(
             base_case: false,
         });
     }
-    windowed_with_path_metered_kernel(x, y, &window, cost, meter, kernel)
+    windowed_with_path_metered(x, y, &window, cost, meter)
 }
 
 /// Convenience struct bundling a radius, mirroring
@@ -451,5 +426,34 @@ mod tests {
         assert_eq!(dtw_distance(&x, &x, SquaredCost), Ok(0.0));
         assert_eq!(fastdtw_distance(&x, &x, 1, SquaredCost), Ok(0.0));
         assert_eq!(fastdtw_ref_distance(&x, &x, 1, SquaredCost), Ok(0.0));
+    }
+
+    #[test]
+    fn overflowing_costs_give_infinity_and_valid_paths() {
+        // |x − y| = 2e155 squares past f64::MAX, and every path starts
+        // at such a cell: the path kernels must choose their steps by
+        // window membership, not by value.
+        let constant = ([1e155; 16].to_vec(), [-1e155; 8].to_vec());
+        let alternating: Vec<f64> = (0..16)
+            .map(|i| if i % 2 == 0 { 1e155 } else { -1e155 })
+            .collect();
+        let flipped: Vec<f64> = alternating.iter().map(|v| -v).collect();
+        for (x, y) in [constant, (alternating, flipped)] {
+            let checks = [
+                fastdtw_with_path(&x, &y, 1, SquaredCost),
+                fastdtw_ref_with_path(&x, &y, 1, SquaredCost),
+                crate::dtw::full::dtw_with_path(&x, &y, SquaredCost),
+                crate::dtw::banded::cdtw_with_path(&x, &y, 2, SquaredCost),
+                crate::dtw::banded::cdtw_with_path(&x, &y, 16, SquaredCost),
+            ];
+            for (k, got) in checks.into_iter().enumerate() {
+                let (d, path) = got.unwrap();
+                assert_eq!(d, f64::INFINITY, "check {k}");
+                path.validate_for(x.len(), y.len()).unwrap();
+            }
+            assert_eq!(dtw_distance(&x, &y, SquaredCost), Ok(f64::INFINITY));
+            let cdtw = crate::dtw::banded::cdtw_distance(&x, &y, 2, SquaredCost);
+            assert_eq!(cdtw, Ok(f64::INFINITY));
+        }
     }
 }

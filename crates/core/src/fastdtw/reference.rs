@@ -227,28 +227,26 @@ fn dtw_over_window<C: CostFn, M: Meter>(
         HashMap::with_capacity(window.len() + 1);
     d.insert((0, 0), (0.0, 0, 0));
 
-    let get = |d: &HashMap<(usize, usize), (f64, usize, usize)>, i: usize, j: usize| -> f64 {
-        d.get(&(i, j)).map_or(f64::INFINITY, |e| e.0)
-    };
-
     for &(i0, j0) in window {
         // The reference shifts the window to 1-based indices.
         let (i, j) = (i0 + 1, j0 + 1);
         let dt = cost.cost(x[i - 1], y[j - 1]);
-        let up = get(&d, i - 1, j);
-        let left = get(&d, i, j - 1);
-        let diag = get(&d, i - 1, j - 1);
-        // min over the three predecessors, tracking provenance (the
-        // reference uses a 3-way tuple min keyed on cost).
-        let (best, pi, pj) = if up <= left && up <= diag {
-            (up, i - 1, j)
-        } else if left <= diag {
-            (left, i, j - 1)
-        } else {
-            (diag, i - 1, j - 1)
-        };
-        if best.is_finite() {
-            d.insert((i, j), (best + dt, pi, pj));
+        // min over the predecessors present in the table, tracking
+        // provenance (the reference uses a 3-way tuple min keyed on
+        // cost, up → left → diag on ties). A cell with no predecessor in
+        // the table is unreachable and stays out of it. Presence, not a
+        // finite cost, decides: a cost that overflows to ∞ still leaves
+        // its cell reachable.
+        let mut best: Option<(f64, usize, usize)> = None;
+        for (pi, pj) in [(i - 1, j), (i, j - 1), (i - 1, j - 1)] {
+            if let Some(&(c, _, _)) = d.get(&(pi, pj)) {
+                if best.is_none_or(|(b, _, _)| c < b) {
+                    best = Some((c, pi, pj));
+                }
+            }
+        }
+        if let Some((c, pi, pj)) = best {
+            d.insert((i, j), (c + dt, pi, pj));
         }
     }
 

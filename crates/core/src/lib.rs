@@ -94,7 +94,7 @@ pub use tsdtw_obs as obs;
 
 pub use cost::{AbsoluteCost, CostFn, Rooted, SquaredCost};
 pub use distance::{cdtw, dtw, euclidean, fastdtw, sq_euclidean};
-pub use dtw::kernel::{default_kernel, set_default_kernel, Kernel};
+pub use dtw::kernel::Kernel;
 pub use envelope::Envelope;
 pub use error::{Error, Result};
 pub use fastdtw::{

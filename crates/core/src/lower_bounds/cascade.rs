@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use crate::cost::SquaredCost;
 use crate::dtw::early_abandon::{cdtw_distance_ea_metered_buf_kernel, EaOutcome};
-use crate::dtw::kernel::default_kernel;
+use crate::dtw::kernel::Kernel;
 use crate::dtw::windowed::DtwBuffer;
 use crate::envelope::Envelope;
 use crate::error::{Error, Result};
@@ -317,7 +317,7 @@ impl Cascade {
             SquaredCost,
             &mut self.buf,
             meter,
-            default_kernel(),
+            Kernel::Auto,
         )? {
             EaOutcome::Exact(d) => {
                 meter.stage_cost(FunnelStage::Dtw, n as u64 * band_width);

@@ -68,7 +68,7 @@ pub(crate) fn pair_mean(a: f64, b: f64) -> f64 {
     }
 }
 
-/// FastDTW's coarsening step: pairwise means ([`pair_mean`]), halving the
+/// FastDTW's coarsening step: pairwise means (`pair_mean`), halving the
 /// length.
 ///
 /// Odd-length series follow Salvador & Chan's reference implementation: the

@@ -50,7 +50,7 @@
 //! [`auto_picks_rle`]: when both series are available at a full
 //! (unconstrained) window and the combined compression ratio
 //! `(k + l) / (N + M)` is at most [`AUTO_THRESHOLD`], the RLE kernel
-//! runs; otherwise the tiered row sweep does. The threshold is measured,
+//! runs; otherwise the row sweep does. The threshold is measured,
 //! not guessed: the `rle` repro experiment sweeps the compression ratio
 //! and the crossover against the banded sweep sits near `runs/points ≈
 //! 0.1` (see DESIGN.md §15). `Kernel::Rle` forces the block kernel at

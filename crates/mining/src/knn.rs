@@ -14,7 +14,6 @@ use tsdtw_core::dtw::banded::{cdtw_distance_metered_with_buf, percent_to_band};
 use tsdtw_core::dtw::batch::{cdtw_batch_distances_metered, BatchBuffer, LANES};
 use tsdtw_core::dtw::full::dtw_distance;
 use tsdtw_core::dtw::windowed::DtwBuffer;
-use tsdtw_core::dtw::{default_kernel, Kernel};
 use tsdtw_core::error::{Error, Result};
 use tsdtw_core::fastdtw::{fastdtw_metered, fastdtw_ref_metered};
 use tsdtw_core::lower_bounds::Cascade;
@@ -31,27 +30,20 @@ fn candidate_indices(train: &LabeledView<'_>, skip: usize) -> Vec<usize> {
 /// The band radius of the batched struct-of-lanes route for this scan,
 /// or `None` when the scan must stay scalar.
 ///
-/// The route engages only when `kernel` (the scans pass the process
-/// default) is `Auto` or `Batched` (explicit `--kernel
-/// generic/segmented/rle/wavefront` pins the scalar scan), the spec
-/// reduces to one banded DP (full DTW counts, via a matrix-covering
-/// band, when the lengths are equal — for unequal lengths the scalar
-/// full kernel transposes the matrix, which the batch kernel does not
-/// reproduce), and every candidate has one length so the group shares a
-/// window. Distances are bitwise equal to the scalar scan either way,
+/// The route engages when the spec reduces to one banded DP (full DTW
+/// counts, via a matrix-covering band, when the lengths are equal — for
+/// unequal lengths the scalar full kernel transposes the matrix, which
+/// the batch kernel does not reproduce) and every candidate has one
+/// length so the group shares a window. Distances are bitwise equal to the scalar scan either way,
 /// so the route is observable only in wall-clock time and the `batch.*`
 /// counters (plus, for full DTW, the per-pair `rle.probes` the scalar
 /// banded route records and the batch kernel skips).
 pub(crate) fn batched_band(
-    kernel: Kernel,
     spec: DistanceSpec,
     query: &[f64],
     series: &[Vec<f64>],
     idxs: &[usize],
 ) -> Option<usize> {
-    if !matches!(kernel, Kernel::Auto | Kernel::Batched) {
-        return None;
-    }
     let m = series.get(*idxs.first()?)?.len();
     if idxs.iter().any(|&i| series[i].len() != m) {
         return None;
@@ -81,7 +73,7 @@ pub(crate) fn scan_distances_metered<M: Meter>(
     meter: &mut M,
 ) -> Result<Vec<f64>> {
     let mut out = Vec::with_capacity(idxs.len());
-    if let Some(band) = batched_band(default_kernel(), spec, query, series, idxs) {
+    if let Some(band) = batched_band(spec, query, series, idxs) {
         let mut bbuf = BatchBuffer::new();
         let mut group_out = [0.0f64; LANES];
         let mut ys: [&[f64]; LANES] = [query; LANES];
@@ -124,7 +116,7 @@ pub(crate) fn scan_distances_par<M: MeterShard>(
     cfg: &ParConfig,
     meter: &mut M,
 ) -> Result<Vec<f64>> {
-    if let Some(band) = batched_band(default_kernel(), spec, query, series, idxs) {
+    if let Some(band) = batched_band(spec, query, series, idxs) {
         let groups: Vec<&[usize]> = idxs.chunks(LANES).collect();
         let nested = par_map(cfg, &groups, meter, |_, group, m| {
             let mut bbuf = BatchBuffer::new();
@@ -259,10 +251,9 @@ pub fn nn_brute_force(
 /// [`nn_brute_force`] with a [`Meter`] accumulating the DP work of every
 /// comparison the query performs.
 ///
-/// The scan body is `scan_distances_metered`, so under the default
-/// `Auto` kernel a banded spec over equal-length candidates runs on the
-/// struct-of-lanes batch kernel — bitwise-identical distances, batched
-/// throughput.
+/// The scan body is `scan_distances_metered`, so a banded spec over
+/// equal-length candidates runs on the struct-of-lanes batch kernel —
+/// bitwise-identical distances, batched throughput.
 pub fn nn_brute_force_metered<M: Meter>(
     train: &LabeledView<'_>,
     query: &[f64],
@@ -1013,7 +1004,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_route_gates_on_kernel_spec_and_lengths() {
+    fn batched_route_gates_on_spec_and_lengths() {
         let (series, labels) = two_class();
         let view = LabeledView {
             series: &series,
@@ -1021,74 +1012,47 @@ mod tests {
         };
         let idxs = candidate_indices(&view, 0);
         let q = &series[0];
-        // Engages for banded specs under Auto/Batched.
-        for kernel in [Kernel::Auto, Kernel::Batched] {
-            assert_eq!(
-                batched_band(kernel, DistanceSpec::CdtwBand(4), q, &series, &idxs),
-                Some(4)
-            );
-            let pct = batched_band(kernel, DistanceSpec::CdtwPercent(5.0), q, &series, &idxs);
-            assert_eq!(pct, Some(percent_to_band(q.len(), 5.0).unwrap()));
-            // Equal lengths: full DTW via a matrix-covering band.
-            assert_eq!(
-                batched_band(kernel, DistanceSpec::FullDtw, q, &series, &idxs),
-                Some(q.len())
-            );
-        }
-        // Explicit scalar kernels pin the scalar scan.
-        for kernel in [
-            Kernel::Generic,
-            Kernel::Segmented,
-            Kernel::Rle,
-            Kernel::Wavefront,
-        ] {
-            assert_eq!(
-                batched_band(kernel, DistanceSpec::CdtwBand(4), q, &series, &idxs),
-                None,
-                "{kernel:?}"
-            );
-        }
+        // Engages for banded specs.
+        assert_eq!(
+            batched_band(DistanceSpec::CdtwBand(4), q, &series, &idxs),
+            Some(4)
+        );
+        let pct = batched_band(DistanceSpec::CdtwPercent(5.0), q, &series, &idxs);
+        assert_eq!(pct, Some(percent_to_band(q.len(), 5.0).unwrap()));
+        // Equal lengths: full DTW via a matrix-covering band.
+        assert_eq!(
+            batched_band(DistanceSpec::FullDtw, q, &series, &idxs),
+            Some(q.len())
+        );
         // Non-banded specs stay scalar.
         for spec in [
             DistanceSpec::Euclidean,
             DistanceSpec::FastDtw(3),
             DistanceSpec::FastDtwRef(3),
         ] {
-            assert_eq!(batched_band(Kernel::Auto, spec, q, &series, &idxs), None);
+            assert_eq!(batched_band(spec, q, &series, &idxs), None);
         }
         // Out-of-range percent falls back (the scalar scan reports the error).
         assert_eq!(
-            batched_band(
-                Kernel::Auto,
-                DistanceSpec::CdtwPercent(250.0),
-                q,
-                &series,
-                &idxs
-            ),
+            batched_band(DistanceSpec::CdtwPercent(250.0), q, &series, &idxs),
             None
         );
         // Mixed candidate lengths stay scalar.
         let mut ragged = series.clone();
         ragged[3].push(0.5);
         assert_eq!(
-            batched_band(Kernel::Auto, DistanceSpec::CdtwBand(4), q, &ragged, &idxs),
+            batched_band(DistanceSpec::CdtwBand(4), q, &ragged, &idxs),
             None
         );
         // Full DTW with a query length differing from the candidates stays
         // scalar (the scalar kernel transposes; the batch kernel doesn't).
         let short_q = &series[0][..32];
         assert_eq!(
-            batched_band(Kernel::Auto, DistanceSpec::FullDtw, short_q, &series, &idxs),
+            batched_band(DistanceSpec::FullDtw, short_q, &series, &idxs),
             None
         );
         assert_eq!(
-            batched_band(
-                Kernel::Auto,
-                DistanceSpec::CdtwBand(4),
-                short_q,
-                &series,
-                &idxs
-            ),
+            batched_band(DistanceSpec::CdtwBand(4), short_q, &series, &idxs),
             Some(4)
         );
     }

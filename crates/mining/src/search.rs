@@ -14,6 +14,7 @@ use crate::par::{par_fold_argmin, par_map, ParConfig};
 use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::early_abandon::{cdtw_distance_ea_metered_buf_kernel, EaOutcome};
 use tsdtw_core::dtw::windowed::DtwBuffer;
+use tsdtw_core::dtw::Kernel;
 use tsdtw_core::envelope::Envelope;
 use tsdtw_core::error::{Error, Result};
 use tsdtw_core::lower_bounds::keogh::{
@@ -114,7 +115,6 @@ pub fn subsequence_search_metered<M: Meter>(
     let mut contrib: Vec<f64> = Vec::new();
     let mut cb: Vec<f64> = Vec::new();
     let mut dtw_buf = DtwBuffer::new();
-    let kernel = tsdtw_core::default_kernel();
     // Funnel cost proxy for the DTW stage: rows filled × band width.
     let band_width = (2 * band + 1).min(m) as u64;
 
@@ -177,7 +177,7 @@ pub fn subsequence_search_metered<M: Meter>(
             SquaredCost,
             &mut dtw_buf,
             meter,
-            kernel,
+            Kernel::Auto,
         )? {
             EaOutcome::Exact(d) => {
                 stats.dtw_exact += 1;
@@ -285,7 +285,6 @@ pub fn subsequence_search_par<M: MeterShard>(
     let (means, invs) = rolling_norm_params(haystack, m);
     let positions: Vec<usize> = (0..means.len()).collect();
 
-    let kernel = tsdtw_core::default_kernel();
     let band_width = (2 * band + 1).min(m) as u64;
     let (best, outcomes) = par_fold_argmin(
         cfg,
@@ -334,7 +333,7 @@ pub fn subsequence_search_par<M: MeterShard>(
                 SquaredCost,
                 dtw_buf,
                 mm,
-                kernel,
+                Kernel::Auto,
             )? {
                 EaOutcome::Exact(d) => {
                     mm.stage_cost(FunnelStage::Dtw, m as u64 * band_width);

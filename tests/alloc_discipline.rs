@@ -298,7 +298,6 @@ fn warmed_subsequence_candidate_loop_never_allocates() {
 
     let q = znorm(&query).expect("non-constant query");
     let env = Envelope::new(&q, band).expect("valid envelope");
-    let kernel = tsdtw::core::default_kernel();
 
     let mut window = vec![0.0; m];
     let mut contrib: Vec<f64> = Vec::new();
@@ -340,7 +339,7 @@ fn warmed_subsequence_candidate_loop_never_allocates() {
             SquaredCost,
             dtw_buf,
             meter,
-            kernel,
+            Kernel::Auto,
         )
         .expect("valid inputs");
         if let EaOutcome::Exact(d) = out {

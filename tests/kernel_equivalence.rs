@@ -1,65 +1,71 @@
-//! Differential test layer for the tiered DP row sweep (DESIGN.md §11).
+//! Differential test layer for the DP row sweep (DESIGN.md §11) and the
+//! evaluation orders `Kernel::Auto` routes to.
 //!
-//! The segmented kernel — branch-free interior, guarded prefix/suffix —
-//! must be **bitwise** equal to the generic guarded kernel on every
-//! window shape the stack produces, and both must match a naive
-//! full-matrix reference DP:
+//! Every route must be **bitwise** equal to a naive full-matrix
+//! reference DP on every window shape the stack produces:
 //!
 //! * distances compare by `to_bits()` — not approximate equality;
-//! * warping paths compare exactly (`WarpingPath` is `Eq`), across tiers
-//!   and against the naive DP's own traceback, which prefers the
-//!   diagonal, then up, then left (`<=` throughout). The Sakoe–Chiba,
-//!   full-matrix, Itakura and FastDTW properties also run on tie-heavy
-//!   integer series in −2..=2, where that tie-break decides the path;
-//! * work accounting compares by full [`WorkMeter`] equality — counters
-//!   are recorded from window bounds alone, so no tier may change them.
+//! * warping paths compare exactly against the naive DP's own
+//!   traceback, which prefers the diagonal, then up, then left (`<=`
+//!   throughout) among the neighbors inside the window. The
+//!   Sakoe–Chiba, full-matrix, Itakura and FastDTW properties also run
+//!   on tie-heavy integer series in −2..=2, where that tie-break decides
+//!   the path;
+//! * work accounting compares by full [`WorkMeter`] equality between
+//!   routes — counters are recorded from window bounds alone, so no
+//!   route may change them.
+//!
+//! The same properties run on **adversarial** series as well: ±1e155,
+//! whose squared difference with almost anything overflows to `+∞`;
+//! subnormals, whose products underflow to zero; and ±0.0, mixed with
+//! ordinary values. On them every route must return the oracle's bits,
+//! `+∞` included, and every path must stay inside its window.
 //!
 //! Window shapes covered: Sakoe–Chiba bands (square and staircase,
 //! radius 0 up), Itakura parallelograms, FastDTW projected windows
 //! (exercised through the real multi-level recursion), and the full
-//! matrix. Costs cover both monomorphized fast paths (`SquaredCost`,
-//! `AbsoluteCost`), the `Rooted` wrapper (which changes only `finish`),
-//! and a cost that does not opt in, which `Auto` must route generically. The early-abandoning kernel with an infinite
-//! threshold must equal the plain kernel bitwise in both tiers.
+//! matrix. Costs cover `SquaredCost`, `AbsoluteCost`, the `Rooted`
+//! wrapper (which changes only `finish`), and a plain user cost, which
+//! takes the same routes as the built-in ones. The early-abandoning
+//! kernel must match a naive oracle: the first row whose minimum plus
+//! the suffix bound exceeds the threshold.
 //!
-//! The throughput tiers extend the same contract:
+//! The throughput routes extend the same contract:
 //!
-//! * the **wavefront** tier (anti-diagonal evaluation) runs through
-//!   every window family above and must match the row sweep bitwise,
-//!   with an identical `WorkMeter`. `Kernel::Auto` takes it for opted-in
-//!   costs once a window is [`WAVEFRONT_MIN_WIDTH`] cells wide, so the
-//!   crossover test pins Auto against Generic on windows one cell
+//! * the **wavefront** (anti-diagonal evaluation) runs through every
+//!   window family above and must match the oracle bitwise, with a
+//!   `WorkMeter` identical to the row sweep's. `Kernel::Auto` takes it
+//!   once a window is [`WAVEFRONT_MIN_WIDTH`] cells wide, so the
+//!   crossover test pins Auto against the oracle on windows one cell
 //!   narrower than, exactly at, and one cell wider than the crossover in
 //!   every family — including full windows with `n > m`, where the
 //!   longest diagonal is as long as the widest row;
-//! * the **batched** tier (one query against up to [`LANES`] same-length
-//!   candidates in struct-of-lanes layout) must match the scalar banded
-//!   kernel per lane — distances bitwise, early-abandon outcomes and
-//!   abandonment rows identical, and the summed scan `WorkMeter` equal
-//!   except for the two `batch.*` counters that exist only on the
-//!   batched path. The lane-remainder grid pins scan sizes whose final
-//!   group holds `LANES`, `1`, and `LANES − 1` live lanes, and the
-//!   mining k-NN scan (which takes the batched route under
-//!   `Kernel::Auto`) must produce one meter regardless of worker count.
+//! * the **batched** kernel (one query against up to [`LANES`]
+//!   same-length candidates in struct-of-lanes layout) must match the
+//!   oracle per lane — distances bitwise, early-abandon outcomes and
+//!   abandonment rows identical — and the summed scan `WorkMeter` must
+//!   equal the scalar row sweep's except for the two `batch.*` counters
+//!   that exist only on the batched path. The lane-remainder grid pins
+//!   scan sizes whose final group holds `LANES`, `1`, and `LANES − 1`
+//!   live lanes, and the mining k-NN scan (which takes the batched
+//!   route) must produce one meter regardless of worker count.
 
 use proptest::prelude::*;
 use tsdtw::core::cost::{AbsoluteCost, CostFn, Rooted, SquaredCost};
 use tsdtw::core::dtw::banded::{
-    cdtw_distance_kernel, cdtw_distance_metered_with_buf_kernel, cdtw_with_path_kernel,
+    cdtw_distance_kernel, cdtw_distance_metered_with_buf_kernel, cdtw_with_path,
 };
 use tsdtw::core::dtw::batch::{
     cdtw_batch_distances_metered, cdtw_batch_ea_metered, BatchBuffer, LANES,
 };
-use tsdtw::core::dtw::early_abandon::{cdtw_distance_ea_metered_kernel, EaOutcome};
+use tsdtw::core::dtw::early_abandon::{cdtw_distance_ea_metered, EaOutcome};
 use tsdtw::core::dtw::full::dtw_distance_kernel;
 use tsdtw::core::dtw::kernel::WAVEFRONT_MIN_WIDTH;
-use tsdtw::core::dtw::windowed::{
-    windowed_distance_metered_kernel, windowed_with_path_kernel, DtwBuffer,
-};
-use tsdtw::core::fastdtw::fastdtw_metered_kernel;
+use tsdtw::core::dtw::windowed::{windowed_distance_metered_kernel, windowed_with_path, DtwBuffer};
+use tsdtw::core::fastdtw::{fastdtw_metered, fastdtw_ref_with_path};
 use tsdtw::core::paa::halve;
 use tsdtw::core::{Kernel, SearchWindow, WarpingPath};
-use tsdtw_obs::{NoMeter, WorkMeter};
+use tsdtw_obs::WorkMeter;
 
 fn bits(x: f64) -> u64 {
     x.to_bits()
@@ -74,10 +80,6 @@ fn naive_matrix<C: CostFn>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) -> V
     let n = x.len();
     let m = y.len();
     let mut dp = vec![vec![f64::INFINITY; m]; n];
-    let admissible = |i: usize, j: usize| {
-        let (lo, hi) = w.row_bounds(i);
-        (lo..=hi).contains(&j)
-    };
     for i in 0..n {
         let (lo, hi) = w.row_bounds(i);
         for j in lo..=hi {
@@ -86,25 +88,28 @@ fn naive_matrix<C: CostFn>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) -> V
                 dp[i][j] = c;
                 continue;
             }
-            let up = if i > 0 && admissible(i - 1, j) {
-                dp[i - 1][j]
-            } else {
-                f64::INFINITY
-            };
-            let diag = if i > 0 && j > 0 && admissible(i - 1, j - 1) {
-                dp[i - 1][j - 1]
-            } else {
-                f64::INFINITY
-            };
-            let left = if j > 0 && admissible(i, j - 1) {
-                dp[i][j - 1]
-            } else {
-                f64::INFINITY
-            };
+            let [diag, up, left] = in_window_neighbors(w, i, j).map(|nb| match nb {
+                Some((a, b)) => dp[a][b],
+                None => f64::INFINITY,
+            });
             dp[i][j] = c + diag.min(up).min(left);
         }
     }
     dp
+}
+
+/// The diagonal, up and left neighbors of `(i, j)`, each `None` when it
+/// lies outside `w` (or outside the matrix).
+fn in_window_neighbors(w: &SearchWindow, i: usize, j: usize) -> [Option<(usize, usize)>; 3] {
+    let inside = |a: usize, b: usize| {
+        let (lo, hi) = w.row_bounds(a);
+        (lo..=hi).contains(&b).then_some((a, b))
+    };
+    [
+        (i > 0 && j > 0).then(|| inside(i - 1, j - 1)).flatten(),
+        (i > 0).then(|| inside(i - 1, j)).flatten(),
+        (j > 0).then(|| inside(i, j - 1)).flatten(),
+    ]
 }
 
 /// The naive reference distance over `w`.
@@ -114,8 +119,11 @@ fn naive_windowed<C: CostFn>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) ->
 
 /// `naive_windowed`'s full-matrix DP plus a traceback from `(n-1, m-1)`
 /// that prefers the diagonal, then the vertical step, then the horizontal
-/// one, comparing with `<=`: the tie-break every path tier documents.
-/// Returns the finished distance and the path cells in forward order.
+/// one, comparing with `<=` among the neighbors inside the window: the
+/// tie-break every path kernel documents. Only in-window neighbors
+/// compete, since an overflowed in-window `+∞` ties the `+∞` an
+/// out-of-window neighbor reads as. Returns the finished distance and
+/// the path cells in forward order.
 fn naive_windowed_path<C: CostFn>(
     x: &[f64],
     y: &[f64],
@@ -127,21 +135,23 @@ fn naive_windowed_path<C: CostFn>(
     let dist = cost.finish(dp[i][j]);
     let mut cells = vec![(i, j)];
     while (i, j) != (0, 0) {
-        let diag = if i > 0 && j > 0 {
-            dp[i - 1][j - 1]
-        } else {
-            f64::INFINITY
+        let [diag, up, left] = in_window_neighbors(w, i, j);
+        let value = |nb: Option<(usize, usize)>| nb.map(|(a, b)| dp[a][b]);
+        // `a` beats `b` when it is in the window and `b` is not, or both
+        // are and `a <= b`.
+        let beats = |a: Option<f64>, b: Option<f64>| match (a, b) {
+            (Some(a), Some(b)) => a <= b,
+            (a, _) => a.is_some(),
         };
-        let up = if i > 0 { dp[i - 1][j] } else { f64::INFINITY };
-        let left = if j > 0 { dp[i][j - 1] } else { f64::INFINITY };
-        if diag <= up && diag <= left {
-            i -= 1;
-            j -= 1;
-        } else if up <= left {
-            i -= 1;
+        let (d, u, l) = (value(diag), value(up), value(left));
+        (i, j) = if beats(d, u) && beats(d, l) {
+            diag
+        } else if beats(u, l) {
+            up
         } else {
-            j -= 1;
+            left
         }
+        .expect("a reachable cell has an in-window neighbor");
         cells.push((i, j));
     }
     cells.reverse();
@@ -150,8 +160,7 @@ fn naive_windowed_path<C: CostFn>(
 
 /// FastDTW rebuilt from its public layers (`paa::halve`,
 /// `SearchWindow::from_low_res_path`) with [`naive_windowed_path`] solving
-/// every level, so each level's tie-break is checked against the oracle
-/// rather than only across tiers (which share it).
+/// every level, so each level's tie-break is checked against the oracle.
 fn naive_fastdtw(x: &[f64], y: &[f64], radius: usize) -> (f64, Vec<(usize, usize)>) {
     let window = if x.len() <= radius + 2 || y.len() <= radius + 2 {
         SearchWindow::full(x.len(), y.len())
@@ -163,6 +172,36 @@ fn naive_fastdtw(x: &[f64], y: &[f64], radius: usize) -> (f64, Vec<(usize, usize
     naive_windowed_path(x, y, &window, SquaredCost)
 }
 
+/// The naive early-abandoning oracle over a Sakoe–Chiba band: the first
+/// row whose [`naive_matrix`] minimum plus the suffix bound
+/// `cb[row + band + 1]` (0 past the end, or without `cb`) exceeds
+/// `threshold` abandons with that row counted; otherwise the exact
+/// distance.
+fn naive_ea(x: &[f64], y: &[f64], band: usize, threshold: f64, cb: Option<&[f64]>) -> EaOutcome {
+    let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
+    let dp = naive_matrix(x, y, &w, SquaredCost);
+    for (i, row) in dp.iter().enumerate() {
+        let row_min = row.iter().fold(f64::INFINITY, |a, &b| a.min(b));
+        let suffix = cb.and_then(|cb| cb.get(i + band + 1)).copied();
+        if row_min + suffix.unwrap_or(0.0) > threshold {
+            return EaOutcome::Abandoned { rows_filled: i + 1 };
+        }
+    }
+    EaOutcome::Exact(dp[x.len() - 1][y.len() - 1])
+}
+
+/// Asserts two early-abandon outcomes agree: same kind, same distance
+/// bits or the same abandonment row.
+fn assert_same_outcome(got: EaOutcome, want: EaOutcome, what: &str) {
+    match (got, want) {
+        (EaOutcome::Exact(a), EaOutcome::Exact(b)) => assert_eq!(bits(a), bits(b), "{what}"),
+        (EaOutcome::Abandoned { rows_filled: a }, EaOutcome::Abandoned { rows_filled: b }) => {
+            assert_eq!(a, b, "{what}: abandonment row")
+        }
+        (a, b) => panic!("{what}: outcome kinds disagree: {a:?} vs the oracle's {b:?}"),
+    }
+}
+
 /// Integer-valued series in −2..=2. Accumulated costs are then small
 /// integers, so neighbor ties, where only the tie-break decides the
 /// path, are common rather than measure-zero.
@@ -170,66 +209,75 @@ fn tie_heavy(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec((-2i32..3).prop_map(f64::from), len)
 }
 
-/// Runs one window through both tiers and the naive reference with a
-/// given cost; asserts bitwise distance equality and meter equality.
-fn assert_window_tiers_match<C: CostFn + Copy>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) {
-    let mut buf = DtwBuffer::new();
-    let mut m_gen = WorkMeter::new();
-    let d_gen =
-        windowed_distance_metered_kernel(x, y, w, cost, &mut buf, &mut m_gen, Kernel::Generic)
-            .unwrap();
-    let mut m_seg = WorkMeter::new();
-    let d_seg =
-        windowed_distance_metered_kernel(x, y, w, cost, &mut buf, &mut m_seg, Kernel::Segmented)
-            .unwrap();
-    let mut m_auto = WorkMeter::new();
-    let d_auto =
-        windowed_distance_metered_kernel(x, y, w, cost, &mut buf, &mut m_auto, Kernel::Auto)
-            .unwrap();
-    let mut m_wav = WorkMeter::new();
-    let d_wav =
-        windowed_distance_metered_kernel(x, y, w, cost, &mut buf, &mut m_wav, Kernel::Wavefront)
-            .unwrap();
-    prop_assert_eq!(bits(d_gen), bits(d_seg), "generic vs segmented");
-    prop_assert_eq!(bits(d_gen), bits(d_auto), "generic vs auto");
-    prop_assert_eq!(bits(d_gen), bits(d_wav), "generic vs wavefront");
-    let (d_naive, p_naive) = naive_windowed_path(x, y, w, cost);
-    prop_assert_eq!(bits(d_gen), bits(d_naive), "vs naive");
-    prop_assert_eq!(&m_gen, &m_seg, "meters must be tier-invariant");
-    prop_assert_eq!(&m_gen, &m_auto);
-    prop_assert_eq!(&m_gen, &m_wav, "wavefront meters must match the sweep");
+/// Hostile values: ±1e155, whose squared difference with anything not
+/// within ~1e154 of it overflows to `+∞`; subnormals (±4.9e-324,
+/// ±1e-310); and ±0.0 — two thirds of the samples, mixed with ordinary
+/// values in −10..10.
+fn adversarial(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
+    const HOSTILE: [f64; 8] = [
+        1e155, -1e155, 4.9e-324, -4.9e-324, 1e-310, -1e-310, 0.0, -0.0,
+    ];
+    let sample =
+        (0usize..12, -10.0f64..10.0).prop_map(|(k, v)| HOSTILE.get(k).copied().unwrap_or(v));
+    prop::collection::vec(sample, len)
+}
 
-    for kernel in [Kernel::Generic, Kernel::Segmented, Kernel::Auto] {
-        let (pd, p) = windowed_with_path_kernel(x, y, w, cost, kernel).unwrap();
-        prop_assert_eq!(bits(pd), bits(d_naive), "{:?} path-kernel distance", kernel);
-        prop_assert_eq!(p.cells(), &p_naive[..], "{:?} path vs naive", kernel);
+/// A cost written the way a user would: no hints, just the arithmetic.
+/// It must take `Auto`'s routes exactly like the built-in costs.
+#[derive(Clone, Copy)]
+struct UserSquared;
+
+impl CostFn for UserSquared {
+    fn cost(&self, a: f64, b: f64) -> f64 {
+        (a - b) * (a - b)
     }
 }
 
+/// Runs one window through every route and the naive reference with a
+/// given cost; asserts bitwise distance equality with the oracle, meter
+/// equality between routes, and the oracle's path from the path kernel.
+fn assert_window_tiers_match<C: CostFn + Copy>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) {
+    let (d_naive, p_naive) = naive_windowed_path(x, y, w, cost);
+    let mut buf = DtwBuffer::new();
+    let mut m_seg = WorkMeter::new();
+    for kernel in [Kernel::Segmented, Kernel::Auto, Kernel::Wavefront] {
+        let mut m = WorkMeter::new();
+        let d = windowed_distance_metered_kernel(x, y, w, cost, &mut buf, &mut m, kernel).unwrap();
+        prop_assert_eq!(bits(d), bits(d_naive), "{:?} vs naive", kernel);
+        if kernel == Kernel::Segmented {
+            m_seg = m;
+        } else {
+            prop_assert_eq!(&m, &m_seg, "{:?} meters must match the row sweep", kernel);
+        }
+    }
+    let (pd, p) = windowed_with_path(x, y, w, cost).unwrap();
+    prop_assert_eq!(bits(pd), bits(d_naive), "path-kernel distance");
+    prop_assert_eq!(p.cells(), &p_naive[..], "path vs naive");
+}
+
 /// Runs `ys` against `x` through the batched kernel in scan order
-/// (groups of [`LANES`]) and through the scalar generic kernel; asserts
-/// per-lane bitwise distance equality, exact `batch.*` group accounting,
-/// and scan-meter equality modulo those two counters — the only ones
-/// that exist solely on the batched path.
+/// (groups of [`LANES`]) and through the scalar row sweep; asserts
+/// per-lane bitwise distance equality with the naive oracle, exact
+/// `batch.*` group accounting, and scan-meter equality modulo those two
+/// counters — the only ones that exist solely on the batched path.
 fn assert_batch_matches_scalar(x: &[f64], ys: &[Vec<f64>], band: usize) {
     let refs: Vec<&[f64]> = ys.iter().map(|y| y.as_slice()).collect();
     let mut buf = DtwBuffer::new();
     let mut m_scalar = WorkMeter::new();
-    let scalar: Vec<f64> = refs
-        .iter()
-        .map(|y| {
-            cdtw_distance_metered_with_buf_kernel(
-                x,
-                y,
-                band,
-                SquaredCost,
-                &mut buf,
-                &mut m_scalar,
-                Kernel::Generic,
-            )
-            .unwrap()
-        })
-        .collect();
+    for y in &refs {
+        let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
+        let d = cdtw_distance_metered_with_buf_kernel(
+            x,
+            y,
+            band,
+            SquaredCost,
+            &mut buf,
+            &mut m_scalar,
+            Kernel::Segmented,
+        )
+        .unwrap();
+        assert_eq!(bits(d), bits(naive_windowed(x, y, &w, SquaredCost)));
+    }
     let mut bbuf = BatchBuffer::new();
     let mut m_batch = WorkMeter::new();
     let mut batched = vec![0.0f64; refs.len()];
@@ -237,8 +285,10 @@ fn assert_batch_matches_scalar(x: &[f64], ys: &[Vec<f64>], band: usize) {
         cdtw_batch_distances_metered(x, group, band, SquaredCost, out, &mut bbuf, &mut m_batch)
             .unwrap();
     }
-    for (l, (a, b)) in scalar.iter().zip(&batched).enumerate() {
-        assert_eq!(bits(*a), bits(*b), "lane {l}");
+    for (l, (y, b)) in refs.iter().zip(&batched).enumerate() {
+        let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
+        let want = naive_windowed(x, y, &w, SquaredCost);
+        assert_eq!(bits(*b), bits(want), "lane {l}");
     }
     assert_eq!(m_batch.batch_groups, refs.len().div_ceil(LANES) as u64);
     assert_eq!(m_batch.batch_lanes, refs.len() as u64);
@@ -260,13 +310,14 @@ proptest! {
         band in 0usize..10,
         xt in tie_heavy(1..28),
         yt in tie_heavy(1..28),
+        (xa, ya) in (adversarial(1..28), adversarial(1..28)),
     ) {
-        for (x, y) in [(&x, &y), (&xt, &yt)] {
+        for (x, y) in [(&x, &y), (&xt, &yt), (&xa, &ya)] {
             let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
             assert_window_tiers_match(x, y, &w, SquaredCost);
             assert_window_tiers_match(x, y, &w, AbsoluteCost);
-            // Rooted inherits the inner cost's opt-in and changes only
-            // `finish`, which every tier must apply identically.
+            // Rooted changes only `finish`, which every route must apply
+            // identically.
             assert_window_tiers_match(x, y, &w, Rooted(SquaredCost));
         }
     }
@@ -279,21 +330,21 @@ proptest! {
         y in prop::collection::vec(-10.0f64..10.0, 1..20),
         xt in tie_heavy(1..20),
         yt in tie_heavy(1..20),
+        (xa, ya) in (adversarial(1..20), adversarial(1..20)),
     ) {
-        for (x, y) in [(&x, &y), (&xt, &yt)] {
+        for (x, y) in [(&x, &y), (&xt, &yt), (&xa, &ya)] {
             let w = SearchWindow::full(x.len(), y.len());
             assert_window_tiers_match(x, y, &w, SquaredCost);
-            let d_gen = dtw_distance_kernel(x, y, SquaredCost, Kernel::Generic).unwrap();
-            let d_seg = dtw_distance_kernel(x, y, SquaredCost, Kernel::Segmented).unwrap();
-            let d_wav = dtw_distance_kernel(x, y, SquaredCost, Kernel::Wavefront).unwrap();
-            prop_assert_eq!(bits(d_gen), bits(d_seg));
-            prop_assert_eq!(bits(d_gen), bits(d_wav));
-            prop_assert_eq!(bits(d_gen), bits(naive_windowed(x, y, &w, SquaredCost)));
+            let naive = naive_windowed(x, y, &w, SquaredCost);
+            for kernel in [Kernel::Segmented, Kernel::Wavefront] {
+                let d = dtw_distance_kernel(x, y, SquaredCost, kernel).unwrap();
+                prop_assert_eq!(bits(d), bits(naive), "{:?}", kernel);
+            }
         }
     }
 
     /// Itakura parallelograms have rows whose interiors shrink to nothing
-    /// near the corners — the degenerate-segment fallback path.
+    /// near the corners — the degenerate-row fallback path.
     #[test]
     fn itakura_windows_are_tier_invariant(
         x in prop::collection::vec(-10.0f64..10.0, 2..24),
@@ -301,9 +352,10 @@ proptest! {
         slope_tenths in 12u32..40,
         xt in tie_heavy(2..24),
         yt in tie_heavy(2..24),
+        (xa, ya) in (adversarial(2..24), adversarial(2..24)),
     ) {
         let slope = slope_tenths as f64 / 10.0;
-        for (x, y) in [(&x, &y), (&xt, &yt)] {
+        for (x, y) in [(&x, &y), (&xt, &yt), (&xa, &ya)] {
             let w = SearchWindow::itakura(x.len(), y.len(), slope).unwrap();
             assert_window_tiers_match(x, y, &w, SquaredCost);
             assert_window_tiers_match(x, y, &w, AbsoluteCost);
@@ -311,10 +363,10 @@ proptest! {
     }
 
     /// FastDTW's projected-and-dilated windows, exercised through the
-    /// real multi-level recursion: distance, path, and the full meter —
-    /// including the order-sensitive per-level window list — must be
-    /// identical across tiers, and distance and path must equal the
-    /// naive per-level oracle's.
+    /// real multi-level recursion: distance and path must equal the naive
+    /// per-level oracle's, and the per-level meter must account for every
+    /// cell the stats count. The reference implementation must return a
+    /// valid path on the same inputs.
     #[test]
     fn fastdtw_projected_windows_are_tier_invariant(
         x in prop::collection::vec(-10.0f64..10.0, 1..48),
@@ -322,161 +374,150 @@ proptest! {
         radius in 0usize..4,
         xt in tie_heavy(1..48),
         yt in tie_heavy(1..48),
+        (xa, ya) in (adversarial(1..48), adversarial(1..48)),
     ) {
-        for (x, y) in [(&x, &y), (&xt, &yt)] {
+        for (x, y) in [(&x, &y), (&xt, &yt), (&xa, &ya)] {
             let (d_naive, p_naive) = naive_fastdtw(x, y, radius);
-            let mut m_gen = WorkMeter::new();
-            let (d_gen, p_gen, s_gen) =
-                fastdtw_metered_kernel(x, y, radius, SquaredCost, &mut m_gen, Kernel::Generic)
-                    .unwrap();
-            for kernel in [Kernel::Segmented, Kernel::Auto] {
-                let mut m = WorkMeter::new();
-                let (d, p, s) =
-                    fastdtw_metered_kernel(x, y, radius, SquaredCost, &mut m, kernel).unwrap();
-                prop_assert_eq!(bits(d_gen), bits(d), "{:?}", kernel);
-                prop_assert_eq!(&p_gen, &p, "{:?}", kernel);
-                prop_assert_eq!(s_gen.levels, s.levels);
-                prop_assert_eq!(&m_gen, &m, "{:?}", kernel);
-            }
-            prop_assert_eq!(bits(d_gen), bits(d_naive), "vs the naive oracle");
-            prop_assert_eq!(p_gen.cells(), &p_naive[..], "path vs the naive oracle");
+            let mut m = WorkMeter::new();
+            let (d, p, s) = fastdtw_metered(x, y, radius, SquaredCost, &mut m).unwrap();
+            prop_assert_eq!(bits(d), bits(d_naive), "vs the naive oracle");
+            prop_assert_eq!(p.cells(), &p_naive[..], "path vs the naive oracle");
+            prop_assert_eq!(m.cells, s.cells, "meter vs stats");
+            prop_assert_eq!(m.levels.len(), s.levels as usize);
+            let (_, p_ref) = fastdtw_ref_with_path(x, y, radius, SquaredCost).unwrap();
+            prop_assert!(p_ref.validate_for(x.len(), y.len()).is_ok());
         }
     }
 
-    /// cdtw distance and path entry points (band in cells) across tiers.
+    /// cdtw distance and path entry points (band in cells) on every route.
     #[test]
     fn cdtw_entry_points_are_tier_invariant(
         x in prop::collection::vec(-10.0f64..10.0, 1..24),
         y in prop::collection::vec(-10.0f64..10.0, 1..24),
         band in 0usize..8,
     ) {
-        let d_gen = cdtw_distance_kernel(&x, &y, band, SquaredCost, Kernel::Generic).unwrap();
-        let d_seg = cdtw_distance_kernel(&x, &y, band, SquaredCost, Kernel::Segmented).unwrap();
-        let d_wav = cdtw_distance_kernel(&x, &y, band, SquaredCost, Kernel::Wavefront).unwrap();
-        prop_assert_eq!(bits(d_gen), bits(d_seg));
-        prop_assert_eq!(bits(d_gen), bits(d_wav));
-        let (pd_gen, p_gen) =
-            cdtw_with_path_kernel(&x, &y, band, SquaredCost, Kernel::Generic).unwrap();
-        let (pd_seg, p_seg) =
-            cdtw_with_path_kernel(&x, &y, band, SquaredCost, Kernel::Segmented).unwrap();
-        prop_assert_eq!(bits(pd_gen), bits(pd_seg));
-        prop_assert_eq!(bits(pd_gen), bits(d_gen));
-        prop_assert_eq!(p_gen, p_seg);
+        let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
+        let (d_naive, p_naive) = naive_windowed_path(&x, &y, &w, SquaredCost);
+        for kernel in [Kernel::Segmented, Kernel::Auto, Kernel::Wavefront] {
+            let d = cdtw_distance_kernel(&x, &y, band, SquaredCost, kernel).unwrap();
+            prop_assert_eq!(bits(d), bits(d_naive), "{:?}", kernel);
+        }
+        let (pd, p) = cdtw_with_path(&x, &y, band, SquaredCost).unwrap();
+        prop_assert_eq!(bits(pd), bits(d_naive));
+        prop_assert_eq!(p.cells(), &p_naive[..]);
     }
 
     /// Early abandoning with an infinite threshold never abandons, so it
-    /// must equal the plain kernel bitwise — in both tiers, with
-    /// tier-invariant EA counters.
+    /// must equal the plain kernel and the oracle bitwise, having filled
+    /// every row and every band cell.
     #[test]
     fn ea_with_infinite_threshold_equals_plain(
         x in prop::collection::vec(-10.0f64..10.0, 1..24),
         y in prop::collection::vec(-10.0f64..10.0, 1..24),
         band in 0usize..8,
+        (xa, ya) in (adversarial(1..24), adversarial(1..24)),
     ) {
-        let plain = cdtw_distance_kernel(&x, &y, band, SquaredCost, Kernel::Generic).unwrap();
-        let mut m_gen = WorkMeter::new();
-        let ea_gen = cdtw_distance_ea_metered_kernel(
-            &x, &y, band, f64::INFINITY, None, SquaredCost, &mut m_gen, Kernel::Generic,
-        )
-        .unwrap();
-        let mut m_seg = WorkMeter::new();
-        let ea_seg = cdtw_distance_ea_metered_kernel(
-            &x, &y, band, f64::INFINITY, None, SquaredCost, &mut m_seg, Kernel::Segmented,
-        )
-        .unwrap();
-        let (EaOutcome::Exact(d_gen), EaOutcome::Exact(d_seg)) = (ea_gen, ea_seg) else {
-            panic!("infinite threshold must never abandon: {ea_gen:?} vs {ea_seg:?}");
-        };
-        prop_assert_eq!(bits(d_gen), bits(d_seg), "EA tiers");
-        prop_assert_eq!(bits(d_gen), bits(plain), "EA vs plain kernel");
-        prop_assert_eq!(&m_gen, &m_seg, "EA counters must be tier-invariant");
+        for (x, y) in [(&x, &y), (&xa, &ya)] {
+            let plain = cdtw_distance_kernel(x, y, band, SquaredCost, Kernel::Auto).unwrap();
+            let mut m = WorkMeter::new();
+            let ea = cdtw_distance_ea_metered(
+                x, y, band, f64::INFINITY, None, SquaredCost, &mut m,
+            )
+            .unwrap();
+            let EaOutcome::Exact(d) = ea else {
+                panic!("infinite threshold must never abandon: {ea:?}");
+            };
+            prop_assert_eq!(bits(d), bits(plain), "EA vs plain kernel");
+            let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
+            prop_assert_eq!(bits(d), bits(naive_windowed(x, y, &w, SquaredCost)));
+            prop_assert_eq!(m.cells, m.window_cells);
+            prop_assert_eq!(m.ea_rows_filled, x.len() as u64);
+        }
     }
 
-    /// Early abandoning with a *finite* threshold: whatever the outcome
-    /// (exact or abandoned at some row), it is identical across tiers —
-    /// the per-row minimum folds in the same order in both.
+    /// Early abandoning with a *finite* threshold, with and without a
+    /// suffix bound: whatever the outcome (exact or abandoned at some
+    /// row), it is the naive oracle's, and the meter counts exactly the
+    /// rows filled.
     #[test]
     fn ea_abandonment_row_is_tier_invariant(
         x in prop::collection::vec(-10.0f64..10.0, 2..24),
         y in prop::collection::vec(-10.0f64..10.0, 2..24),
         band in 0usize..6,
         threshold in 0.0f64..200.0,
+        (xa, ya) in (adversarial(2..24), adversarial(2..24)),
     ) {
-        let mut m_gen = WorkMeter::new();
-        let ea_gen = cdtw_distance_ea_metered_kernel(
-            &x, &y, band, threshold, None, SquaredCost, &mut m_gen, Kernel::Generic,
-        )
-        .unwrap();
-        let mut m_seg = WorkMeter::new();
-        let ea_seg = cdtw_distance_ea_metered_kernel(
-            &x, &y, band, threshold, None, SquaredCost, &mut m_seg, Kernel::Segmented,
-        )
-        .unwrap();
-        match (ea_gen, ea_seg) {
-            (EaOutcome::Exact(a), EaOutcome::Exact(b)) => prop_assert_eq!(bits(a), bits(b)),
-            (EaOutcome::Abandoned { rows_filled: a }, EaOutcome::Abandoned { rows_filled: b }) => {
-                prop_assert_eq!(a, b, "abandonment row must be tier-invariant");
+        for (x, y) in [(&x, &y), (&xa, &ya)] {
+            // Any non-negative array is a legal input; the kernel trusts
+            // it as a bound, the oracle applies it the same way.
+            let cb: Vec<f64> = (0..y.len()).map(|k| (y.len() - k) as f64 * 2.5).collect();
+            for cb in [None, Some(cb.as_slice())] {
+                let mut m = WorkMeter::new();
+                let got = cdtw_distance_ea_metered(x, y, band, threshold, cb, SquaredCost, &mut m)
+                    .unwrap();
+                assert_same_outcome(got, naive_ea(x, y, band, threshold, cb), "EA");
+                let rows = match got {
+                    EaOutcome::Abandoned { rows_filled } => rows_filled,
+                    EaOutcome::Exact(_) => x.len(),
+                };
+                prop_assert_eq!(m.ea_rows_filled, rows as u64);
             }
-            (a, b) => panic!("tiers disagree on the outcome kind: {a:?} vs {b:?}"),
         }
-        prop_assert_eq!(&m_gen, &m_seg);
     }
 
-    /// Every lane of the batched kernel equals the scalar banded kernel
-    /// on that pair — bitwise — over random query lengths, band widths,
-    /// and batch occupancies from one lane to the full [`LANES`].
+    /// Every lane of the batched kernel equals the oracle on that pair —
+    /// bitwise — over random query lengths, band widths, and batch
+    /// occupancies from one lane to the full [`LANES`].
     #[test]
     fn batched_lanes_are_bitwise_equal_to_the_scalar_kernel(
         x in prop::collection::vec(-10.0f64..10.0, 4..32),
         ys in prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 19), 1..9),
         band in 0usize..12,
+        (xa, ysa) in (adversarial(4..32), prop::collection::vec(adversarial(19..20), 1..9)),
     ) {
         assert_batch_matches_scalar(&x, &ys, band);
+        assert_batch_matches_scalar(&xa, &ysa, band);
     }
 
     /// The batched early-abandoning kernel: per-lane outcome kind,
-    /// exact-distance bits, and abandonment rows must equal the scalar
-    /// EA kernel with the same per-lane thresholds, and the scan meters
-    /// must agree modulo the `batch.*` counters.
+    /// exact-distance bits, and abandonment rows must equal the naive EA
+    /// oracle with the same per-lane thresholds, and the scan meters
+    /// must agree with the scalar kernel's modulo the `batch.*` counters.
     #[test]
     fn batched_ea_outcomes_and_abandonment_rows_match_the_scalar_kernel(
         x in prop::collection::vec(-10.0f64..10.0, 4..28),
         ys in prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 17), 1..9),
         band in 0usize..8,
         threshold in 0.0f64..300.0,
+        (xa, ysa) in (adversarial(4..28), prop::collection::vec(adversarial(17..18), 1..9)),
     ) {
-        let refs: Vec<&[f64]> = ys.iter().map(|y| y.as_slice()).collect();
-        // Spread the thresholds so lanes abandon at different rows (or
-        // not at all) within one batched call.
-        let thresholds: Vec<f64> =
-            (0..refs.len()).map(|l| threshold * (0.25 + 0.37 * l as f64)).collect();
-        let mut bbuf = BatchBuffer::new();
-        let mut m_batch = WorkMeter::new();
-        let outcomes = cdtw_batch_ea_metered(
-            &x, &refs, band, &thresholds, None, SquaredCost, &mut bbuf, &mut m_batch,
-        )
-        .unwrap();
-        let mut m_scalar = WorkMeter::new();
-        for (l, y) in refs.iter().enumerate() {
-            let scalar = cdtw_distance_ea_metered_kernel(
-                &x, y, band, thresholds[l], None, SquaredCost, &mut m_scalar, Kernel::Generic,
+        for (x, ys) in [(&x, &ys), (&xa, &ysa)] {
+            let refs: Vec<&[f64]> = ys.iter().map(|y| y.as_slice()).collect();
+            // Spread the thresholds so lanes abandon at different rows (or
+            // not at all) within one batched call.
+            let thresholds: Vec<f64> =
+                (0..refs.len()).map(|l| threshold * (0.25 + 0.37 * l as f64)).collect();
+            let mut bbuf = BatchBuffer::new();
+            let mut m_batch = WorkMeter::new();
+            let outcomes = cdtw_batch_ea_metered(
+                x, &refs, band, &thresholds, None, SquaredCost, &mut bbuf, &mut m_batch,
             )
             .unwrap();
-            match (outcomes[l], scalar) {
-                (EaOutcome::Exact(a), EaOutcome::Exact(b)) => {
-                    assert_eq!(bits(a), bits(b), "lane {l}");
-                }
-                (
-                    EaOutcome::Abandoned { rows_filled: a },
-                    EaOutcome::Abandoned { rows_filled: b },
-                ) => assert_eq!(a, b, "abandonment row of lane {l}"),
-                (a, b) => panic!("lane {l} outcome kinds disagree: {a:?} vs {b:?}"),
+            let mut m_scalar = WorkMeter::new();
+            for (l, y) in refs.iter().enumerate() {
+                let oracle = naive_ea(x, y, band, thresholds[l], None);
+                assert_same_outcome(outcomes[l], oracle, &format!("lane {l}"));
+                let scalar = cdtw_distance_ea_metered(
+                    x, y, band, thresholds[l], None, SquaredCost, &mut m_scalar,
+                )
+                .unwrap();
+                assert_same_outcome(scalar, oracle, &format!("scalar {l}"));
             }
+            let mut sans = m_batch.clone();
+            sans.batch_groups = 0;
+            sans.batch_lanes = 0;
+            prop_assert_eq!(&sans, &m_scalar, "EA meters modulo batch.*");
         }
-        let mut sans = m_batch.clone();
-        sans.batch_groups = 0;
-        sans.batch_lanes = 0;
-        prop_assert_eq!(&sans, &m_scalar, "EA meters modulo batch.*");
     }
 }
 
@@ -492,91 +533,8 @@ fn projected_and_dilated_window_shapes_match() {
         WarpingPath::new(vec![(0, 0), (1, 1), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5)]).unwrap();
     for radius in 0..4 {
         let w = SearchWindow::from_low_res_path(&low, x.len(), y.len(), radius);
-        let d_gen = windowed_distance_metered_kernel(
-            &x,
-            &y,
-            &w,
-            SquaredCost,
-            &mut DtwBuffer::new(),
-            &mut NoMeter,
-            Kernel::Generic,
-        )
-        .unwrap();
-        let d_seg = windowed_distance_metered_kernel(
-            &x,
-            &y,
-            &w,
-            SquaredCost,
-            &mut DtwBuffer::new(),
-            &mut NoMeter,
-            Kernel::Segmented,
-        )
-        .unwrap();
-        assert_eq!(bits(d_gen), bits(d_seg), "radius {radius}");
-        let d_wav = windowed_distance_metered_kernel(
-            &x,
-            &y,
-            &w,
-            SquaredCost,
-            &mut DtwBuffer::new(),
-            &mut NoMeter,
-            Kernel::Wavefront,
-        )
-        .unwrap();
-        assert_eq!(bits(d_gen), bits(d_wav), "radius {radius} wavefront");
-        assert_eq!(bits(d_gen), bits(naive_windowed(&x, &y, &w, SquaredCost)));
-        let dilated = w.dilate(radius + 1);
-        let d_gen = windowed_distance_metered_kernel(
-            &x,
-            &y,
-            &dilated,
-            SquaredCost,
-            &mut DtwBuffer::new(),
-            &mut NoMeter,
-            Kernel::Generic,
-        )
-        .unwrap();
-        let d_seg = windowed_distance_metered_kernel(
-            &x,
-            &y,
-            &dilated,
-            SquaredCost,
-            &mut DtwBuffer::new(),
-            &mut NoMeter,
-            Kernel::Segmented,
-        )
-        .unwrap();
-        assert_eq!(bits(d_gen), bits(d_seg), "dilated radius {radius}");
-        let d_wav = windowed_distance_metered_kernel(
-            &x,
-            &y,
-            &dilated,
-            SquaredCost,
-            &mut DtwBuffer::new(),
-            &mut NoMeter,
-            Kernel::Wavefront,
-        )
-        .unwrap();
-        assert_eq!(
-            bits(d_gen),
-            bits(d_wav),
-            "dilated radius {radius} wavefront"
-        );
-        assert_eq!(
-            bits(d_gen),
-            bits(naive_windowed(&x, &y, &dilated, SquaredCost))
-        );
-    }
-}
-
-/// A cost that does not opt in via `CostFn::SEGMENTED_FAST`, so `Auto`
-/// must keep it on the row sweep at every width.
-#[derive(Clone, Copy)]
-struct OptedOutSquared;
-
-impl CostFn for OptedOutSquared {
-    fn cost(&self, a: f64, b: f64) -> f64 {
-        SquaredCost.cost(a, b)
+        assert_window_tiers_match(&x, &y, &w, SquaredCost);
+        assert_window_tiers_match(&x, &y, &w.dilate(radius + 1), SquaredCost);
     }
 }
 
@@ -586,17 +544,19 @@ impl CostFn for OptedOutSquared {
 /// buffer's capacity after one call reveals the route.
 fn auto_takes_wavefront<C: CostFn>(x: &[f64], y: &[f64], w: &SearchWindow, cost: C) -> bool {
     let mut buf = DtwBuffer::new();
-    windowed_distance_metered_kernel(x, y, w, cost, &mut buf, &mut NoMeter, Kernel::Auto).unwrap();
+    windowed_distance_metered_kernel(x, y, w, cost, &mut buf, &mut WorkMeter::new(), Kernel::Auto)
+        .unwrap();
     buf.capacity_bytes() >= (3 * (w.max_row_width() + 2) + y.len()) * std::mem::size_of::<f64>()
 }
 
-/// Auto against Generic around the wavefront crossover: for each window
-/// family, windows of width `WAVEFRONT_MIN_WIDTH - 1`, `WAVEFRONT_MIN_WIDTH`
-/// and `WAVEFRONT_MIN_WIDTH + 1` must agree bitwise with identical meters,
-/// and Auto must route exactly the ones at or above the crossover (for an
-/// opted-in cost) to the wavefront.
+/// Auto against the oracle around the wavefront crossover: for each
+/// window family, windows of width `WAVEFRONT_MIN_WIDTH - 1`,
+/// `WAVEFRONT_MIN_WIDTH` and `WAVEFRONT_MIN_WIDTH + 1` must match the
+/// oracle bitwise with identical meters on every route, and Auto must
+/// route exactly the ones at or above the crossover to the wavefront —
+/// for a plain user cost just as for the built-in ones.
 #[test]
-fn auto_matches_generic_around_the_wavefront_crossover() {
+fn auto_matches_the_oracle_around_the_wavefront_crossover() {
     let c = WAVEFRONT_MIN_WIDTH;
     let targets = [c - 1, c, c + 1];
     let series = |n: usize, phase: f64| -> Vec<f64> {
@@ -667,11 +627,10 @@ fn auto_matches_generic_around_the_wavefront_crossover() {
             seen[slot] = true;
             let x = series(w.n_rows(), 0.0);
             let y = series(w.n_cols(), 1.7);
-            // Auto vs Generic (and every other tier): bitwise distances,
-            // equal meters.
+            // Every route vs the oracle: bitwise distances, equal meters.
             assert_window_tiers_match(&x, &y, w, SquaredCost);
             assert_window_tiers_match(&x, &y, w, AbsoluteCost);
-            assert_window_tiers_match(&x, &y, w, OptedOutSquared);
+            assert_window_tiers_match(&x, &y, w, UserSquared);
             let on_wavefront = width >= c;
             assert_eq!(
                 auto_takes_wavefront(&x, &y, w, SquaredCost),
@@ -679,9 +638,10 @@ fn auto_matches_generic_around_the_wavefront_crossover() {
                 "{family}: width {width} took the wrong route"
             );
             assert_eq!(auto_takes_wavefront(&x, &y, w, AbsoluteCost), on_wavefront);
-            assert!(
-                !auto_takes_wavefront(&x, &y, w, OptedOutSquared),
-                "{family}: an opted-out cost must stay on the row sweep"
+            assert_eq!(
+                auto_takes_wavefront(&x, &y, w, UserSquared),
+                on_wavefront,
+                "{family}: a user cost must take Auto's routes"
             );
         }
         assert_eq!(seen, [true; 3], "{family} must cover widths {targets:?}");
@@ -697,45 +657,8 @@ fn wide_band_exercises_the_unrolled_interior() {
         .map(|i| (i as f64 * 0.05 + 0.3).sin() * 5.0)
         .collect();
     for band in [0usize, 1, 2, 3, 5, 17, 50, 199] {
-        let mut buf = DtwBuffer::new();
-        let mut m_gen = WorkMeter::new();
         let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
-        let d_gen = windowed_distance_metered_kernel(
-            &x,
-            &y,
-            &w,
-            SquaredCost,
-            &mut buf,
-            &mut m_gen,
-            Kernel::Generic,
-        )
-        .unwrap();
-        let mut m_seg = WorkMeter::new();
-        let d_seg = windowed_distance_metered_kernel(
-            &x,
-            &y,
-            &w,
-            SquaredCost,
-            &mut buf,
-            &mut m_seg,
-            Kernel::Segmented,
-        )
-        .unwrap();
-        assert_eq!(bits(d_gen), bits(d_seg), "band {band}");
-        assert_eq!(m_gen, m_seg, "band {band}");
-        let mut m_wav = WorkMeter::new();
-        let d_wav = windowed_distance_metered_kernel(
-            &x,
-            &y,
-            &w,
-            SquaredCost,
-            &mut buf,
-            &mut m_wav,
-            Kernel::Wavefront,
-        )
-        .unwrap();
-        assert_eq!(bits(d_gen), bits(d_wav), "band {band} wavefront");
-        assert_eq!(m_gen, m_wav, "band {band} wavefront");
+        assert_window_tiers_match(&x, &y, &w, SquaredCost);
     }
 }
 
@@ -748,43 +671,28 @@ fn buffered_cdtw_is_tier_invariant_across_reuse() {
     // does: stale capacity must never leak into the result.
     let mut buf = DtwBuffer::new();
     for band in [40usize, 2, 11, 0, 25] {
-        let mut m_gen = WorkMeter::new();
-        let d_gen = cdtw_distance_metered_with_buf_kernel(
-            &x,
-            &y,
-            band,
-            SquaredCost,
-            &mut buf,
-            &mut m_gen,
-            Kernel::Generic,
-        )
-        .unwrap();
+        let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
+        let naive = naive_windowed(&x, &y, &w, SquaredCost);
         let mut m_seg = WorkMeter::new();
-        let d_seg = cdtw_distance_metered_with_buf_kernel(
-            &x,
-            &y,
-            band,
-            SquaredCost,
-            &mut buf,
-            &mut m_seg,
-            Kernel::Segmented,
-        )
-        .unwrap();
-        assert_eq!(bits(d_gen), bits(d_seg), "band {band}");
-        assert_eq!(m_gen, m_seg, "band {band}");
-        let mut m_wav = WorkMeter::new();
-        let d_wav = cdtw_distance_metered_with_buf_kernel(
-            &x,
-            &y,
-            band,
-            SquaredCost,
-            &mut buf,
-            &mut m_wav,
-            Kernel::Wavefront,
-        )
-        .unwrap();
-        assert_eq!(bits(d_gen), bits(d_wav), "band {band} wavefront");
-        assert_eq!(m_gen, m_wav, "band {band} wavefront");
+        for kernel in [Kernel::Segmented, Kernel::Wavefront, Kernel::Auto] {
+            let mut m = WorkMeter::new();
+            let d = cdtw_distance_metered_with_buf_kernel(
+                &x,
+                &y,
+                band,
+                SquaredCost,
+                &mut buf,
+                &mut m,
+                kernel,
+            )
+            .unwrap();
+            assert_eq!(bits(d), bits(naive), "band {band} {kernel:?}");
+            if kernel == Kernel::Segmented {
+                m_seg = m;
+            } else {
+                assert_eq!(m, m_seg, "band {band} {kernel:?}");
+            }
+        }
     }
 }
 
@@ -807,9 +715,9 @@ fn lane_remainder_grid_is_bitwise_equal_across_group_occupancies() {
 }
 
 /// The mining k-NN scan routes same-length candidate sets through the
-/// batched kernel under the default `Kernel::Auto`; the neighbor list
-/// and the whole `WorkMeter` — including the `batch.*` group accounting
-/// — must be identical at every worker count.
+/// batched kernel; the neighbor list and the whole `WorkMeter` —
+/// including the `batch.*` group accounting — must be identical at
+/// every worker count.
 #[test]
 fn mining_batched_scan_meters_are_thread_count_invariant() {
     use tsdtw::mining::knn::knn_brute_force_metered;
