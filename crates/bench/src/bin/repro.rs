@@ -6,7 +6,7 @@
 //!
 //!   EXPERIMENT   one or more of: fig1 fig2 caseb fig3 fig4 fig6 table2
 //!                footnote2 appendixb impls lbs radius cells kernels
-//!                memory funnel rle, or 'all' (default)
+//!                memory funnel, or 'all' (default)
 //!   --full       paper-scale populations (minutes); default is --quick
 //!   --threads N  worker threads for parallel experiments (default 1).
 //!                Work counters in BENCH_<id>.json are deterministic and
@@ -234,7 +234,6 @@ fn main() -> ExitCode {
             wall_s,
             report.json.get("work"),
             report.json.get("funnel"),
-            report.json.get("rle"),
             report.json.get("tiers"),
             Some(&memory),
             profile_json.as_ref(),

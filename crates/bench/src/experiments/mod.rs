@@ -17,7 +17,6 @@ pub mod kernels;
 pub mod lbs;
 pub mod memory;
 pub mod radius;
-pub mod rle;
 pub mod table2;
 
 use crate::report::{Report, Scale};
@@ -47,7 +46,6 @@ pub fn all() -> Vec<(&'static str, Runner)> {
         ("kernels", kernels::run),
         ("memory", memory::run),
         ("funnel", funnel::run),
-        ("rle", rle::run),
     ]
 }
 
@@ -60,9 +58,8 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(ids.len(), dedup.len());
-        assert_eq!(ids.len(), 17);
+        assert_eq!(ids.len(), 16);
         assert!(ids.contains(&"table2"));
-        assert!(ids.contains(&"rle"));
         assert!(ids.contains(&"impls"));
         assert!(ids.contains(&"cells"));
         assert!(ids.contains(&"kernels"));

@@ -83,20 +83,6 @@ impl Report {
         self.json.set("funnel", meter.funnel.report());
     }
 
-    /// Attaches a run-length-kernel summary as the `rle` section of the
-    /// JSON record (same wrapping rule as
-    /// [`attach_work`](Self::attach_work)). The snapshot pipeline lifts
-    /// this section into schema-v5 `BENCH_*.json` files, where its
-    /// integer leaves (runs, blocks, boundary cells) are hard-gated by
-    /// `report diff` / `report trend` while ratio floats stay advisory.
-    pub fn attach_rle(&mut self, section: Json) {
-        if !matches!(self.json, Json::Obj(_)) {
-            let record = std::mem::replace(&mut self.json, Json::object());
-            self.json.set("record", record);
-        }
-        self.json.set("rle", section);
-    }
-
     /// Attaches a kernel-tier summary as the `tiers` section of the JSON
     /// record (same wrapping rule as [`attach_work`](Self::attach_work)).
     /// The snapshot pipeline lifts this section into schema-v6

@@ -20,9 +20,6 @@
 //!               "stages": { "lb_kim": { "entered": …, "pruned": …,
 //!                                       "survived": …, "cost_units": …,
 //!                                       "tightness": { "count": …, … } }, … } },
-//!   "rle": { "runs": …, "blocks": …, "boundary_cells": …,
-//!            "sweep": [ { "ratio_pct": …, "rle_boundary_cells": …,
-//!                         "banded_cells": …, … }, … ] },
 //!   "tiers": { "wavefront": { "mismatch": 0, "cells_per_s": …,
 //!                             "speedup_vs_segmented": … }, … },
 //!   "memory": { "telemetry": true, "allocs": …, "frees": …,
@@ -68,22 +65,22 @@ use tsdtw_obs::{json_obj, Json, SpanStat};
 /// section (per-stage prune dispositions and cost units — integer
 /// leaves gate hard, tightness-quantile floats are advisory;
 /// `Json::Null` for experiments that run no cascade); version 5 added
-/// the `rle` section (run-length kernel work: runs, blocks, boundary
-/// cells and the compression-ratio sweep — integer leaves gate hard,
-/// ratio floats are advisory; `Json::Null` for experiments that never
-/// run the RLE kernel); version 6 added the `tiers` section (per-tier
-/// throughput and tier-equivalence results from the `kernels`
-/// experiment — the per-tier `mismatch` counters gate hard at any
-/// tolerance because they count cases whose distance diverged bitwise
-/// from the experiment's reference DP and must stay 0, while cells/sec
-/// and speedup floats are advisory; `Json::Null` for experiments that
-/// don't race kernel tiers); version 7 added the `profile` section
-/// (sampling-profiler output: sampler rate, tick/sample counts, and
-/// per-span self-vs-total sample shares — **advisory like timings**,
-/// because sample counts depend on scheduler phase and machine load;
-/// every leaf passes the diff's advisory predicate, the section is
-/// excluded from the trend detector's hard-counter walk, and
-/// `Json::Null` marks runs made without `--profile`).
+/// an `rle` section for a run-length kernel since removed (a snapshot
+/// written before the removal still carries it, so diffing it against a
+/// current run fails on the missing section); version 6 added the
+/// `tiers` section (per-tier throughput and tier-equivalence results
+/// from the `kernels` experiment — the per-tier `mismatch` counters
+/// gate hard at any tolerance because they count cases whose distance
+/// diverged bitwise from the experiment's reference DP and must stay 0,
+/// while cells/sec and speedup floats are advisory; `Json::Null` for
+/// experiments that don't race kernel tiers); version 7 added the
+/// `profile` section (sampling-profiler output: sampler rate,
+/// tick/sample counts, and per-span self-vs-total sample shares —
+/// **advisory like timings**, because sample counts depend on scheduler
+/// phase and machine load; every leaf passes the diff's advisory
+/// predicate, the section is excluded from the trend detector's
+/// hard-counter walk, and `Json::Null` marks runs made without
+/// `--profile`).
 pub const SCHEMA_VERSION: i64 = 7;
 
 /// Relative timing slowdown (percent) beyond which the diff emits an
@@ -147,10 +144,9 @@ pub fn git_rev() -> String {
 
 /// Builds one snapshot document from an experiment's outcome: its
 /// report `work` section (if any), its `funnel` section (`None` emits
-/// `null` — only cascaded experiments carry a funnel), its `rle`
-/// section (`None` emits `null` — only experiments that exercise the
-/// run-length kernel carry one), its `tiers` section (`None` emits
-/// `null` — only the kernel-tier race carries one), the heap delta
+/// `null` — only cascaded experiments carry a funnel), its `tiers`
+/// section (`None` emits `null` — only the kernel-tier race carries
+/// one), the heap delta
 /// measured around the run (`None` emits the disarmed all-zero stub,
 /// so the `memory` section exists in every snapshot), the sampling
 /// profiler's report (`None` emits `null` — only `--profile` runs
@@ -163,7 +159,6 @@ pub fn capture(
     wall_s: f64,
     work: Option<&Json>,
     funnel: Option<&Json>,
-    rle: Option<&Json>,
     tiers: Option<&Json>,
     memory: Option<&Json>,
     profile: Option<&Json>,
@@ -195,7 +190,6 @@ pub fn capture(
         "wall_s" => wall_s,
         "work" => work.cloned().unwrap_or(Json::Null),
         "funnel" => funnel.cloned().unwrap_or(Json::Null),
-        "rle" => rle.cloned().unwrap_or(Json::Null),
         "tiers" => tiers.cloned().unwrap_or(Json::Null),
         "memory" => memory.cloned().unwrap_or_else(|| {
             // No probe data reached capture: mark the stub disarmed even
@@ -439,11 +433,6 @@ pub fn diff(baseline: &Json, current: &Json, fail_pct: f64) -> Diff {
     // counter walk ----------------------------------------------------
     gate_counters("funnel", baseline, current, fail_pct, &|_| false, &mut d);
 
-    // --- rle kernel work: runs / blocks / boundary cells are pure
-    // functions of the inputs, so every integer leaf gates hard; the
-    // compression-ratio floats fall out of the counter walk ------------
-    gate_counters("rle", baseline, current, fail_pct, &|_| false, &mut d);
-
     // --- kernel tiers: the per-tier `mismatch` counters (cases whose
     // distance diverged bitwise from the reference DP) are 0
     // in any healthy baseline, so any growth is an infinite-percent hard
@@ -676,12 +665,6 @@ mod tests {
                     },
                 },
             },
-            "rle" => json_obj! {
-                "runs" => 24,
-                "blocks" => 144,
-                "boundary_cells" => cells / 10,
-                "compression_ratio" => 0.05,
-            },
             "tiers" => json_obj! {
                 "wavefront" => json_obj! {
                     "mismatch" => 0,
@@ -891,28 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn rle_counter_drift_is_a_hard_regression() {
-        // More boundary cells than the baseline means the block kernel
-        // did more work for the same inputs — v5 gates it like any
-        // other work counter. The ratio float stays advisory.
-        let base = snap(1000, 1.0);
-        let mut cur = snap(1000, 1.0);
-        cur.set("rle", base["rle"].clone().with("boundary_cells", 999));
-        let d = diff(&base, &cur, 0.0);
-        assert!(
-            d.regressions
-                .iter()
-                .any(|r| r.contains("rle.boundary_cells")),
-            "{:?}",
-            d.regressions
-        );
-        let mut cur = snap(1000, 1.0);
-        cur.set("rle", base["rle"].clone().with("compression_ratio", 0.9));
-        let d = diff(&base, &cur, 0.0);
-        assert!(d.regressions.is_empty(), "{:?}", d.regressions);
-    }
-
-    #[test]
     fn tier_mismatch_is_a_hard_regression_throughput_is_advisory() {
         // A tier whose distances stop matching the reference DP fails at
         // any tolerance (0 -> 1 is an infinite-percent growth); throughput
@@ -1083,7 +1044,7 @@ mod tests {
             "count" => 5, "total_s" => 0.9, "p50_s" => 0.1,
             "p99_s" => 0.2, "max_s" => 0.3, "alloc_bytes" => 0u64,
         };
-        cur.set("kernels", base["kernels"].clone().with("dtw_rle", fresh));
+        cur.set("kernels", base["kernels"].clone().with("dtw_full", fresh));
         let suspects = attribute(&base, &cur);
         // Absent from the baseline's kernels object entirely: no
         // base/cur pair to compare, but the profile-share path still
@@ -1091,13 +1052,13 @@ mod tests {
         // Give it a profile share to make the expectation concrete.
         let mut cur2 = cur.clone();
         let spans = base["profile"]["spans"].clone().with(
-            "dtw_rle",
+            "dtw_full",
             json_obj! { "self_samples" => 100, "total_samples" => 100, "self_share" => 0.1 },
         );
         cur2.set("profile", base["profile"].clone().with("spans", spans));
         let suspects2 = attribute(&base, &cur2);
         assert!(
-            suspects2.iter().any(|a| a.label == "dtw_rle"),
+            suspects2.iter().any(|a| a.label == "dtw_full"),
             "{suspects2:?}"
         );
         drop(suspects);
@@ -1125,7 +1086,6 @@ mod tests {
                 },
             },
         };
-        let rle = json_obj! { "runs" => 12, "blocks" => 36, "boundary_cells" => 140 };
         let tiers = json_obj! {
             "wavefront" => json_obj! { "mismatch" => 0, "cells_per_s" => 5.0e8 },
         };
@@ -1145,7 +1105,6 @@ mod tests {
             1.5,
             Some(&work),
             Some(&funnel),
-            Some(&rle),
             Some(&tiers),
             None,
             Some(&profile),
@@ -1161,14 +1120,12 @@ mod tests {
         // v4: the funnel section rides along verbatim…
         assert_eq!(s["funnel"]["candidates"], 9);
         assert_eq!(s["funnel"]["stages"]["lb_kim"]["pruned"], 4);
-        // v5: the rle section rides along verbatim…
-        assert_eq!(s["rle"]["boundary_cells"], 140);
         // v6: so does the tiers section…
         assert_eq!(s["tiers"]["wavefront"]["mismatch"], 0);
         // v7: and the profile section.
         assert_eq!(s["profile"]["samples"], 900);
         assert_eq!(s["profile"]["spans"]["cdtw"]["self_samples"], 900);
-        // …and a cascade-free, RLE-free, tier-free, unprofiled
+        // …and a cascade-free, tier-free, unprofiled
         // experiment carries explicit nulls.
         let bare = capture(
             "cells",
@@ -1179,12 +1136,10 @@ mod tests {
             None,
             None,
             None,
-            None,
             &spans,
             4,
         );
         assert!(bare["funnel"].is_null());
-        assert!(bare["rle"].is_null());
         assert!(bare["tiers"].is_null());
         assert!(bare["profile"].is_null());
         assert_eq!(s["kernels"]["cdtw"]["count"], 3u64);

@@ -158,9 +158,7 @@ fn timing_series(rec: &Json) -> Vec<(String, f64)> {
 
 /// Work-counter leaves of a record, plus funnel disposition leaves
 /// (entered / pruned / survived / cost_units are integers and exactly
-/// as deterministic as the work counters), plus rle kernel leaves
-/// (runs / blocks / boundary cells are pure functions of the inputs),
-/// plus memory *count* leaves when telemetry was armed (byte-valued
+/// as deterministic as the work counters), plus memory *count* leaves when telemetry was armed (byte-valued
 /// leaves stay out of the hard gate, matching `report diff`). The v7
 /// `profile` section is deliberately absent: sampling counts depend on
 /// scheduler phase and machine load, so they are advisory everywhere
@@ -169,7 +167,6 @@ fn hard_counters(rec: &Json) -> Vec<(String, i64)> {
     let mut out = Vec::new();
     snapshot::counter_leaves(&rec["work"], "work", &mut out);
     snapshot::counter_leaves(&rec["funnel"], "funnel", &mut out);
-    snapshot::counter_leaves(&rec["rle"], "rle", &mut out);
     if rec["memory"]["telemetry"].as_bool() == Some(true) {
         let mut mem = Vec::new();
         snapshot::counter_leaves(&rec["memory"], "memory", &mut mem);

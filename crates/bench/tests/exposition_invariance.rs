@@ -6,7 +6,7 @@
 //! an experiment's data path. This test pins that contract the same way
 //! `tests/parallel_equivalence.rs` pins thread-count invariance: run the
 //! `cells` experiment with the sampler armed and disarmed across several
-//! worker counts and require the `work`/`funnel`/`rle`/`tiers` sections
+//! worker counts and require the `work`/`funnel`/`tiers` sections
 //! to render byte-identically. If a future change routes profiler state
 //! into a metered path (or makes sampling perturb a counter), the
 //! perf-gate baselines would silently fork between profiled and
@@ -33,7 +33,7 @@ fn deterministic_sections(threads: usize, armed: bool) -> String {
     // Drain recorder state so runs don't leak spans into each other.
     let _ = tsdtw_obs::take_spans();
     let mut out = String::new();
-    for key in ["work", "funnel", "rle", "tiers"] {
+    for key in ["work", "funnel", "tiers"] {
         out.push_str(key);
         out.push('=');
         match rep.json.get(key) {

@@ -1,5 +1,5 @@
-//! `tsdtw cluster` — hierarchical or k-medoids clustering of a UCR-format
-//! file under `cDTW_w`.
+//! `tsdtw cluster` — hierarchical clustering of a UCR-format file under
+//! `cDTW_w`.
 
 use std::path::Path;
 
@@ -7,22 +7,18 @@ use crate::args::{ArgError, Args};
 use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::banded::{cdtw_distance, percent_to_band};
 use tsdtw_datasets::ucr_format::load_ucr_file;
-use tsdtw_mining::cluster::{agglomerative, k_medoids, Linkage};
+use tsdtw_mining::cluster::{agglomerative, Linkage};
 use tsdtw_mining::pairwise::pairwise_matrix;
 
 pub const HELP: &str = "\
 tsdtw cluster --file FILE --k K [--w PCT] [--linkage single|complete|average]
-              [--method hierarchical|kmedoids] [--threads N]
+              [--threads N]
   clusters the series of a UCR-format file (labels are ignored but reported
   against the clustering as a confusion summary)";
 
 /// Runs the command, returning the printable result.
 pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
-    let args = Args::parse(
-        raw,
-        &["file", "k", "w", "linkage", "method", "threads"],
-        &[],
-    )?;
+    let args = Args::parse(raw, &["file", "k", "w", "linkage", "threads"], &[])?;
     let data = load_ucr_file(Path::new(args.required("file")?))?;
     let k: usize = args.get_or("k", 2)?;
     let w: f64 = args.get_or("w", 10.0)?;
@@ -33,23 +29,17 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
         cdtw_distance(a, b, band, SquaredCost)
     })?;
 
-    let method = args.optional("method").unwrap_or("hierarchical");
-    let assignment: Vec<usize> = match method {
-        "hierarchical" => {
-            let linkage = match args.optional("linkage").unwrap_or("average") {
-                "single" => Linkage::Single,
-                "complete" => Linkage::Complete,
-                "average" => Linkage::Average,
-                other => return Err(Box::new(ArgError(format!("unknown linkage {other:?}")))),
-            };
-            agglomerative(&matrix, linkage)?.cut(k)?
-        }
-        "kmedoids" => k_medoids(&matrix, k, 50)?.assignment,
-        other => return Err(Box::new(ArgError(format!("unknown method {other:?}")))),
+    let linkage_name = args.optional("linkage").unwrap_or("average");
+    let linkage = match linkage_name {
+        "single" => Linkage::Single,
+        "complete" => Linkage::Complete,
+        "average" => Linkage::Average,
+        other => return Err(Box::new(ArgError(format!("unknown linkage {other:?}")))),
     };
+    let assignment = agglomerative(&matrix, linkage)?.cut(k)?;
 
     let mut out = format!(
-        "{} series of length {}, k = {k}, w = {w}% ({method})\n",
+        "{} series of length {}, k = {k}, w = {w}% ({linkage_name} linkage)\n",
         data.len(),
         data.series_len()
     );
@@ -110,21 +100,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("purity"), "{out}");
         assert!(out.contains("assignment"), "{out}");
-    }
-
-    #[test]
-    fn kmedoids_runs_too() {
-        let p = setup();
-        let out = run(&raw(&[
-            "--file",
-            p.to_str().unwrap(),
-            "--k",
-            "3",
-            "--method",
-            "kmedoids",
-        ]))
-        .unwrap();
-        assert!(out.contains("kmedoids"), "{out}");
     }
 
     #[test]

@@ -443,27 +443,6 @@ fn run_show(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
         )),
     }
 
-    match snap.get("rle") {
-        Some(rle) if !rle.is_null() => {
-            out.push_str("\n-- rle kernel (run-length work, deterministic) --\n");
-            let mut rows = Vec::new();
-            flatten_rows(rle, "", &mut rows);
-            out.push_str(&aligned(&rows));
-        }
-        // Pre-v5 snapshots carry no rle key; v5 snapshots of
-        // experiments that never ran the RLE kernel carry an explicit
-        // null. Both degrade to a note rather than a silent omission —
-        // the same convention as the funnel section above.
-        _ => out.push_str(&format!(
-            "\nno rle section ({})\n",
-            if schema < 5 {
-                "pre-v5 snapshot; regenerate with `repro`"
-            } else {
-                "experiment never ran the RLE kernel"
-            }
-        )),
-    }
-
     match snap.get("tiers") {
         Some(tiers) if !tiers.is_null() => {
             out.push_str(
@@ -495,7 +474,7 @@ fn run_show(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
         }
         // Pre-v6 snapshots carry no tiers key; v6 snapshots of
         // experiments that race no kernel tiers carry an explicit null.
-        // Both degrade to a note — the same convention as funnel/rle.
+        // Both degrade to a note — the same convention as funnel.
         _ => out.push_str(&format!(
             "\nno tiers section ({})\n",
             if schema < 6 {
@@ -556,7 +535,7 @@ fn run_show(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
         }
         // Pre-v7 snapshots carry no profile key; v7 snapshots of runs
         // made without --profile carry an explicit null. Both degrade
-        // to a note — the same convention as funnel/rle/tiers.
+        // to a note — the same convention as funnel/tiers.
         _ => out.push_str(&format!(
             "\nno profile section ({})\n",
             if schema < 7 {
@@ -865,12 +844,6 @@ mod tests {
             },
         );
         s.set(
-            "rle",
-            json_obj! {
-                "runs" => 24, "blocks" => 144, "boundary_cells" => 4800,
-            },
-        );
-        s.set(
             "tiers",
             json_obj! {
                 "segmented" => json_obj! {
@@ -886,9 +859,6 @@ mod tests {
         let path = write_snap(&d, "BENCH_cells.json", &s);
         let out = run(&raw(&["show", &path])).unwrap();
         assert!(out.contains("experiment   cells"), "{out}");
-        assert!(out.contains("-- rle kernel"), "{out}");
-        assert!(out.contains("boundary_cells"), "{out}");
-        assert!(!out.contains("no rle section"), "{out}");
         assert!(out.contains("-- work counters"), "{out}");
         assert!(out.contains("cells") && out.contains("12345"), "{out}");
         assert!(out.contains("-- funnel"), "{out}");
@@ -929,26 +899,6 @@ mod tests {
         let out = run(&raw(&["show", &path])).unwrap();
         assert!(out.contains("no funnel section"), "{out}");
         assert!(out.contains("no lower-bound cascade"), "{out}");
-    }
-
-    #[test]
-    fn show_degrades_cleanly_when_the_snapshot_has_no_rle_section() {
-        let d = tmpdir("tsdtw-report-show-norle");
-        // Pre-v5 snapshots have no rle key at all: note, don't omit.
-        let mut old = snap_json(100);
-        old.set("schema", 4i64);
-        let path = write_snap(&d, "BENCH_old.json", &old);
-        let out = run(&raw(&["show", &path])).unwrap();
-        assert!(out.contains("no rle section"), "{out}");
-        assert!(out.contains("pre-v5"), "{out}");
-        // Current-schema snapshots of sweep-only experiments carry an
-        // explicit null and get the other wording.
-        let mut bare = snap_json(100);
-        bare.set("rle", Json::Null);
-        let path = write_snap(&d, "BENCH_bare.json", &bare);
-        let out = run(&raw(&["show", &path])).unwrap();
-        assert!(out.contains("no rle section"), "{out}");
-        assert!(out.contains("never ran the RLE kernel"), "{out}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! tsdtw classify  1-NN classification of UCR-format files, with LOOCV window learning
 //! tsdtw search    UCR-style subsequence search with pruning statistics
 //! tsdtw window    brute-force optimal-warping-window search (the Fig. 2a procedure)
-//! tsdtw cluster   hierarchical / k-medoids clustering under cDTW
+//! tsdtw cluster   hierarchical clustering under cDTW
 //! tsdtw generate  write this workspace's synthetic datasets to disk
 //! tsdtw report    perf-trajectory tooling (diff gate, trend gate, show, flame)
 //! tsdtw help [command]

@@ -99,14 +99,6 @@ pub fn cdtw_distance_metered_with_buf<C: CostFn, M: Meter>(
 }
 
 /// [`cdtw_distance_metered_with_buf`] with an explicit kernel route.
-///
-/// When the band covers the whole matrix (`band >= max(n, m)` — the
-/// full-window form 1-NN mining's `FullDtw` spec uses), `Kernel::Rle`
-/// forces the run-length block kernel ([`crate::rle`]) and
-/// `Kernel::Auto` picks it on run-compressible pairs
-/// ([`crate::rle::auto_picks_rle`]); work then lands in the `rle.*`
-/// counters instead of `cells`/`window_cells`. Narrower bands always
-/// use the row sweep — the block decomposition has no banded form.
 pub fn cdtw_distance_metered_with_buf_kernel<C: CostFn, M: Meter>(
     x: &[f64],
     y: &[f64],
@@ -123,18 +115,6 @@ pub fn cdtw_distance_metered_with_buf_kernel<C: CostFn, M: Meter>(
         return Err(Error::EmptyInput { which: "y" });
     }
     check_band(x.len(), y.len(), band)?;
-    // The structural band check comes FIRST: the O(n) compressibility
-    // probe is pure waste on banded calls the block kernel can never
-    // serve, so it must not run (let alone be metered) unless the band
-    // covers the whole matrix. `rle.probes` makes the ordering
-    // observable — `auto_probe_is_gated_on_the_band_check` pins it.
-    let full_window = band >= x.len().max(y.len());
-    if full_window
-        && (kernel == Kernel::Rle
-            || (kernel == Kernel::Auto && crate::rle::auto_picks_rle_metered(x, y, meter)))
-    {
-        return crate::rle::dtw_distance_rle(x, y, cost, meter);
-    }
     let _span = tsdtw_obs::span("cdtw");
     // The buffer memoizes the window, so a warmed same-shape loop (1-NN,
     // all-pairs) runs this entry point without touching the heap.
@@ -367,31 +347,6 @@ mod tests {
             .unwrap();
         assert_eq!(plain, metered);
         assert_eq!(meter.cells, eval.cell_count() as u64);
-    }
-
-    #[test]
-    fn auto_probe_is_gated_on_the_band_check() {
-        use tsdtw_obs::WorkMeter;
-        // Highly run-compressible pair: at full window the Auto probe
-        // fires (and picks the block kernel), so an unconditionally
-        // running probe would be visible in `rle.probes` on the banded
-        // call too.
-        let x = vec![1.0; 64];
-        let y: Vec<f64> = (0..64).map(|i| if i < 32 { 1.0 } else { 2.0 }).collect();
-
-        let mut banded_meter = WorkMeter::new();
-        cdtw_distance_metered(&x, &y, 8, SquaredCost, &mut banded_meter).unwrap();
-        assert_eq!(
-            banded_meter.rle_probes, 0,
-            "a banded call the block kernel can never serve must not probe"
-        );
-        assert!(banded_meter.cells > 0, "row sweep ran");
-
-        let mut full_meter = WorkMeter::new();
-        cdtw_distance_metered(&x, &y, 64, SquaredCost, &mut full_meter).unwrap();
-        assert_eq!(full_meter.rle_probes, 1, "full window probes exactly once");
-        assert!(full_meter.rle_runs > 0, "compressible pair routes to RLE");
-        assert_eq!(full_meter.cells, 0, "block kernel fills no sweep cells");
     }
 
     #[test]

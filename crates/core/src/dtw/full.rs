@@ -10,41 +10,15 @@ use crate::error::{check_finite, check_nonempty, Result};
 use crate::path::WarpingPath;
 use crate::window::SearchWindow;
 
-use super::kernel::Kernel;
 use super::sweep;
 
 /// Exact unconstrained DTW distance between `x` and `y`.
 ///
 /// Time `O(n·m)`, memory `O(min(n, m))` (the shorter series indexes the
-/// columns).
+/// columns). The full matrix is the window `lo = 0, hi = m - 1` on every
+/// row, so the row sweep's interior is the whole row except column 0 —
+/// the entire DP runs branch-free.
 pub fn dtw_distance<C: CostFn>(x: &[f64], y: &[f64], cost: C) -> Result<f64> {
-    dtw_distance_kernel(x, y, cost, Kernel::Auto)
-}
-
-/// [`dtw_distance`] with an explicit kernel route.
-///
-/// The full matrix is the window `lo = 0, hi = m - 1` on every row, so
-/// the row sweep's interior is the whole row except column 0 — the
-/// entire DP runs branch-free.
-///
-/// `Kernel::Rle` routes through the run-length block kernel
-/// ([`crate::rle`]); `Kernel::Auto` does the same when the pair is
-/// run-compressible ([`crate::rle::auto_picks_rle`]). Both produce
-/// distances bitwise equal to the sweep on exactly-representable
-/// (integer / dyadic) inputs — the guarantee class
-/// `tests/rle_equivalence.rs` locks.
-pub fn dtw_distance_kernel<C: CostFn>(
-    x: &[f64],
-    y: &[f64],
-    cost: C,
-    kernel: Kernel,
-) -> Result<f64> {
-    if kernel == Kernel::Rle
-        || (kernel == Kernel::Auto
-            && crate::rle::auto_picks_rle_metered(x, y, &mut tsdtw_obs::NoMeter))
-    {
-        return crate::rle::dtw_distance_rle(x, y, cost, &mut tsdtw_obs::NoMeter);
-    }
     check_nonempty("x", x)?;
     check_nonempty("y", y)?;
     check_finite("x", x)?;

@@ -13,17 +13,14 @@
 //!   [`WAVEFRONT_MIN_WIDTH`] cells wide run in anti-diagonal order (the
 //!   private `dtw::wavefront` module), whose lanes beat the row sweep's
 //!   left-neighbor chain clearly only once a diagonal holds enough cells;
-//! * full-window distance calls on highly run-compressible pairs run the
-//!   RLE block kernel ([`crate::rle`]);
 //! * mining scans of same-length candidates run the query-batched
 //!   kernel ([`crate::dtw::batch`]).
 //!
 //! Path recovery and early abandoning always run the row sweep. Every
-//! route is bitwise-equal to the row sweep (RLE on exactly-representable
-//! inputs, see [`crate::rle`]) and records identical `WorkMeter`
-//! counters, so which one runs is observable only in wall-clock time —
-//! the zero-tolerance perf-trajectory gate doubles as a
-//! kernel-equivalence gate (`tests/kernel_equivalence.rs` is the
+//! route is bitwise-equal to the row sweep on every input and records
+//! identical `WorkMeter` counters, so which one runs is observable only
+//! in wall-clock time — the zero-tolerance perf-trajectory gate doubles
+//! as a kernel-equivalence gate (`tests/kernel_equivalence.rs` is the
 //! differential proof against a naive full-matrix oracle).
 //!
 //! The other variants pin one route at the `*_kernel` entry points, for
@@ -33,20 +30,11 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// Route by the input: the wavefront on windows at least
-    /// [`WAVEFRONT_MIN_WIDTH`] cells wide, the RLE block kernel on
-    /// run-compressible full-window pairs
-    /// (runs/points ≤ [`crate::rle::AUTO_THRESHOLD`]), the row sweep
-    /// otherwise.
+    /// [`WAVEFRONT_MIN_WIDTH`] cells wide, the row sweep otherwise.
     #[default]
     Auto,
-    /// Force the row sweep wherever `Auto` would take the wavefront or
-    /// the RLE block kernel.
+    /// Force the row sweep wherever `Auto` would take the wavefront.
     Segmented,
-    /// Force the run-length-encoded block kernel
-    /// ([`crate::rle`]) at the full-window distance entry points.
-    /// Banded windows run the row sweep: the block decomposition has no
-    /// banded form.
-    Rle,
     /// Force anti-diagonal (wavefront) evaluation of the windowed DP at
     /// the windowed distance entry points
     /// (the `dtw::wavefront` module) for every window width:
@@ -66,7 +54,7 @@ impl Kernel {
         match self {
             Kernel::Wavefront => true,
             Kernel::Auto => width >= WAVEFRONT_MIN_WIDTH,
-            Kernel::Segmented | Kernel::Rle => false,
+            Kernel::Segmented => false,
         }
     }
 }
@@ -100,8 +88,6 @@ mod tests {
         assert!(Kernel::Auto.wavefront(w + 1));
         // Explicit pins ignore the width.
         assert!(Kernel::Wavefront.wavefront(1));
-        for k in [Kernel::Segmented, Kernel::Rle] {
-            assert!(!k.wavefront(usize::MAX), "{k:?}");
-        }
+        assert!(!Kernel::Segmented.wavefront(usize::MAX));
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! All of these fill their rows through the one row sweep in the private
 //! `sweep` module. [`kernel`] routes distance calls by their input
-//! (`Kernel::Auto`) or pins a route (`Segmented | Rle | Wavefront`), with
+//! (`Kernel::Auto`) or pins a route (`Segmented | Wavefront`), with
 //! a bitwise-equality guarantee between routes. The private `wavefront`
 //! module evaluates the windowed DP in anti-diagonal lane order, and
 //! [`batch`] runs up to [`batch::LANES`] same-length candidates against
@@ -30,7 +30,6 @@ pub mod batch;
 pub mod early_abandon;
 pub mod full;
 pub mod kernel;
-pub mod pruned;
 pub(crate) mod sweep;
 pub(crate) mod wavefront;
 pub mod windowed;
@@ -39,5 +38,4 @@ pub use banded::{cdtw_distance, cdtw_with_path, percent_to_band};
 pub use early_abandon::cdtw_distance_ea;
 pub use full::{dtw_distance, dtw_with_path};
 pub use kernel::Kernel;
-pub use pruned::{pruned_dtw_auto, pruned_dtw_distance};
 pub use windowed::{windowed_distance, windowed_with_path};

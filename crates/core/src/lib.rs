@@ -16,13 +16,7 @@
 //!   use: z-normalization ([`norm`]), Lemire envelopes ([`envelope`]),
 //!   LB_Kim / LB_Keogh / LB_Improved and the pruning cascade
 //!   ([`lower_bounds`]), and early-abandoning DTW
-//!   ([`dtw::early_abandon`]);
-//! * classic variants as extensions: derivative DTW ([`derivative`]) and
-//!   weighted DTW ([`wdtw`]);
-//! * a **run-length-encoded exact backend** ([`rle`]): lossless (and
-//!   epsilon-quantized) run encoding plus a block-decomposition DTW
-//!   kernel whose work scales with run boundaries rather than points —
-//!   [`Kernel::Auto`] dispatches to it on highly compressible inputs.
+//!   ([`dtw::early_abandon`]).
 //!
 //! ## Observability
 //!
@@ -69,7 +63,6 @@
 #![deny(unsafe_code)]
 
 pub mod cost;
-pub mod derivative;
 pub mod distance;
 pub mod dtw;
 pub mod envelope;
@@ -77,14 +70,9 @@ pub mod error;
 pub mod fastdtw;
 pub mod lower_bounds;
 pub mod matrix;
-pub mod multivariate;
 pub mod norm;
-pub mod open_end;
 pub mod paa;
 pub mod path;
-pub mod rle;
-pub mod subsequence;
-pub mod wdtw;
 pub mod window;
 
 /// Re-export of the work-accounting crate, so downstream users can name
@@ -102,5 +90,4 @@ pub use fastdtw::{
     fastdtw_ref_with_path, fastdtw_with_path, fastdtw_with_stats, FastDtw, FastDtwStats,
 };
 pub use path::WarpingPath;
-pub use rle::{RleSeries, Run};
 pub use window::SearchWindow;

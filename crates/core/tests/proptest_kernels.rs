@@ -14,8 +14,6 @@ use tsdtw_core::lower_bounds::improved::lb_improved;
 use tsdtw_core::lower_bounds::keogh::{lb_keogh, lb_keogh_with_contrib, suffix_sums};
 use tsdtw_core::lower_bounds::kim::lb_kim_hierarchy;
 use tsdtw_core::lower_bounds::yi::lb_yi_symmetric;
-use tsdtw_core::multivariate::{mdtw_d_distance, MultiSeries};
-use tsdtw_core::open_end::open_end_dtw;
 use tsdtw_core::path::WarpingPath;
 use tsdtw_core::window::SearchWindow;
 
@@ -144,28 +142,6 @@ proptest! {
             prop_assert!(d <= last + 1e-9);
             last = d;
         }
-    }
-
-    /// Open-end DTW is bounded above by closed-end DTW and its match end
-    /// is in range.
-    #[test]
-    fn open_end_below_closed(x in series(24), y in series(24)) {
-        let band = x.len().max(y.len());
-        let oe = open_end_dtw(&x, &y, band, SquaredCost).unwrap();
-        let closed = dtw_distance(&x, &y, SquaredCost).unwrap();
-        prop_assert!(oe.distance <= closed + 1e-9);
-        prop_assert!(oe.end < y.len());
-    }
-
-    /// Dependent multivariate DTW on duplicated channels scales the
-    /// univariate distance by the dimension count.
-    #[test]
-    fn multivariate_duplicated_channels((x, y) in equal_pair(24), dim in 1usize..4) {
-        let mx = MultiSeries::from_channels(&vec![x.clone(); dim]).unwrap();
-        let my = MultiSeries::from_channels(&vec![y.clone(); dim]).unwrap();
-        let multi = mdtw_d_distance(&mx, &my, x.len()).unwrap();
-        let uni = dtw_distance(&x, &y, SquaredCost).unwrap();
-        prop_assert!((multi - dim as f64 * uni).abs() < 1e-6 * (1.0 + multi.abs()));
     }
 
     /// Sakoe–Chiba windows are always valid and grow with the band.

@@ -15,8 +15,6 @@
 //! * [`two_patterns`] — Two-Patterns-style labeled generator;
 //! * [`ecg`] — synthetic PQRST beats and rhythm strips (Case D's
 //!   cardiology discussion);
-//! * [`smart_meter`] — piecewise-constant appliance state traces with a
-//!   controllable runs/points compression ratio (the `rle` experiment);
 //! * [`suite`] — a 128-dataset UCR-archive-like suite (Fig. 2);
 //! * [`ucr_format`] — I/O for real UCR archive files, if you have them.
 //!
@@ -36,8 +34,6 @@ pub mod music;
 pub mod power;
 pub mod random_walk;
 pub mod rng;
-pub mod seismic;
-pub mod smart_meter;
 pub mod suite;
 pub mod two_patterns;
 pub mod types;

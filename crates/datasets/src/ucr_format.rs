@@ -6,6 +6,12 @@
 //! versions used commas; both are accepted). If a user has real archive
 //! files, every experiment in the harness can run on them instead of the
 //! synthetic substitutes.
+//!
+//! Every label must be a finite integer (`1` and `1.0` both read as 1)
+//! and every value finite. The 2018 archive pads variable-length series
+//! with trailing `NaN`s; [`LabeledDataset`] holds equal-length series
+//! only, so such a file is rejected with a message naming that
+//! convention.
 
 use crate::types::LabeledDataset;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -26,31 +32,63 @@ pub fn read_ucr<R: Read>(name: &str, reader: R) -> Result<LabeledDataset> {
         if trimmed.is_empty() {
             continue;
         }
+        let bad = |name: &'static str, what: String| Error::InvalidParameter {
+            name,
+            reason: format!("line {}: {what}", lineno + 1),
+        };
         let sep = if trimmed.contains('\t') { '\t' } else { ',' };
-        let mut fields = trimmed.split(sep).filter(|f| !f.is_empty());
-        let label_field = fields.next().ok_or_else(|| Error::InvalidParameter {
-            name: "line",
-            reason: format!("line {} has no fields", lineno + 1),
-        })?;
-        // Labels may be written as "1" or "1.0"; parse via f64.
+        let mut fields = trimmed.split(sep).map(str::trim).filter(|f| !f.is_empty());
+        let label_field = fields
+            .next()
+            .ok_or_else(|| bad("line", "no fields".into()))?;
+        // Labels may be written as "1" or "1.0"; parse via f64 and keep
+        // only integers `as i64` converts exactly (it would truncate 0.5
+        // into class 0 and saturate NaN and inf).
         let label = label_field
-            .trim()
             .parse::<f64>()
-            .map_err(|_| Error::InvalidParameter {
-                name: "label",
-                reason: format!("line {}: unparsable label {label_field:?}", lineno + 1),
+            .ok()
+            .filter(|v| v.fract() == 0.0 && v.abs() < i64::MAX as f64)
+            .ok_or_else(|| {
+                let what =
+                    format!("label {label_field:?} is not an integer below 2^63 in magnitude");
+                bad("label", what)
             })? as i64;
-        let values: std::result::Result<Vec<f64>, _> =
-            fields.map(|f| f.trim().parse::<f64>()).collect();
-        let values = values.map_err(|e| Error::InvalidParameter {
-            name: "values",
-            reason: format!("line {}: {e}", lineno + 1),
-        })?;
+        // Fields are numbered from 1, the label being field 1.
+        let mut values = Vec::new();
+        let mut first_non_finite = None;
+        for (k, f) in fields.enumerate() {
+            let v: f64 = f
+                .parse()
+                .map_err(|_| bad("values", format!("field {}: unparsable value {f:?}", k + 2)))?;
+            if !v.is_finite() && first_non_finite.is_none() {
+                first_non_finite = Some((k, f));
+            }
+            values.push(v);
+        }
         if values.is_empty() {
-            return Err(Error::InvalidParameter {
-                name: "values",
-                reason: format!("line {} has a label but no values", lineno + 1),
-            });
+            return Err(bad("values", "a label but no values".into()));
+        }
+        if let Some((k, f)) = first_non_finite {
+            let what = if k > 0 && values[k..].iter().all(|v| v.is_nan()) {
+                format!(
+                    "trailing NaN padding from field {} (the UCR 2018 archive's \
+                     convention for variable-length series); only equal-length \
+                     series load",
+                    k + 2
+                )
+            } else {
+                format!("field {}: non-finite value {f:?}", k + 2)
+            };
+            return Err(bad("values", what));
+        }
+        if let Some(first) = series.first().map(Vec::len) {
+            if values.len() != first {
+                let what = format!(
+                    "{} values, expected {first} like the first series",
+                    values.len()
+                );
+                return Err(bad("values", what));
+            }
         }
         series.push(values);
         // The archive uses labels like -1/1 or 1..k; shift to 0-based usize.
@@ -67,7 +105,7 @@ pub fn read_ucr<R: Read>(name: &str, reader: R) -> Result<LabeledDataset> {
     LabeledDataset::new(name, series, mapped)
 }
 
-/// Loads a UCR file from disk.
+/// Loads a UCR file from disk. Errors name the file.
 pub fn load_ucr_file(path: &Path) -> Result<LabeledDataset> {
     let file = std::fs::File::open(path).map_err(|e| Error::InvalidParameter {
         name: "path",
@@ -77,7 +115,16 @@ pub fn load_ucr_file(path: &Path) -> Result<LabeledDataset> {
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "ucr".into());
-    read_ucr(&name, file)
+    read_ucr(&name, file).map_err(|e| match e {
+        Error::InvalidParameter { name, reason } => Error::InvalidParameter {
+            name,
+            reason: format!("{}: {reason}", path.display()),
+        },
+        other => Error::InvalidParameter {
+            name: "path",
+            reason: format!("{}: {other}", path.display()),
+        },
+    })
 }
 
 /// Writes a dataset in UCR tab-separated format.
@@ -160,6 +207,72 @@ mod tests {
     #[test]
     fn rejects_ragged_rows() {
         let text = "1\t0.0\t1.0\n2\t1.0\n";
-        assert!(read_ucr("r", text.as_bytes()).is_err());
+        let err = read_ucr("r", text.as_bytes()).unwrap_err().to_string();
+        assert!(err.contains("line 2: 1 values, expected 2"), "{err}");
+    }
+
+    fn error_of(text: &str) -> String {
+        read_ucr("e", text.as_bytes()).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn rejects_fractional_labels_instead_of_truncating() {
+        // `as i64` would put 0.5 and -0.9 into class 0.
+        let err = error_of("0\t0.0\t1.0\n0.5\t1.0\t0.0\n");
+        assert!(
+            err.contains("line 2: label \"0.5\" is not an integer"),
+            "{err}"
+        );
+        let err = error_of("-0.9\t0.0\t1.0\n0\t1.0\t0.0\n");
+        assert!(err.contains("line 1: label \"-0.9\""), "{err}");
+    }
+
+    #[test]
+    fn rejects_non_finite_labels() {
+        for label in ["NaN", "inf", "-inf", "1e300"] {
+            let err = error_of(&format!("1\t0.0\t1.0\n{label}\t1.0\t0.0\n"));
+            assert!(err.contains(&format!("line 2: label \"{label}\"")), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_interior_non_finite_values_naming_line_and_field() {
+        for v in ["NaN", "inf", "-inf", "1e400"] {
+            let err = error_of(&format!("1\t0.0\t1.0\t2.0\n2\t0.5\t{v}\t1.0\n"));
+            assert!(
+                err.contains(&format!("line 2: field 3: non-finite value \"{v}\"")),
+                "{err}"
+            );
+        }
+        // A leading NaN is not padding, even when the rest is NaN too.
+        let err = error_of("1\tNaN\tNaN\n");
+        assert!(err.contains("line 1: field 2: non-finite value"), "{err}");
+    }
+
+    #[test]
+    fn rejects_trailing_nan_padding_naming_the_convention() {
+        let err = error_of("1\t0.0\t1.0\t2.0\n2\t0.5\tNaN\tNaN\n");
+        assert!(
+            err.contains("line 2: trailing NaN padding from field 3"),
+            "{err}"
+        );
+        assert!(err.contains("UCR 2018"), "{err}");
+    }
+
+    #[test]
+    fn load_prefixes_errors_with_the_path() {
+        let dir = std::env::temp_dir().join(format!("tsdtw-ucr-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad_TRAIN.tsv");
+        std::fs::write(&path, "1\t0.0\t1.0\n2\t0.5\tNaN\n").unwrap();
+        let err = load_ucr_file(&path).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("{}: line 2: trailing NaN padding", path.display())),
+            "{err}"
+        );
+        std::fs::write(&path, "").unwrap();
+        let err = load_ucr_file(&path).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,11 +1,8 @@
 //! Clustering under DTW-family distances.
 //!
 //! * [`hierarchical`] — agglomerative clustering and dendrograms (used by
-//!   the Fig. 7 reproduction);
-//! * [`kmedoids`] — PAM-style partitional clustering (extension).
+//!   the Fig. 7 reproduction).
 
 pub mod hierarchical;
-pub mod kmedoids;
 
 pub use hierarchical::{agglomerative, Dendrogram, Linkage, Merge};
-pub use kmedoids::{k_medoids, KMedoids};

@@ -36,8 +36,7 @@ fn candidate_indices(train: &LabeledView<'_>, skip: usize) -> Vec<usize> {
 /// the batch kernel does not reproduce) and every candidate has one
 /// length so the group shares a window. Distances are bitwise equal to the scalar scan either way,
 /// so the route is observable only in wall-clock time and the `batch.*`
-/// counters (plus, for full DTW, the per-pair `rle.probes` the scalar
-/// banded route records and the batch kernel skips).
+/// counters.
 pub(crate) fn batched_band(
     spec: DistanceSpec,
     query: &[f64],
@@ -1095,17 +1094,10 @@ mod tests {
             // batch.* pair.
             assert_eq!(batched_meter.batch_groups, 3, "{spec:?}");
             assert_eq!(batched_meter.batch_lanes, idxs.len() as u64, "{spec:?}");
-            if spec == DistanceSpec::FullDtw {
-                // The scalar metered full-DTW path probes RLE once per pair
-                // at its full-window gate; the batch kernel skips the probe.
-                assert_eq!(scalar_meter.rle_probes, idxs.len() as u64);
-                assert_eq!(batched_meter.rle_probes, 0);
-            }
             let normalize = |m: &WorkMeter| {
                 let mut m = m.clone();
                 m.batch_groups = 0;
                 m.batch_lanes = 0;
-                m.rle_probes = 0;
                 m
             };
             assert_eq!(

@@ -12,8 +12,7 @@
 //! * [`search`] — UCR-suite-style subsequence search (the trillion-point
 //!   footnote);
 //! * [`pairwise`] — parallel all-pairs distance matrices (Fig. 1, Fig. 4);
-//! * [`cluster`] — hierarchical dendrograms (Fig. 7) and k-medoids;
-//! * [`dba`] — DTW barycenter averaging (extension);
+//! * [`cluster`] — hierarchical dendrograms (Fig. 7);
 //! * [`anomaly`] — discord discovery (extension);
 //! * [`motif`] — motif (closest-pair) discovery (extension).
 
@@ -24,7 +23,6 @@
 pub mod anomaly;
 pub mod cluster;
 pub mod dataset_views;
-pub mod dba;
 pub mod knn;
 pub mod motif;
 pub mod pairwise;

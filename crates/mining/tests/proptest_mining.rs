@@ -3,7 +3,7 @@
 //! inputs.
 
 use proptest::prelude::*;
-use tsdtw_mining::cluster::{agglomerative, k_medoids, Linkage};
+use tsdtw_mining::cluster::{agglomerative, Linkage};
 use tsdtw_mining::dataset_views::LabeledView;
 use tsdtw_mining::knn::{classify_knn, knn_brute_force, nn_brute_force, nn_cascade, DistanceSpec};
 use tsdtw_mining::pairwise::{pairwise_matrix, DistanceMatrix};
@@ -92,30 +92,6 @@ proptest! {
         // Single-linkage first merge height is the global minimum distance.
         let min_d = vals.iter().map(|v| v.2).fold(f64::INFINITY, f64::min);
         prop_assert!((tree.merges[0].height - min_d).abs() < 1e-12);
-    }
-
-    /// k-medoids inertia is non-negative, zero iff k == n (distinct rows),
-    /// and assignments index valid medoids.
-    #[test]
-    fn kmedoids_invariants(n in 2usize..10, k_frac in 0.1f64..1.0, seed in 0u64..50) {
-        let k = ((n as f64 * k_frac).ceil() as usize).clamp(1, n);
-        let mut vals = Vec::new();
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let d = ((state >> 33) as f64 / (1u64 << 31) as f64) + 0.01;
-                vals.push((i, j, d));
-            }
-        }
-        let m = DistanceMatrix::from_triples(n, &vals);
-        let r = k_medoids(&m, k, 20).unwrap();
-        prop_assert_eq!(r.medoids.len(), k);
-        prop_assert!(r.inertia >= 0.0);
-        prop_assert!(r.assignment.iter().all(|&a| a < k));
-        if k == n {
-            prop_assert_eq!(r.inertia, 0.0);
-        }
     }
 
     /// The accelerated subsequence search equals the brute-force scan.

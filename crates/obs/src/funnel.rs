@@ -239,10 +239,10 @@ impl Funnel {
         }
     }
 
-    /// Stages ordered by measured prune-rate-per-cost, best first —
-    /// the exact signal ROADMAP item 4's adaptive cascade reorder will
-    /// consume. Stages that nothing entered are excluded; ties break by
-    /// cascade order, so the ranking is fully deterministic.
+    /// Stages ordered by measured prune-rate-per-cost, best first — the
+    /// ranking line of the EXPLAIN [`table`](Self::table). Stages that
+    /// nothing entered are excluded; ties break by cascade order, so the
+    /// ranking is fully deterministic.
     pub fn ranking(&self) -> Vec<FunnelStage> {
         let mut ranked: Vec<FunnelStage> = FunnelStage::ALL
             .into_iter()

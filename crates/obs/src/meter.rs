@@ -149,34 +149,12 @@ pub trait Meter {
         let _ = (filled, total);
     }
 
-    /// A series entered the RLE-DTW kernel encoded as `runs` runs.
-    #[inline]
-    fn rle_encoded(&mut self, runs: u64) {
-        let _ = runs;
-    }
-
-    /// `Kernel::Auto` ran its run-compressibility probe (one O(N) pass
-    /// over both series) to decide whether to dispatch to the RLE
-    /// backend. Recorded whether or not RLE is picked, so probe cost on
-    /// paths that can never take the RLE route is observable.
-    #[inline]
-    fn rle_probe(&mut self) {}
-
     /// A query-batched DP group was dispatched with `lanes` active
     /// lanes (1 ≤ lanes ≤ `batch::LANES`; padding lanes are not
     /// counted).
     #[inline]
     fn batch_group(&mut self, lanes: u64) {
         let _ = lanes;
-    }
-
-    /// One run-pair block of the RLE-DTW block decomposition was
-    /// solved, computing `boundary_cells` boundary DP values (the RLE
-    /// analogue of [`cells`](Self::cells): the work actually done,
-    /// compared against the dense band area in the `rle` experiment).
-    #[inline]
-    fn rle_block(&mut self, boundary_cells: u64) {
-        let _ = boundary_cells;
     }
 
     /// A candidate reached funnel `stage` of a pruning cascade.
@@ -255,21 +233,6 @@ impl<M: Meter + ?Sized> Meter for &mut M {
     }
 
     #[inline]
-    fn rle_encoded(&mut self, runs: u64) {
-        (**self).rle_encoded(runs);
-    }
-
-    #[inline]
-    fn rle_block(&mut self, boundary_cells: u64) {
-        (**self).rle_block(boundary_cells);
-    }
-
-    #[inline]
-    fn rle_probe(&mut self) {
-        (**self).rle_probe();
-    }
-
-    #[inline]
     fn batch_group(&mut self, lanes: u64) {
         (**self).batch_group(lanes);
     }
@@ -329,10 +292,6 @@ macro_rules! for_each_work_counter {
             { ea_invocations, "early_abandon.invocations", early_abandon, add },
             { ea_rows_filled, "early_abandon.rows_filled", early_abandon, add },
             { ea_rows_total, "early_abandon.rows_total", early_abandon, add },
-            { rle_runs, "rle.runs", rle, add },
-            { rle_blocks, "rle.blocks", rle, add },
-            { rle_boundary_cells, "rle.boundary_cells", rle, add },
-            { rle_probes, "rle.probes", rle, add },
             { batch_groups, "batch.groups", batch, add },
             { batch_lanes, "batch.lanes", batch, add },
         }
@@ -443,16 +402,6 @@ pub struct WorkMeter {
     pub ea_rows_filled: u64,
     /// Rows that would have been filled without abandoning.
     pub ea_rows_total: u64,
-    /// Runs entering the RLE-DTW kernel (both series).
-    pub rle_runs: u64,
-    /// Run-pair blocks solved by the RLE-DTW block decomposition.
-    pub rle_blocks: u64,
-    /// Boundary DP values computed across those blocks — the RLE
-    /// analogue of `cells`.
-    pub rle_boundary_cells: u64,
-    /// `Kernel::Auto` compressibility probes run (the O(N) run-count
-    /// pass at full-window dispatch points).
-    pub rle_probes: u64,
     /// Query-batched DP groups dispatched.
     pub batch_groups: u64,
     /// Active lanes summed across those groups (padding lanes
@@ -595,7 +544,6 @@ impl WorkMeter {
             ("lower_bounds", "lower bounds"),
             ("prune", "prune cascade"),
             ("early_abandon", "early abandon"),
-            ("rle", "rle kernel"),
             ("batch", "batched kernel"),
         ] {
             let leaves: Vec<String> = self
@@ -744,22 +692,6 @@ impl Meter for WorkMeter {
     }
 
     #[inline]
-    fn rle_encoded(&mut self, runs: u64) {
-        self.rle_runs += runs;
-    }
-
-    #[inline]
-    fn rle_block(&mut self, boundary_cells: u64) {
-        self.rle_blocks += 1;
-        self.rle_boundary_cells += boundary_cells;
-    }
-
-    #[inline]
-    fn rle_probe(&mut self) {
-        self.rle_probes += 1;
-    }
-
-    #[inline]
     fn batch_group(&mut self, lanes: u64) {
         self.batch_groups += 1;
         self.batch_lanes += lanes;
@@ -891,9 +823,6 @@ mod tests {
         m.prune(StageTag::KeoghQC);
         m.prune(StageTag::DtwExact);
         m.ea_rows(next() % 10, 10);
-        m.rle_encoded(next() + 1);
-        m.rle_block(next() + 1);
-        m.rle_probe();
         m.batch_group(next() % 8 + 1);
         m.fastdtw_level(FastDtwLevel {
             len_x: (next() + 1) as usize,
@@ -967,7 +896,7 @@ mod tests {
     fn counter_table_matches_report() {
         let m = arbitrary_meter(42); // records in every gate group
         let j = m.report();
-        assert_eq!(WorkMeter::COUNTER_NAMES.len(), 23);
+        assert_eq!(WorkMeter::COUNTER_NAMES.len(), 19);
         for &name in WorkMeter::COUNTER_NAMES {
             let from_field = m.field(name).expect("table names always resolve");
             let from_json = match name.split_once('.') {
@@ -1009,28 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn rle_hooks_accumulate_into_their_gated_group() {
-        let mut m = WorkMeter::new();
-        // Empty meter: the whole `rle` group is gated out of the report.
-        assert!(m.report()["rle"].is_null());
-        m.rle_encoded(3);
-        m.rle_encoded(4);
-        m.rle_block(11);
-        m.rle_block(9);
-        assert_eq!(m.rle_runs, 7);
-        assert_eq!(m.rle_blocks, 2);
-        assert_eq!(m.rle_boundary_cells, 20);
-        let j = m.report();
-        assert_eq!(j["rle"]["runs"], 7u64);
-        assert_eq!(j["rle"]["blocks"], 2u64);
-        assert_eq!(j["rle"]["boundary_cells"], 20u64);
-        assert!(m.summary().contains("rle kernel"));
-        // The dense-cell counters are untouched: the experiment compares
-        // `rle.boundary_cells` against the band's `cells` directly.
-        assert_eq!(m.cells, 0);
-    }
-
-    #[test]
     fn batch_hooks_accumulate_into_their_gated_group() {
         let mut m = WorkMeter::new();
         // Empty meter: the whole `batch` group is gated out of the report.
@@ -1046,19 +953,6 @@ mod tests {
         // The batched tier meters its DP work through the ordinary
         // cells/window hooks; the group counters only describe grouping.
         assert_eq!(m.cells, 0);
-    }
-
-    #[test]
-    fn rle_probe_counts_into_the_rle_group() {
-        let mut m = WorkMeter::new();
-        assert!(m.report()["rle"].is_null());
-        m.rle_probe();
-        m.rle_probe();
-        assert_eq!(m.rle_probes, 2);
-        let j = m.report();
-        assert_eq!(j["rle"]["probes"], 2u64);
-        // A probe that declines RLE leaves the kernel counters at zero.
-        assert_eq!(j["rle"]["runs"], 0u64);
     }
 
     #[test]

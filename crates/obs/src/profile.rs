@@ -45,7 +45,7 @@
 //! `kernels`: diffed for visibility, surfaced by drift attribution,
 //! never part of a hard gate, and deliberately excluded from the trend
 //! detector's counter walk. The deterministic sections (`work`,
-//! `funnel`, `rle`, `tiers`) are byte-identical with the profiler armed
+//! `funnel`, `tiers`) are byte-identical with the profiler armed
 //! or disarmed; a test pins that.
 
 use crate::{json_obj, Json};
@@ -377,8 +377,13 @@ pub fn collapse(folded: &[(String, u64)]) -> String {
 /// sorted by stack. Duplicate stacks merge by summing counts, so
 /// `collapse(&parse_collapsed(t)?)` is a fixpoint: parsing canonical
 /// output and re-collapsing reproduces it byte for byte.
+///
+/// A file whose counts sum past `u64::MAX` is an error naming the line
+/// where the sum overflows. That bounds every later sum over the parsed
+/// stacks ([`self_totals`], [`flame_ascii`]) by the same total.
 pub fn parse_collapsed(text: &str) -> Result<Vec<(String, u64)>, String> {
     let mut map: HashMap<String, u64> = HashMap::new();
+    let mut total: u64 = 0;
     for (i, line) in text.lines().enumerate() {
         let line = line.trim_end();
         if line.is_empty() {
@@ -393,6 +398,9 @@ pub fn parse_collapsed(text: &str) -> Result<Vec<(String, u64)>, String> {
         if stack.is_empty() {
             return Err(format!("line {}: empty stack: {line:?}", i + 1));
         }
+        total = total
+            .checked_add(count)
+            .ok_or_else(|| format!("line {}: sample counts sum past {}", i + 1, u64::MAX))?;
         *map.entry(stack.to_string()).or_insert(0) += count;
     }
     let mut folded: Vec<(String, u64)> = map.into_iter().collect();

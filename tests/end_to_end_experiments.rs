@@ -11,7 +11,7 @@ use tsdtw::datasets::fall;
 use tsdtw::datasets::gesture::labeled_short_gestures;
 use tsdtw::datasets::music::performance_pair;
 use tsdtw::datasets::power::fig3_pair;
-use tsdtw::mining::cluster::{agglomerative, k_medoids, Linkage};
+use tsdtw::mining::cluster::{agglomerative, Linkage};
 use tsdtw::mining::dataset_views::LabeledView;
 use tsdtw::mining::knn::{evaluate_split, DistanceSpec};
 use tsdtw::mining::pairwise::{pair_count, pairwise_matrix};
@@ -70,25 +70,25 @@ fn case_c_flow_power_mornings_cluster_by_program() {
     let d = cdtw(&early.series, &late.series, 40.0).unwrap();
     let e = cdtw(&early.series, &late.series, 0.0).unwrap();
     assert!(d < e * 0.5);
-    // k-medoids over a small morning population: two program mornings
-    // plus two flat baselines must split two-against-two. (Four items,
-    // not three: the deterministic medoid init seeds items 0 and 2.)
+    // Hierarchical clustering of a small morning population: two
+    // program mornings plus two flat baselines must split
+    // two-against-two.
     let flat_a = vec![0.15; 450];
     let flat_b: Vec<f64> = (0..450)
         .map(|i| 0.15 + 0.01 * (i as f64 * 0.1).sin())
         .collect();
     let series = vec![early.series.clone(), late.series.clone(), flat_a, flat_b];
     let m = pairwise_matrix(&series, 2, |a, b| cdtw(a, b, 40.0)).unwrap();
-    let km = k_medoids(&m, 2, 10).unwrap();
+    let assignment = agglomerative(&m, Linkage::Average).unwrap().cut(2).unwrap();
     assert_eq!(
-        km.assignment[0], km.assignment[1],
+        assignment[0], assignment[1],
         "program mornings cluster together"
     );
     assert_eq!(
-        km.assignment[2], km.assignment[3],
+        assignment[2], assignment[3],
         "flat mornings cluster together"
     );
-    assert_ne!(km.assignment[0], km.assignment[2]);
+    assert_ne!(assignment[0], assignment[2]);
 }
 
 #[test]

@@ -19,7 +19,10 @@
 //! whose squared difference with almost anything overflows to `+∞`;
 //! subnormals, whose products underflow to zero; and ±0.0, mixed with
 //! ordinary values. On them every route must return the oracle's bits,
-//! `+∞` included, and every path must stay inside its window.
+//! `+∞` included, and every path must stay inside its window. The
+//! full-matrix property also runs on **piecewise-constant** series (at
+//! most 4 runs over 40–120 points), the run-compressible input class,
+//! through both full-window distance entry points.
 //!
 //! Window shapes covered: Sakoe–Chiba bands (square and staircase,
 //! radius 0 up), Itakura parallelograms, FastDTW projected windows
@@ -53,13 +56,13 @@
 use proptest::prelude::*;
 use tsdtw::core::cost::{AbsoluteCost, CostFn, Rooted, SquaredCost};
 use tsdtw::core::dtw::banded::{
-    cdtw_distance_kernel, cdtw_distance_metered_with_buf_kernel, cdtw_with_path,
+    cdtw_distance, cdtw_distance_kernel, cdtw_distance_metered_with_buf_kernel, cdtw_with_path,
 };
 use tsdtw::core::dtw::batch::{
     cdtw_batch_distances_metered, cdtw_batch_ea_metered, BatchBuffer, LANES,
 };
 use tsdtw::core::dtw::early_abandon::{cdtw_distance_ea_metered, EaOutcome};
-use tsdtw::core::dtw::full::dtw_distance_kernel;
+use tsdtw::core::dtw::full::dtw_distance;
 use tsdtw::core::dtw::kernel::WAVEFRONT_MIN_WIDTH;
 use tsdtw::core::dtw::windowed::{windowed_distance_metered_kernel, windowed_with_path, DtwBuffer};
 use tsdtw::core::fastdtw::{fastdtw_metered, fastdtw_ref_with_path};
@@ -222,6 +225,26 @@ fn adversarial(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(sample, len)
 }
 
+/// Piecewise-constant series: 40–120 points in at most 4 runs, each run
+/// holding a float level in −10..10, so a pair has at most one run per
+/// 10 points. On such run-compressible pairs a run-length kernel is the
+/// tempting shortcut, and one that rounds differently from the row sweep
+/// fails here.
+fn piecewise() -> impl Strategy<Value = Vec<f64>> {
+    let runs = prop::collection::vec((-10.0f64..10.0, 0.0f64..1.0), 1..5);
+    (40usize..121, runs).prop_map(|(n, mut runs)| {
+        // Each run starts at its fraction of the series; the earliest
+        // also covers the points before its start.
+        runs.sort_by(|a, b| a.1.total_cmp(&b.1));
+        (0..n)
+            .map(|i| {
+                let t = i as f64 / n as f64;
+                runs.iter().rev().find(|r| r.1 <= t).unwrap_or(&runs[0]).0
+            })
+            .collect()
+    })
+}
+
 /// A cost written the way a user would: no hints, just the arithmetic.
 /// It must take `Auto`'s routes exactly like the built-in costs.
 #[derive(Clone, Copy)]
@@ -322,8 +345,10 @@ proptest! {
         }
     }
 
-    /// The full matrix is the widest window; the shared [`dtw_distance_kernel`]
-    /// entry point must agree with the windowed kernels and naive DP.
+    /// The full matrix is the widest window; both full-window distance
+    /// entry points, [`dtw_distance`] and [`cdtw_distance`] at a
+    /// matrix-covering band, must agree with the windowed kernels and
+    /// naive DP.
     #[test]
     fn full_matrix_is_tier_invariant(
         x in prop::collection::vec(-10.0f64..10.0, 1..20),
@@ -331,15 +356,17 @@ proptest! {
         xt in tie_heavy(1..20),
         yt in tie_heavy(1..20),
         (xa, ya) in (adversarial(1..20), adversarial(1..20)),
+        (xp, yp) in (piecewise(), piecewise()),
     ) {
-        for (x, y) in [(&x, &y), (&xt, &yt), (&xa, &ya)] {
+        for (x, y) in [(&x, &y), (&xt, &yt), (&xa, &ya), (&xp, &yp)] {
             let w = SearchWindow::full(x.len(), y.len());
             assert_window_tiers_match(x, y, &w, SquaredCost);
-            let naive = naive_windowed(x, y, &w, SquaredCost);
-            for kernel in [Kernel::Segmented, Kernel::Wavefront] {
-                let d = dtw_distance_kernel(x, y, SquaredCost, kernel).unwrap();
-                prop_assert_eq!(bits(d), bits(naive), "{:?}", kernel);
-            }
+            let naive = bits(naive_windowed(x, y, &w, SquaredCost));
+            let d = dtw_distance(x, y, SquaredCost).unwrap();
+            prop_assert_eq!(bits(d), naive, "dtw_distance");
+            let band = x.len().max(y.len());
+            let d = cdtw_distance(x, y, band, SquaredCost).unwrap();
+            prop_assert_eq!(bits(d), naive, "cdtw_distance at band {}", band);
         }
     }
 

@@ -1,0 +1,62 @@
+//! No-panic properties for the parsers that read user files.
+//!
+//! `Json::parse` reads every snapshot and ledger line `report
+//! diff/show/trend` is pointed at, and `read_ucr` reads every dataset
+//! `classify`, `cluster`, `bakeoff` and `window` load. On any input each
+//! must return `Ok` or `Err`: no panic, and no stack overflow on deep
+//! nesting.
+
+use proptest::prelude::*;
+use tsdtw::datasets::ucr_format::read_ucr;
+use tsdtw_obs::Json;
+
+/// Bytes drawn mostly from `alphabet`, the rest arbitrary, so inputs
+/// reach past the first token instead of failing on byte 0.
+fn bytes_over(alphabet: &'static [u8], len: usize) -> impl Strategy<Value = Vec<u8>> {
+    let byte = (0usize..alphabet.len() + alphabet.len() / 4, 0u8..=255)
+        .prop_map(move |(k, b)| alphabet.get(k).copied().unwrap_or(b));
+    prop::collection::vec(byte, 0..len)
+}
+
+const JSON_ALPHABET: &[u8] = b"{}[]\",:\\/-+.eE0123456789 \n\ttrufalsn\"\"ub";
+
+const UCR_ALPHABET: &[u8] = b"0123456789.-+eE\t\t\t,,\n\n\n  NaNinfINF#";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes (lossily decoded, as a file read would be) and
+    /// nesting far deeper than the parser's depth bound: `Ok` or `Err`,
+    /// and a nest that deep or left open is never `Ok`.
+    #[test]
+    fn json_parse_never_panics(
+        bytes in bytes_over(JSON_ALPHABET, 96),
+        // 1 to 2^17 levels, spread evenly over the scales.
+        depth in (0u32..18, 0usize..3).prop_map(|(e, d)| (1usize << e) + d),
+        object in 0u8..2,
+        closed in 0u8..2,
+    ) {
+        let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+        let (open, close) = if object == 1 { ("{\"k\":", "}") } else { ("[", "]") };
+        let mut nested = open.repeat(depth);
+        nested.push('0');
+        if closed == 1 {
+            nested.push_str(&close.repeat(depth));
+        }
+        if Json::parse(&nested).is_ok() {
+            prop_assert!(closed == 1 && depth < 1_000, "depth {} parsed", depth);
+        }
+    }
+
+    /// Arbitrary bytes as a UCR file: `Ok` or `Err`, and an accepted
+    /// dataset holds equal-length finite series with labels `0..k`.
+    #[test]
+    fn read_ucr_never_panics(bytes in bytes_over(UCR_ALPHABET, 160)) {
+        if let Ok(d) = read_ucr("fuzz", bytes.as_slice()) {
+            let len = d.series_len();
+            prop_assert!(d.series.iter().all(|s| s.len() == len));
+            prop_assert!(d.series.iter().flatten().all(|v| v.is_finite()));
+            prop_assert!(d.labels.iter().all(|&l| l < d.n_classes()));
+        }
+    }
+}

@@ -30,15 +30,14 @@ fn label() -> impl Strategy<Value = String> {
     (0usize..NAMES.len()).prop_map(|i| NAMES[i].to_string())
 }
 
+/// A `;`-joined stack of one to four frames.
+fn stack() -> impl Strategy<Value = String> {
+    prop::collection::vec(label(), 1..5).prop_map(|frames| frames.join(";"))
+}
+
 /// Arbitrary folded entries, duplicates and all orders included.
 fn folded() -> impl Strategy<Value = Vec<(String, u64)>> {
-    prop::collection::vec(
-        (
-            prop::collection::vec(label(), 1..5).prop_map(|frames| frames.join(";")),
-            1u64..1_000,
-        ),
-        0..24,
-    )
+    prop::collection::vec((stack(), 1u64..1_000), 0..24)
 }
 
 proptest! {
@@ -77,5 +76,16 @@ proptest! {
         let total: u64 = parsed.iter().map(|(_, n)| n).sum();
         let self_sum: u64 = self_totals(&parsed).iter().map(|s| s.self_samples).sum();
         prop_assert_eq!(self_sum, total);
+    }
+
+    /// Counts above `u64::MAX / 2`, so any two sum past `u64::MAX`. A
+    /// file like that is an error naming its second line, not a panic
+    /// on overflow (debug builds) or a wrapped total (release builds).
+    #[test]
+    fn sample_counts_summing_past_u64_max_are_an_error(
+        entries in prop::collection::vec((stack(), (u64::MAX / 2 + 1)..=u64::MAX), 2..8),
+    ) {
+        let err = parse_collapsed(&collapse(&entries)).unwrap_err();
+        prop_assert!(err.starts_with("line 2: "), "{}", err);
     }
 }
