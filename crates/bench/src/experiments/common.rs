@@ -15,7 +15,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::banded::{cdtw_distance_metered, percent_to_band, BandedDtw};
-use tsdtw_core::fastdtw::{fastdtw_distance, fastdtw_metered, fastdtw_ref_distance};
+use tsdtw_core::fastdtw::{fastdtw_distance, fastdtw_distance_metered, fastdtw_ref_distance};
 use tsdtw_core::obs::WorkMeter;
 use tsdtw_mining::ParConfig;
 
@@ -168,7 +168,8 @@ pub fn sweep_algo(
 
 /// Meters one representative comparison at an experiment's configuration:
 /// a `cDTW_w` evaluation (skipped when `w_percent` is `None`) and a tuned
-/// FastDTW run at `radius` (skipped when `None`), over the given pair.
+/// FastDTW distance at `radius` (skipped when `None`), over the given pair —
+/// the same distance-only entry the timed loops call.
 ///
 /// Experiments attach the result as their report's `work` section.
 /// Metering is deliberately kept *out* of the timed hot loops — the work
@@ -187,7 +188,7 @@ pub fn work_sample(
         cdtw_distance_metered(x, y, band, SquaredCost, &mut meter).expect("valid inputs");
     }
     if let Some(r) = radius {
-        fastdtw_metered(x, y, r, SquaredCost, &mut meter).expect("valid inputs");
+        fastdtw_distance_metered(x, y, r, SquaredCost, &mut meter).expect("valid inputs");
     }
     meter
 }

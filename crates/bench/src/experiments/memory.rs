@@ -13,12 +13,14 @@
 //!   asserted here when telemetry is armed): **zero** allocations.
 //! * **cDTW unbuffered** — one plain `cdtw_distance` call, the shape a
 //!   caller pays without scratch reuse (window + DP scratch per call).
-//! * **FastDTW (tuned)** — one radius-1 call. Every call rebuilds its
-//!   coarsened series, projected windows, and per-level scratch, so
-//!   its peak grows with the level count while cDTW's stays O(band width)
-//!   scratch (two rows, or three diagonals on the wavefront route).
+//! * **FastDTW (tuned)** — one radius-1 distance-only call, like for
+//!   like with cDTW's distance calls. Every call rebuilds its coarsened
+//!   series, projected windows, and per-level scratch, so its peak grows
+//!   with the level count while cDTW's stays O(band width) scratch (two
+//!   rows, or three diagonals on the wavefront route).
 //! * **FastDTW (reference)** — the same call through the canonical
-//!   cell-list + hash-map structure the ecosystem actually runs.
+//!   cell-list + hash-map structure the ecosystem actually runs, which
+//!   returns its path as the canonical package does.
 //!
 //! Byte figures are exact allocator-request totals (deterministic for
 //! a fixed workload), so the rows diff cleanly; without
@@ -29,7 +31,7 @@
 
 use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::banded::{cdtw_distance, BandedDtw};
-use tsdtw_core::fastdtw::{fastdtw_metered, fastdtw_ref_metered};
+use tsdtw_core::fastdtw::{fastdtw_distance_metered, fastdtw_ref_metered};
 use tsdtw_core::obs::WorkMeter;
 use tsdtw_datasets::ecg::beats;
 use tsdtw_datasets::random_walk::random_walks;
@@ -53,7 +55,8 @@ struct Row {
     cdtw_unbuffered_bytes: u64,
     /// DP scratch high-water mark the [`WorkMeter`] derived analytically.
     dp_peak_bytes: u64,
-    /// Allocator-observed peak of one radius-1 tuned-FastDTW call.
+    /// Allocator-observed peak of one radius-1 tuned-FastDTW distance
+    /// call.
     fastdtw_peak_bytes: u64,
     /// Allocator-observed peak of the same call through the reference
     /// (cell-list + hash-map) implementation.
@@ -154,8 +157,7 @@ fn probe_case(
     // FastDTW, tuned: one call; it owns (and frees) everything it touches.
     let mut m_fast = WorkMeter::new();
     let probe = AllocScope::begin();
-    let (_, _, stats) =
-        fastdtw_metered(x, y, radius, SquaredCost, &mut m_fast).expect("valid inputs");
+    fastdtw_distance_metered(x, y, radius, SquaredCost, &mut m_fast).expect("valid inputs");
     let fast = probe.end();
 
     // FastDTW, reference: the canonical cell-list + hash-map structure.
@@ -178,7 +180,7 @@ fn probe_case(
         dp_peak_bytes: m_cdtw.dp_peak_bytes.max(m_fast.dp_peak_bytes),
         fastdtw_peak_bytes: fast.peak_bytes,
         fastdtw_ref_peak_bytes: fast_ref.peak_bytes,
-        fastdtw_levels: stats.levels,
+        fastdtw_levels: m_fast.levels.len() as u32,
         peak_ratio: if cold.peak_bytes == 0 {
             0.0
         } else {

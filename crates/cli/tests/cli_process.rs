@@ -351,6 +351,47 @@ fn dist_trace_flag_emits_chrome_trace_json() {
 }
 
 #[test]
+fn dist_with_a_huge_fastdtw_radius_returns_the_full_dtw_distance() {
+    // A radius past the series lengths is FastDTW's exact base case, for
+    // both implementations, up to and including usize::MAX.
+    let dir = workdir("dist-huge-radius");
+    let a = dir.join("a.txt");
+    let b = dir.join("b.txt");
+    std::fs::write(&a, "0\n1\n2\n3\n2\n1\n0\n1\n").unwrap();
+    std::fs::write(&b, "0\n0\n1\n2\n3\n2\n1\n").unwrap();
+    let dist = |measure: &str, radius: &str| {
+        let out = bin()
+            .args([
+                "dist",
+                "--a",
+                a.to_str().unwrap(),
+                "--b",
+                b.to_str().unwrap(),
+                "--measure",
+                measure,
+                "--radius",
+                radius,
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{measure} --radius {radius}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        text.split_once("distance: ").unwrap().1.trim().to_string()
+    };
+    let exact = dist("dtw", "1");
+    for measure in ["fastdtw", "fastdtw-ref"] {
+        for radius in ["18446744073709551614", "18446744073709551615"] {
+            assert_eq!(dist(measure, radius), exact, "{measure} --radius {radius}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bad_flag_fails_and_echoes_command_help() {
     let out = bin().args(["dist", "--bogus", "1"]).output().unwrap();
     assert!(!out.status.success());

@@ -29,9 +29,12 @@
 //! pays for its cells and little else: the path sweep picks the traceback
 //! step without a branch and writes it through the row's slice of the
 //! direction plane, and [`SearchWindow::dilate`] reads two bounds per row
-//! (O(n), not O(n·r)). What remains beyond `cDTW_w`'s cost is FastDTW's
-//! extra cells plus one traceback byte per cell, which is the comparison
-//! the paper makes.
+//! (O(n), not O(n·r)). Only the coarser levels need a path; the distance
+//! entries ([`fastdtw_distance`], [`fastdtw_distance_metered`]) solve the
+//! finest level with the distance-only kernel, as `cDTW_w` does. What
+//! remains beyond `cDTW_w`'s cost is FastDTW's extra cells plus one
+//! traceback byte per coarser-level cell, which is the comparison the
+//! paper makes.
 //!
 //! The [`reference`](mod@reference) submodule is a faithful transliteration of the
 //! *canonical* implementation (Salvador & Chan's reference, as consumed by
@@ -46,12 +49,12 @@ pub mod reference;
 pub use reference::{fastdtw_ref_distance, fastdtw_ref_metered, fastdtw_ref_with_path};
 
 use crate::cost::CostFn;
-use crate::dtw::windowed::windowed_with_path_metered;
+use crate::dtw::windowed::{windowed_distance_metered, windowed_with_path_metered, DtwBuffer};
 use crate::error::{check_finite, check_nonempty, Error, Result};
 use crate::paa::halve;
 use crate::path::WarpingPath;
 use crate::window::SearchWindow;
-use tsdtw_obs::{FastDtwLevel, Meter, NoMeter};
+use tsdtw_obs::{FastDtwLevel, Meter, NoMeter, SpanGuard};
 
 /// Upper bound on recursion depth: each level halves the series, so 64
 /// levels cover any address space. Used only for a defensive assertion.
@@ -72,9 +75,34 @@ pub struct FastDtwStats {
 
 /// FastDTW distance with the given `radius`.
 ///
-/// See [`fastdtw_with_path`] for details; this variant discards the path.
+/// The coarser levels recover their paths, which the next level's window
+/// is built from; the finest level computes the distance only. See
+/// [`fastdtw_distance_metered`].
 pub fn fastdtw_distance<C: CostFn>(x: &[f64], y: &[f64], radius: usize, cost: C) -> Result<f64> {
-    fastdtw_with_path(x, y, radius, cost).map(|(d, _)| d)
+    fastdtw_distance_metered(x, y, radius, cost, &mut NoMeter)
+}
+
+/// [`fastdtw_distance`] with per-level work accounting.
+///
+/// Runs the same recursion as [`fastdtw_metered`] and records the same
+/// `cells`, `window_cells` and [`FastDtwLevel`] list, and returns the
+/// same distance bits. Only the finest level's solve differs: it takes
+/// the distance-only windowed kernel, where
+/// [`Kernel::Auto`](crate::Kernel::Auto) picks the route, so it fills no
+/// direction plane and walks no traceback, and its `dp_peak_bytes` is at
+/// most the path call's.
+pub fn fastdtw_distance_metered<C: CostFn, M: Meter>(
+    x: &[f64],
+    y: &[f64],
+    radius: usize,
+    cost: C,
+    meter: &mut M,
+) -> Result<f64> {
+    check_pair(x, y)?;
+    let _span = tsdtw_obs::span("fastdtw");
+    let mut stats = FastDtwStats::default();
+    let (window, _level) = level_window(x, y, radius, cost, &mut stats, 0, meter)?;
+    windowed_distance_metered(x, y, &window, cost, &mut DtwBuffer::new(), meter)
 }
 
 /// FastDTW distance and the (approximate) warping path it commits to.
@@ -114,16 +142,21 @@ pub fn fastdtw_metered<C: CostFn, M: Meter>(
     cost: C,
     meter: &mut M,
 ) -> Result<(f64, WarpingPath, FastDtwStats)> {
-    check_nonempty("x", x)?;
-    check_nonempty("y", y)?;
-    check_finite("x", x)?;
-    check_finite("y", y)?;
+    check_pair(x, y)?;
     let _span = tsdtw_obs::span("fastdtw");
     let mut stats = FastDtwStats::default();
     let (d, p) = recurse(x, y, radius, cost, &mut stats, 0, meter)?;
     Ok((d, p, stats))
 }
 
+fn check_pair(x: &[f64], y: &[f64]) -> Result<()> {
+    check_nonempty("x", x)?;
+    check_nonempty("y", y)?;
+    check_finite("x", x)?;
+    check_finite("y", y)
+}
+
+/// Solves one level with its path, which the next finer level projects.
 fn recurse<C: CostFn, M: Meter>(
     x: &[f64],
     y: &[f64],
@@ -133,13 +166,32 @@ fn recurse<C: CostFn, M: Meter>(
     depth: u32,
     meter: &mut M,
 ) -> Result<(f64, WarpingPath)> {
+    let (window, _level) = level_window(x, y, radius, cost, stats, depth, meter)?;
+    windowed_with_path_metered(x, y, &window, cost, meter)
+}
+
+/// One level's search window, counted into `stats` and recorded on
+/// `meter`: the full matrix at the base case, otherwise the coarser
+/// level's path (solved by [`recurse`]) projected up and dilated by
+/// `radius`. The returned span is the level's; the caller solves the
+/// window while holding it.
+fn level_window<C: CostFn, M: Meter>(
+    x: &[f64],
+    y: &[f64],
+    radius: usize,
+    cost: C,
+    stats: &mut FastDtwStats,
+    depth: u32,
+    meter: &mut M,
+) -> Result<(SearchWindow, SpanGuard)> {
     assert!(depth < MAX_LEVELS, "FastDTW recursion failed to converge");
     stats.levels += 1;
 
     // Salvador & Chan: below this size the exact computation is cheaper
     // than further recursion, and the window expansion needs at least this
-    // much room.
-    let min_size = radius + 2;
+    // much room. Saturating, so a radius past the series lengths takes the
+    // exact base case.
+    let min_size = radius.saturating_add(2);
     if x.len() <= min_size || y.len() <= min_size {
         let nm = (x.len() * y.len()) as u64;
         stats.cells += nm;
@@ -153,16 +205,15 @@ fn recurse<C: CostFn, M: Meter>(
                 base_case: true,
             });
         }
-        let _span = tsdtw_obs::span("fastdtw_base");
-        let window = SearchWindow::full(x.len(), y.len());
-        return windowed_with_path_metered(x, y, &window, cost, meter);
+        let span = tsdtw_obs::span("fastdtw_base");
+        return Ok((SearchWindow::full(x.len(), y.len()), span));
     }
 
     let shrunk_x = halve(x);
     let shrunk_y = halve(y);
     let (_, low_res_path) = recurse(&shrunk_x, &shrunk_y, radius, cost, stats, depth + 1, meter)?;
 
-    let _span = tsdtw_obs::span("fastdtw_level");
+    let span = tsdtw_obs::span("fastdtw_level");
     let window = {
         let _expand = tsdtw_obs::span("fastdtw_expand");
         SearchWindow::from_low_res_path(&low_res_path, x.len(), y.len(), radius)
@@ -184,32 +235,7 @@ fn recurse<C: CostFn, M: Meter>(
             base_case: false,
         });
     }
-    windowed_with_path_metered(x, y, &window, cost, meter)
-}
-
-/// Convenience struct bundling a radius, mirroring
-/// [`BandedDtw`](crate::dtw::banded::BandedDtw) for symmetric APIs in the
-/// benchmark harness.
-#[derive(Debug, Clone, Copy)]
-pub struct FastDtw {
-    radius: usize,
-}
-
-impl FastDtw {
-    /// Creates a FastDTW evaluator with the given radius.
-    pub fn new(radius: usize) -> Self {
-        FastDtw { radius }
-    }
-
-    /// The configured radius.
-    pub fn radius(&self) -> usize {
-        self.radius
-    }
-
-    /// Computes the approximate distance.
-    pub fn distance<C: CostFn>(&self, x: &[f64], y: &[f64], cost: C) -> Result<f64> {
-        fastdtw_distance(x, y, self.radius, cost)
-    }
+    Ok((window, span))
 }
 
 /// The approximation error measure proposed in the original FastDTW paper:
@@ -290,9 +316,12 @@ mod tests {
         let x = rand_series(1, 60);
         let y = rand_series(2, 60);
         let exact = dtw_distance(&x, &y, SquaredCost).unwrap();
-        // radius >= len-2 forces the exact base case.
-        let approx = fastdtw_distance(&x, &y, 60, SquaredCost).unwrap();
-        assert!((exact - approx).abs() < 1e-9);
+        // radius >= len-2 forces the exact base case, and `radius + 2`
+        // saturates rather than wrapping near usize::MAX.
+        for radius in [60, usize::MAX - 1, usize::MAX] {
+            let approx = fastdtw_distance(&x, &y, radius, SquaredCost).unwrap();
+            assert!((exact - approx).abs() < 1e-9, "radius {radius}");
+        }
     }
 
     #[test]
@@ -379,6 +408,16 @@ mod tests {
         // Exactly one base case, and it comes first (coarsest level).
         assert_eq!(meter.levels.iter().filter(|l| l.base_case).count(), 1);
         assert!(meter.levels[0].base_case);
+
+        // The distance-only entry runs the same levels and only skips
+        // the finest level's direction plane.
+        let mut dist_meter = WorkMeter::new();
+        let dd = fastdtw_distance_metered(&x, &y, radius, SquaredCost, &mut dist_meter).unwrap();
+        assert_eq!(dd.to_bits(), d.to_bits());
+        assert_eq!(dist_meter.cells, meter.cells);
+        assert_eq!(dist_meter.window_cells, meter.window_cells);
+        assert_eq!(dist_meter.levels, meter.levels);
+        assert!(dist_meter.dp_peak_bytes <= meter.dp_peak_bytes);
     }
 
     #[test]

@@ -83,7 +83,9 @@ fn recurse<C: CostFn, M: Meter>(
     meter: &mut M,
 ) -> (f64, Vec<(usize, usize)>) {
     // Reference: `if len(x) < min_time_size` — strictly less-than.
-    let min_time_size = radius + 2;
+    // Saturating, so a radius past the series lengths takes the exact
+    // base case instead of wrapping.
+    let min_time_size = radius.saturating_add(2);
     if x.len() < min_time_size || y.len() < min_time_size {
         let _span = tsdtw_obs::span("fastdtw_ref_base");
         let window = full_window(x.len(), y.len());
@@ -324,14 +326,17 @@ mod tests {
 
     #[test]
     fn reference_and_tuned_agree_on_exact_regimes() {
-        // Huge radius forces both to the exact answer.
+        // Huge radius forces both to the exact answer, up to usize::MAX
+        // (`radius + 2` saturates rather than wrapping).
         let x = rand_series(3, 50);
         let y = rand_series(4, 50);
         let exact = dtw_distance(&x, &y, SquaredCost).unwrap();
-        let r = fastdtw_ref_distance(&x, &y, 64, SquaredCost).unwrap();
-        let t = fastdtw_distance(&x, &y, 64, SquaredCost).unwrap();
-        assert!((r - exact).abs() < 1e-9);
-        assert!((t - exact).abs() < 1e-9);
+        for radius in [64, usize::MAX - 1, usize::MAX] {
+            let r = fastdtw_ref_distance(&x, &y, radius, SquaredCost).unwrap();
+            let t = fastdtw_distance(&x, &y, radius, SquaredCost).unwrap();
+            assert!((r - exact).abs() < 1e-9, "radius {radius}");
+            assert!((t - exact).abs() < 1e-9, "radius {radius}");
+        }
     }
 
     #[test]

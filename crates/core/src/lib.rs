@@ -86,8 +86,9 @@ pub use dtw::kernel::Kernel;
 pub use envelope::Envelope;
 pub use error::{Error, Result};
 pub use fastdtw::{
-    fastdtw_distance, fastdtw_metered, fastdtw_ref_distance, fastdtw_ref_metered,
-    fastdtw_ref_with_path, fastdtw_with_path, fastdtw_with_stats, FastDtw, FastDtwStats,
+    fastdtw_distance, fastdtw_distance_metered, fastdtw_metered, fastdtw_ref_distance,
+    fastdtw_ref_metered, fastdtw_ref_with_path, fastdtw_with_path, fastdtw_with_stats,
+    FastDtwStats,
 };
 pub use path::WarpingPath;
 pub use window::SearchWindow;

@@ -1,66 +1,14 @@
-//! Matrix storage for DP kernels that need full traceback information.
+//! Traceback storage for the DP kernels that recover a warping path.
 //!
-//! Distance-only kernels in this crate use rolling two-row storage and never
-//! touch these types; the `with_path` variants store one byte of traceback
-//! direction per *admissible* cell. For windowed computations the storage is
-//! compacted to the window (`O(window cells)`, not `O(n·m)`), which is what
-//! lets `cDTW` on `N = 24,000` series (the paper's Case B) run in a few
+//! Distance-only kernels in this crate use rolling rows (or diagonals) and
+//! never touch this type; the `with_path` variants, full DTW's included,
+//! store one byte of traceback direction per *admissible* cell. The storage
+//! is compacted to the window (`O(window cells)`, not `O(n·m)`), which is
+//! what lets `cDTW` on `N = 24,000` series (the paper's Case B) run in a few
 //! megabytes instead of four gigabytes.
 
 use crate::path::Direction;
 use crate::window::SearchWindow;
-
-/// A dense row-major matrix. Used for full-DTW traceback planes and exposed
-/// for tests and visualization helpers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseMatrix<T> {
-    n_rows: usize,
-    n_cols: usize,
-    data: Vec<T>,
-}
-
-impl<T: Copy> DenseMatrix<T> {
-    /// Allocates an `n_rows × n_cols` matrix filled with `fill`.
-    pub fn filled(n_rows: usize, n_cols: usize, fill: T) -> Self {
-        DenseMatrix {
-            n_rows,
-            n_cols,
-            data: vec![fill; n_rows * n_cols],
-        }
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
-    /// Reads cell `(i, j)`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> T {
-        debug_assert!(i < self.n_rows && j < self.n_cols);
-        self.data[i * self.n_cols + j]
-    }
-
-    /// Writes cell `(i, j)`.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: T) {
-        debug_assert!(i < self.n_rows && j < self.n_cols);
-        self.data[i * self.n_cols + j] = v;
-    }
-
-    /// Borrow of row `i` as a slice.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[T] {
-        &self.data[i * self.n_cols..(i + 1) * self.n_cols]
-    }
-}
 
 /// Traceback directions stored compactly over the cells of a
 /// [`SearchWindow`].
@@ -157,19 +105,6 @@ impl WindowedDirections {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dense_matrix_roundtrip() {
-        let mut m = DenseMatrix::filled(3, 4, 0.0f64);
-        m.set(2, 3, 7.5);
-        m.set(0, 0, -1.0);
-        assert_eq!(m.get(2, 3), 7.5);
-        assert_eq!(m.get(0, 0), -1.0);
-        assert_eq!(m.get(1, 1), 0.0);
-        assert_eq!(m.n_rows(), 3);
-        assert_eq!(m.n_cols(), 4);
-        assert_eq!(m.row(2), &[0.0, 0.0, 0.0, 7.5]);
-    }
 
     #[test]
     fn windowed_directions_compact_storage() {

@@ -244,7 +244,10 @@ impl SearchWindow {
             .map(|i| self.lo[i.saturating_sub(radius)].saturating_sub(radius))
             .collect();
         let hi = (0..n_rows)
-            .map(|i| (self.hi[(i + radius).min(n_rows - 1)] + radius).min(self.n_cols - 1))
+            .map(|i| {
+                let hi = self.hi[i.saturating_add(radius).min(n_rows - 1)];
+                hi.saturating_add(radius).min(self.n_cols - 1)
+            })
             .collect();
         SearchWindow::assemble(self.n_cols, lo, hi)
     }
@@ -497,6 +500,13 @@ mod tests {
             let (lo, hi) = w.row_bounds(i);
             for j in lo..=hi {
                 assert!(d.contains(i, j));
+            }
+        }
+        // A radius near usize::MAX saturates to the full window.
+        for radius in [usize::MAX - 1, usize::MAX] {
+            let d = w.dilate(radius);
+            for i in 0..4 {
+                assert_eq!(d.row_bounds(i), (0, 4), "radius {radius} row {i}");
             }
         }
     }

@@ -15,7 +15,7 @@ use tsdtw_core::dtw::batch::{cdtw_batch_distances_metered, BatchBuffer, LANES};
 use tsdtw_core::dtw::full::dtw_distance;
 use tsdtw_core::dtw::windowed::DtwBuffer;
 use tsdtw_core::error::{Error, Result};
-use tsdtw_core::fastdtw::{fastdtw_metered, fastdtw_ref_metered};
+use tsdtw_core::fastdtw::{fastdtw_distance_metered, fastdtw_ref_metered};
 use tsdtw_core::lower_bounds::Cascade;
 use tsdtw_obs::{Meter, MeterShard, NoMeter};
 
@@ -183,8 +183,11 @@ impl DistanceSpec {
     /// Like [`eval_metered`](Self::eval_metered), reusing caller-provided
     /// DP scratch rows for the banded/full specs — the allocation-free
     /// form the serial 1-NN and k-NN scan loops use (one buffer per scan
-    /// instead of one per comparison). FastDTW manages its own per-level
-    /// buffers and Euclidean runs no DP; both ignore `buf`.
+    /// instead of one per comparison). Euclidean runs no DP, and FastDTW
+    /// manages its own per-level buffers; both ignore `buf`. Tuned FastDTW
+    /// recovers paths only at its coarser levels and solves the finest
+    /// one distance-only; the reference keeps the canonical package's
+    /// path-returning final solve.
     pub fn eval_metered_buf<M: Meter>(
         &self,
         x: &[f64],
@@ -215,9 +218,7 @@ impl DistanceSpec {
                     dtw_distance(x, y, SquaredCost)
                 }
             }
-            DistanceSpec::FastDtw(r) => {
-                fastdtw_metered(x, y, r, SquaredCost, meter).map(|(d, _, _)| d)
-            }
+            DistanceSpec::FastDtw(r) => fastdtw_distance_metered(x, y, r, SquaredCost, meter),
             DistanceSpec::FastDtwRef(r) => {
                 fastdtw_ref_metered(x, y, r, SquaredCost, meter).map(|(d, _)| d)
             }

@@ -21,7 +21,7 @@ use tsdtw::core::dtw::banded::{cdtw_distance_metered_with_buf, BandedDtw};
 use tsdtw::core::dtw::early_abandon::{cdtw_distance_ea_metered_buf_kernel, EaOutcome};
 use tsdtw::core::dtw::kernel::WAVEFRONT_MIN_WIDTH;
 use tsdtw::core::dtw::windowed::{windowed_distance_metered_kernel, DtwBuffer};
-use tsdtw::core::fastdtw::fastdtw_metered;
+use tsdtw::core::fastdtw::{fastdtw_distance_metered, fastdtw_metered};
 use tsdtw::core::lower_bounds::keogh::{lb_keogh_with_contrib, suffix_sums_into};
 use tsdtw::core::lower_bounds::Cascade;
 use tsdtw::core::norm::znorm;
@@ -69,18 +69,26 @@ fn dp_peak_bytes_is_bounded_by_allocator_peak() {
         );
     }
 
-    let mut meter = WorkMeter::new();
-    let probe = AllocScope::begin();
-    fastdtw_metered(&pool[0], &pool[1], 1, SquaredCost, &mut meter).expect("valid inputs");
-    let fast = probe.end();
-    assert!(meter.dp_peak_bytes > 0);
-    if heap_telemetry_enabled() {
-        assert!(
-            meter.dp_peak_bytes <= fast.peak_bytes,
-            "FastDTW metered DP peak {} exceeds allocator-observed peak {}",
-            meter.dp_peak_bytes,
-            fast.peak_bytes
-        );
+    // FastDTW through both entries: with the path, and distance-only.
+    for path in [true, false] {
+        let mut meter = WorkMeter::new();
+        let probe = AllocScope::begin();
+        if path {
+            fastdtw_metered(&pool[0], &pool[1], 1, SquaredCost, &mut meter).expect("valid inputs");
+        } else {
+            fastdtw_distance_metered(&pool[0], &pool[1], 1, SquaredCost, &mut meter)
+                .expect("valid inputs");
+        }
+        let fast = probe.end();
+        assert!(meter.dp_peak_bytes > 0);
+        if heap_telemetry_enabled() {
+            assert!(
+                meter.dp_peak_bytes <= fast.peak_bytes,
+                "FastDTW (path: {path}) metered DP peak {} exceeds allocator-observed peak {}",
+                meter.dp_peak_bytes,
+                fast.peak_bytes
+            );
+        }
     }
 }
 
@@ -438,9 +446,10 @@ fn prepared_cascade_clone_never_allocates() {
 }
 
 /// The paper's memory claim, end to end: FastDTW's per-call transient
-/// peak grows with its level count, while banded `cDTW`'s footprint stays
-/// a band-window plus O(width) DP scratch — O(N) with a small constant —
-/// so the ratio widens as series grow.
+/// peak, with its path or distance-only, grows with its level count,
+/// while banded `cDTW`'s footprint stays a band-window plus O(width) DP
+/// scratch — O(N) with a small constant — so the ratio widens as series
+/// grow.
 #[test]
 fn fastdtw_peak_grows_with_levels_while_cdtw_stays_linear() {
     if !heap_telemetry_enabled() {
@@ -448,7 +457,8 @@ fn fastdtw_peak_grows_with_levels_while_cdtw_stays_linear() {
     }
     let sizes = [1024usize, 2048, 4096, 8192];
     let mut cdtw_peaks = Vec::new();
-    let mut fast_peaks = Vec::new();
+    // Per size: the path call's peak, then the distance-only call's.
+    let mut fast_peaks: Vec<[u64; 2]> = Vec::new();
     let mut levels = Vec::new();
     for (k, &n) in sizes.iter().enumerate() {
         let pool = random_walks(2, n, 0xD15C + 5 + k as u64).expect("generator");
@@ -466,23 +476,31 @@ fn fastdtw_peak_grows_with_levels_while_cdtw_stays_linear() {
         let probe = AllocScope::begin();
         let (_, _, stats) =
             fastdtw_metered(&pool[0], &pool[1], 1, SquaredCost, &mut meter).expect("valid inputs");
-        fast_peaks.push(probe.end().peak_bytes);
+        let path_peak = probe.end().peak_bytes;
+        let probe = AllocScope::begin();
+        fastdtw_distance_metered(&pool[0], &pool[1], 1, SquaredCost, &mut NoMeter)
+            .expect("valid inputs");
+        fast_peaks.push([path_peak, probe.end().peak_bytes]);
         levels.push(stats.levels);
     }
 
     for i in 0..sizes.len() {
-        assert!(
-            fast_peaks[i] > cdtw_peaks[i],
-            "N={}: FastDTW peak {} not above cDTW peak {}",
-            sizes[i],
-            fast_peaks[i],
-            cdtw_peaks[i]
-        );
+        for peak in fast_peaks[i] {
+            assert!(
+                peak > cdtw_peaks[i],
+                "N={}: FastDTW peak {} not above cDTW peak {}",
+                sizes[i],
+                peak,
+                cdtw_peaks[i]
+            );
+        }
     }
     for i in 1..sizes.len() {
         // Doubling N adds a resolution level and grows the pyramid.
         assert!(levels[i] > levels[i - 1]);
-        assert!(fast_peaks[i] > fast_peaks[i - 1]);
+        for (now, before) in fast_peaks[i].iter().zip(&fast_peaks[i - 1]) {
+            assert!(now > before);
+        }
         // cDTW's footprint is O(N): doubling N at a fixed band percentage
         // can at most roughly double it (slack for allocator rounding).
         assert!(

@@ -65,7 +65,7 @@ use tsdtw::core::dtw::early_abandon::{cdtw_distance_ea_metered, EaOutcome};
 use tsdtw::core::dtw::full::dtw_distance;
 use tsdtw::core::dtw::kernel::WAVEFRONT_MIN_WIDTH;
 use tsdtw::core::dtw::windowed::{windowed_distance_metered_kernel, windowed_with_path, DtwBuffer};
-use tsdtw::core::fastdtw::{fastdtw_metered, fastdtw_ref_with_path};
+use tsdtw::core::fastdtw::{fastdtw_distance_metered, fastdtw_metered, fastdtw_ref_with_path};
 use tsdtw::core::paa::halve;
 use tsdtw::core::{Kernel, SearchWindow, WarpingPath};
 use tsdtw_obs::WorkMeter;
@@ -392,8 +392,11 @@ proptest! {
     /// FastDTW's projected-and-dilated windows, exercised through the
     /// real multi-level recursion: distance and path must equal the naive
     /// per-level oracle's, and the per-level meter must account for every
-    /// cell the stats count. The reference implementation must return a
-    /// valid path on the same inputs.
+    /// cell the stats count. The distance-only entry, which solves the
+    /// finest level without a path, must return the oracle's bits and the
+    /// path call's cells, window cells and level list, within its DP
+    /// scratch peak. The reference implementation must return a valid path
+    /// on the same inputs.
     #[test]
     fn fastdtw_projected_windows_are_tier_invariant(
         x in prop::collection::vec(-10.0f64..10.0, 1..48),
@@ -411,6 +414,13 @@ proptest! {
             prop_assert_eq!(p.cells(), &p_naive[..], "path vs the naive oracle");
             prop_assert_eq!(m.cells, s.cells, "meter vs stats");
             prop_assert_eq!(m.levels.len(), s.levels as usize);
+            let mut md = WorkMeter::new();
+            let dd = fastdtw_distance_metered(x, y, radius, SquaredCost, &mut md).unwrap();
+            prop_assert_eq!(bits(dd), bits(d_naive), "distance-only vs the naive oracle");
+            prop_assert_eq!(md.cells, m.cells);
+            prop_assert_eq!(md.window_cells, m.window_cells);
+            prop_assert_eq!(&md.levels, &m.levels);
+            prop_assert!(md.dp_peak_bytes <= m.dp_peak_bytes);
             let (_, p_ref) = fastdtw_ref_with_path(x, y, radius, SquaredCost).unwrap();
             prop_assert!(p_ref.validate_for(x.len(), y.len()).is_ok());
         }
