@@ -205,7 +205,7 @@ fn main() -> ExitCode {
             .as_ref()
             .map(|_| tsdtw_obs::Profiler::start(tsdtw_obs::DEFAULT_SAMPLE_HZ));
         let heap_probe = tsdtw_obs::AllocScope::begin();
-        let report = runner(&scale, &par);
+        let mut report = runner(&scale, &par);
         let heap = heap_probe.end();
         let profile_report = sampler.map(tsdtw_obs::Profiler::stop);
         let wall_s = t0.elapsed().as_secs_f64();
@@ -215,8 +215,9 @@ fn main() -> ExitCode {
             eprintln!("warning: could not write {id}.json: {e}");
         }
         let spans = take_spans();
-        let memory = heap.report();
-        let profile_json = profile_report.as_ref().map(|r| r.to_json());
+        // Attached after the record is written, so `<id>.json` stays the
+        // experiment's own; the snapshot takes every section from here.
+        report.attach("memory", heap.report());
         if let Some(r) = &profile_report {
             print!("{}", r.table());
             let path = match &profile {
@@ -227,16 +228,13 @@ fn main() -> ExitCode {
                 Ok(()) => println!("   profiler -> {}", path.display()),
                 Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
             }
+            report.attach("profile", r.to_json());
         }
         let snap = snapshot::capture(
             id,
             &report.title,
             wall_s,
-            report.json.get("work"),
-            report.json.get("funnel"),
-            report.json.get("tiers"),
-            Some(&memory),
-            profile_json.as_ref(),
+            &report.json,
             &spans,
             par.n_threads,
         );

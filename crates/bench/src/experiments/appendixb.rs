@@ -125,12 +125,10 @@ pub fn run(scale: &Scale, _par: &ParConfig) -> Report {
         "speed: exact cDTW is {:.1}x faster per call   [paper: ~24x mean, >=5.8x worst]",
         record.speed_ratio_fastdtw_over_cdtw
     ));
-    rep.attach_work(&super::common::work_sample(
-        &train.series[0],
-        &train.series[1],
-        Some(w),
-        Some(30),
-    ));
+    rep.attach(
+        "work",
+        super::common::work_sample(&train.series[0], &train.series[1], Some(w), Some(30)),
+    );
     rep
 }
 

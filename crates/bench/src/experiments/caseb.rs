@@ -108,12 +108,10 @@ pub fn run(scale: &Scale, _par: &ParConfig) -> Report {
         record.tuned_fastdtw_10.mean_ms(),
         record.tuned10_over_cdtw
     ));
-    rep.attach_work(&super::common::work_sample(
-        &pair.studio,
-        &pair.live,
-        Some(w),
-        Some(10),
-    ));
+    rep.attach(
+        "work",
+        super::common::work_sample(&pair.studio, &pair.live, Some(w), Some(10)),
+    );
     rep
 }
 

@@ -181,7 +181,7 @@ pub fn run(scale: &Scale, par: &ParConfig) -> Report {
          Case A {}, Case B {} [paper: structural, Section 3]",
         record.fastdtw_exceeds_cdtw_case_a, record.fastdtw_exceeds_cdtw_case_b
     ));
-    rep.attach_work(&total);
+    rep.attach("work", total.report());
     rep
 }
 

@@ -16,7 +16,7 @@ use std::time::Instant;
 use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::banded::{cdtw_distance_metered, percent_to_band, BandedDtw};
 use tsdtw_core::fastdtw::{fastdtw_distance, fastdtw_distance_metered, fastdtw_ref_distance};
-use tsdtw_core::obs::WorkMeter;
+use tsdtw_core::obs::{Json, WorkMeter};
 use tsdtw_mining::ParConfig;
 
 /// Which distance implementation an all-pairs run measures.
@@ -171,17 +171,12 @@ pub fn sweep_algo(
 /// FastDTW distance at `radius` (skipped when `None`), over the given pair —
 /// the same distance-only entry the timed loops call.
 ///
-/// Experiments attach the result as their report's `work` section.
+/// Experiments attach the returned counter report as their `work` section.
 /// Metering is deliberately kept *out* of the timed hot loops — the work
 /// per comparison is identical across a population of same-length pairs,
 /// so one metered pass characterizes the whole run without perturbing the
 /// timings it rides along with.
-pub fn work_sample(
-    x: &[f64],
-    y: &[f64],
-    w_percent: Option<f64>,
-    radius: Option<usize>,
-) -> WorkMeter {
+pub fn work_sample(x: &[f64], y: &[f64], w_percent: Option<f64>, radius: Option<usize>) -> Json {
     let mut meter = WorkMeter::new();
     if let Some(w) = w_percent {
         let band = percent_to_band(x.len().max(y.len()), w).expect("valid w");
@@ -190,7 +185,7 @@ pub fn work_sample(
     if let Some(r) = radius {
         fastdtw_distance_metered(x, y, r, SquaredCost, &mut meter).expect("valid inputs");
     }
-    meter
+    meter.report()
 }
 
 /// Finds the row for a given algorithm key and parameter.

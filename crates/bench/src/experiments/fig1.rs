@@ -128,7 +128,10 @@ pub fn run(scale: &Scale, par: &ParConfig) -> Report {
          but does not close Case A)",
         record.tuned_fastdtw10_over_cdtw4
     ));
-    rep.attach_work(&work_sample(&series[0], &series[1], Some(4.0), Some(10)));
+    rep.attach(
+        "work",
+        work_sample(&series[0], &series[1], Some(4.0), Some(10)),
+    );
     rep
 }
 

@@ -140,12 +140,15 @@ pub fn run(scale: &Scale, _par: &ParConfig) -> Report {
         "length < 1000 (scaled): {:.0}% of datasets  [paper: 'majority ... less than 1,000']",
         record.frac_len_below_1000 * 100.0
     ));
-    rep.attach_work(&super::common::work_sample(
-        &suite[0].data.series[0],
-        &suite[0].data.series[1],
-        Some(record.optimal_w[0]),
-        None,
-    ));
+    rep.attach(
+        "work",
+        super::common::work_sample(
+            &suite[0].data.series[0],
+            &suite[0].data.series[1],
+            Some(record.optimal_w[0]),
+            None,
+        ),
+    );
     rep
 }
 

@@ -74,12 +74,10 @@ pub fn run(_scale: &Scale, _par: &ParConfig) -> Report {
         "optimal path deviates up to {} cells from the diagonal (needs a wide window)",
         record.path_max_deviation
     ));
-    rep.attach_work(&super::common::work_sample(
-        &early.series,
-        &late.series,
-        Some(40.0),
-        None,
-    ));
+    rep.attach(
+        "work",
+        super::common::work_sample(&early.series, &late.series, Some(40.0), None),
+    );
     rep
 }
 

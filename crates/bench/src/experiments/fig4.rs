@@ -110,7 +110,10 @@ pub fn run(scale: &Scale, par: &ParConfig) -> Report {
         "reference FastDTW_10 vs cDTW_40 (widest window Case C needs): {:.0}x slower",
         record.ref_fastdtw10_over_cdtw40
     ));
-    rep.attach_work(&work_sample(&cheap[0], &cheap[1], Some(10.0), Some(10)));
+    rep.attach(
+        "work",
+        work_sample(&cheap[0], &cheap[1], Some(10.0), Some(10)),
+    );
     rep
 }
 

@@ -164,12 +164,10 @@ pub fn run(scale: &Scale, _par: &ParConfig) -> Report {
             .to_string(),
     );
     let wp = pair(1.0, 0xF165 + 10).expect("generator");
-    rep.attach_work(&super::common::work_sample(
-        &wp.early,
-        &wp.late,
-        Some(100.0),
-        Some(40),
-    ));
+    rep.attach(
+        "work",
+        super::common::work_sample(&wp.early, &wp.late, Some(100.0), Some(40)),
+    );
     rep
 }
 

@@ -138,7 +138,10 @@ pub fn run(scale: &Scale, _par: &ParConfig) -> Report {
         record.search_prune_rate * 100.0,
         human(record.search_trillion_s)
     ));
-    rep.attach_work(&super::common::work_sample(x(0), y(0), Some(5.0), Some(10)));
+    rep.attach(
+        "work",
+        super::common::work_sample(x(0), y(0), Some(5.0), Some(10)),
+    );
     rep
 }
 

@@ -219,8 +219,8 @@ pub fn run(scale: &Scale, par: &ParConfig) -> Report {
     for line in total.funnel.table().lines() {
         rep.line(line.to_string());
     }
-    rep.attach_work(&total);
-    rep.attach_funnel(&total);
+    rep.attach("work", total.report());
+    rep.attach("funnel", total.funnel.report());
     rep
 }
 

@@ -111,7 +111,10 @@ pub fn run(scale: &Scale, _par: &ParConfig) -> Report {
     );
     let wx = random_walk(450, 0x1111 + 450).expect("generator");
     let wy = random_walk(450, 0x2222 + 450).expect("generator");
-    rep.attach_work(&super::common::work_sample(&wx, &wy, Some(40.0), Some(40)));
+    rep.attach(
+        "work",
+        super::common::work_sample(&wx, &wy, Some(40.0), Some(40)),
+    );
     rep
 }
 

@@ -451,8 +451,8 @@ pub fn run(scale: &Scale, _par: &ParConfig) -> Report {
         record.all_tiers_identical
     ));
     let tiers = tiers_section(&record);
-    rep.attach_work(&total);
-    rep.attach_tiers(tiers);
+    rep.attach("work", total.report());
+    rep.attach("tiers", tiers);
     rep
 }
 

@@ -170,7 +170,7 @@ pub fn run(scale: &Scale, _par: &ParConfig) -> Report {
             bsf = bsf.min(d);
         }
     }
-    rep.attach_work(&meter);
+    rep.attach("work", meter.report());
     rep
 }
 

@@ -266,7 +266,7 @@ pub fn run(scale: &Scale, _par: &ParConfig) -> Report {
     if record.telemetry {
         rep.line("warmed cDTW evaluators made zero allocations in every case");
     }
-    rep.attach_work(&total);
+    rep.attach("work", total.report());
     rep
 }
 

@@ -107,12 +107,10 @@ pub fn run(scale: &Scale, _par: &ParConfig) -> Report {
          never was."
             .to_string(),
     );
-    rep.attach_work(&super::common::work_sample(
-        &pool[0],
-        &pool[1],
-        None,
-        Some(10),
-    ));
+    rep.attach(
+        "work",
+        super::common::work_sample(&pool[0], &pool[1], None, Some(10)),
+    );
     rep
 }
 

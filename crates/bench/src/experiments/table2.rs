@@ -134,12 +134,10 @@ pub fn run(_scale: &Scale, _par: &ParConfig) -> Report {
     for l in fast_tree.render_ascii(&names).lines() {
         rep.line(format!("  {l}"));
     }
-    rep.attach_work(&super::common::work_sample(
-        &t.a,
-        &t.b,
-        Some(100.0),
-        Some(20),
-    ));
+    rep.attach(
+        "work",
+        super::common::work_sample(&t.a, &t.b, Some(100.0), Some(20)),
+    );
     rep
 }
 

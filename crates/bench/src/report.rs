@@ -1,7 +1,7 @@
 //! Report plumbing shared by all experiments.
 
 use std::path::Path;
-use tsdtw_obs::{Json, ToJson, WorkMeter};
+use tsdtw_obs::{Json, ToJson};
 
 /// How much work an experiment run should do.
 ///
@@ -58,43 +58,17 @@ impl Report {
         self.lines.push(s.into());
     }
 
-    /// Attaches the run's work accounting as the `work` section of the
-    /// JSON record. A non-object record is wrapped as `{"record": …}`
-    /// first so the section always lands at the top level.
-    pub fn attach_work(&mut self, meter: &WorkMeter) {
+    /// Attaches `section` under `name` at the top level of the JSON
+    /// record — a snapshot section (see `snapshot::SECTIONS`) that
+    /// `repro` lifts into `BENCH_*.json`. A non-object record is wrapped
+    /// as `{"record": …}` first so the section always lands at the top
+    /// level.
+    pub fn attach(&mut self, name: &str, section: Json) {
         if !matches!(self.json, Json::Obj(_)) {
             let record = std::mem::replace(&mut self.json, Json::object());
             self.json.set("record", record);
         }
-        self.json.set("work", meter.report());
-    }
-
-    /// Attaches the run's prune-funnel ledger as the `funnel` section of
-    /// the JSON record (same wrapping rule as
-    /// [`attach_work`](Self::attach_work)). The snapshot pipeline lifts
-    /// this section into schema-v4 `BENCH_*.json` files, where its
-    /// integer disposition leaves are hard-gated by `report diff` /
-    /// `report trend`.
-    pub fn attach_funnel(&mut self, meter: &WorkMeter) {
-        if !matches!(self.json, Json::Obj(_)) {
-            let record = std::mem::replace(&mut self.json, Json::object());
-            self.json.set("record", record);
-        }
-        self.json.set("funnel", meter.funnel.report());
-    }
-
-    /// Attaches a kernel-tier summary as the `tiers` section of the JSON
-    /// record (same wrapping rule as [`attach_work`](Self::attach_work)).
-    /// The snapshot pipeline lifts this section into schema-v6
-    /// `BENCH_*.json` files, where the per-tier `mismatch` counters are
-    /// hard-gated by `report diff` / `report trend` while the
-    /// cells-per-second and speedup floats stay advisory.
-    pub fn attach_tiers(&mut self, section: Json) {
-        if !matches!(self.json, Json::Obj(_)) {
-            let record = std::mem::replace(&mut self.json, Json::object());
-            self.json.set("record", record);
-        }
-        self.json.set("tiers", section);
+        self.json.set(name, section);
     }
 
     /// Renders the report for the terminal.
@@ -174,33 +148,25 @@ mod tests {
     }
 
     #[test]
-    fn attach_work_adds_section() {
+    fn attach_adds_top_level_sections() {
+        use tsdtw_obs::{FunnelStage, Meter, WorkMeter};
         let mut meter = WorkMeter::new();
         meter.cells = 10;
         meter.window_cells = 10;
+        meter.stage_entered(FunnelStage::Kim);
         let mut r = Report::new("w", "t", &Json::object().with("n", 5));
-        r.attach_work(&meter);
+        r.attach("work", meter.report());
+        r.attach("funnel", meter.funnel.report());
         assert_eq!(r.json["n"], 5);
         assert_eq!(r.json["work"]["cells"], 10);
-    }
-
-    #[test]
-    fn attach_funnel_adds_section() {
-        use tsdtw_obs::{FunnelStage, Meter};
-        let mut meter = WorkMeter::new();
-        meter.stage_entered(FunnelStage::Kim);
-        let mut r = Report::new("f", "t", &Json::object().with("n", 5));
-        r.attach_funnel(&meter);
-        assert_eq!(r.json["n"], 5);
         assert_eq!(r.json["funnel"]["candidates"], 1);
         assert_eq!(r.json["funnel"]["stages"]["lb_kim"]["entered"], 1);
     }
 
     #[test]
-    fn attach_work_wraps_non_object_records() {
-        let meter = WorkMeter::new();
+    fn attach_wraps_non_object_records() {
         let mut r = Report::new("w", "t", &7u32);
-        r.attach_work(&meter);
+        r.attach("work", tsdtw_obs::WorkMeter::new().report());
         assert_eq!(r.json["record"], 7);
         assert!(r.json.get("work").is_some());
     }

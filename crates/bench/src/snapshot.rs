@@ -32,26 +32,29 @@
 //! }
 //! ```
 //!
-//! `work` is the deterministic part — DP cells, window cells, prune
-//! tallies are pure functions of the experiment configuration — so
-//! [`diff`] **hard-fails** on work-counter growth beyond the tolerance.
-//! `wall_s` and `kernels` (per-span latency summaries, populated under
-//! `--features obs`) vary with hardware and load, so timing changes are
-//! **advisory**: the diff prints warnings but never fails on them.
-//! This split is what lets CI run the gate on shared runners without
-//! flakes while still catching every algorithmic regression.
+//! The keys from `work` to `profile` are the rows of [`SECTIONS`]:
+//! [`capture`] emits them in table order, [`diff`] gates each one's
+//! integer leaves by the row's [`Gate`], `report show` renders each with
+//! the row's renderer, and the trend detector's counter gate is [`diff`]
+//! itself. Deterministic leaves — DP cells, prune dispositions, tier
+//! mismatches, allocation counts — are pure functions of the experiment
+//! configuration, so their growth beyond the tolerance **hard-fails**.
+//! `wall_s`, `kernels`, `profile` and memory byte totals vary with
+//! hardware, load and allocator, so changes there are **advisory**: the
+//! diff warns but never fails on them. This split is what lets CI run
+//! the gate on shared runners without flakes while still catching every
+//! algorithmic regression.
 //!
-//! `memory` (schema 2, populated under `--features alloc-telemetry`)
-//! splits the same way *within* the section: allocation **counts**
-//! (allocs, frees, reallocs, …) are deterministic for the serial repro
-//! experiments and gate hard; **byte** totals (any leaf whose name
-//! contains `bytes`) move with allocator and libstd versions, so they
-//! are advisory. A baseline recorded with telemetry armed also pins the
-//! `telemetry` flag: comparing an armed baseline against a disarmed
-//! current run is itself a regression (the gate would otherwise pass
-//! vacuously on all-zero counters). Finally, the diff checks the two
-//! snapshots carry the same top-level sections — a section present in
-//! the baseline but missing from the current run fails the gate.
+//! No gate passes on missing data: a hard leaf present in the baseline
+//! but missing from the current snapshot is a regression, and so is a
+//! non-null top-level key the current snapshot lacks. A key that is
+//! `null` in the baseline and absent from the current snapshot (a
+//! section since removed) and a key only the current snapshot carries
+//! (a section since added) are notes, so adding a section is one row in
+//! [`SECTIONS`] — no schema bump, no baseline regeneration. A baseline
+//! recorded with telemetry armed also pins `memory.telemetry`: comparing
+//! it against a disarmed current run is a regression (its all-zero
+//! counters would otherwise pass vacuously).
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -59,33 +62,96 @@ use tsdtw_obs::{json_obj, Json, SpanStat};
 
 /// Version tag every snapshot carries; [`diff`] refuses to compare
 /// across versions. Version 2 added the `memory` section and the
-/// per-kernel `alloc_bytes` column; version 3 added the `hash` field
-/// (content fingerprint, see [`content_hash`]) that the perf-trajectory
-/// history ledger keys records by; version 4 added the `funnel`
-/// section (per-stage prune dispositions and cost units — integer
-/// leaves gate hard, tightness-quantile floats are advisory;
-/// `Json::Null` for experiments that run no cascade); version 5 added
-/// an `rle` section for a run-length kernel since removed (a snapshot
-/// written before the removal still carries it, so diffing it against a
-/// current run fails on the missing section); version 6 added the
-/// `tiers` section (per-tier throughput and tier-equivalence results
-/// from the `kernels` experiment — the per-tier `mismatch` counters
-/// gate hard at any tolerance because they count cases whose distance
-/// diverged bitwise from the experiment's reference DP and must stay 0,
-/// while cells/sec and speedup floats are advisory; `Json::Null` for
-/// experiments that don't race kernel tiers); version 7 added the
-/// `profile` section (sampling-profiler output: sampler rate,
-/// tick/sample counts, and per-span self-vs-total sample shares —
-/// **advisory like timings**, because sample counts depend on scheduler
-/// phase and machine load; every leaf passes the diff's advisory
-/// predicate, the section is excluded from the trend detector's
-/// hard-counter walk, and `Json::Null` marks runs made without
-/// `--profile`).
+/// per-kernel `alloc_bytes` column; version 3 the `hash` field (content
+/// fingerprint, see [`content_hash`]) that the history ledger keys
+/// records by; versions 4 to 7 the `funnel`, `rle` (since removed),
+/// `tiers` and `profile` sections. Sections are rows of [`SECTIONS`]
+/// and need no version of their own.
 pub const SCHEMA_VERSION: i64 = 7;
 
 /// Relative timing slowdown (percent) beyond which the diff emits an
 /// advisory warning. Deliberately loose: shared CI runners jitter.
 pub const TIMING_WARN_PCT: f64 = 25.0;
+
+/// How [`diff`] gates a section's integer leaves. Float leaves (ratios,
+/// throughput, quantiles) are never gated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// Every integer leaf gates hard.
+    Hard,
+    /// Integer leaves gate hard, except those whose path contains
+    /// `bytes`: byte totals move with allocator and libstd versions.
+    HardExceptBytes,
+    /// Every leaf only warns.
+    Advisory,
+}
+
+impl Gate {
+    /// Whether a change to the leaf at `path` only warns.
+    fn is_advisory(self, path: &str) -> bool {
+        match self {
+            Gate::Hard => false,
+            Gate::HardExceptBytes => path.contains("bytes"),
+            Gate::Advisory => true,
+        }
+    }
+}
+
+/// One top-level snapshot section.
+#[derive(Debug)]
+pub struct Section {
+    /// The section's top-level key.
+    pub name: &'static str,
+    /// How [`diff`] gates its integer leaves.
+    pub gate: Gate,
+    /// `report show`'s rendering of the section when it is non-null.
+    pub show: fn(&Json) -> String,
+    /// Why the section can be null or absent; `report show` prints it.
+    pub absent: &'static str,
+}
+
+/// Every section the counter walk covers, in snapshot key order.
+pub static SECTIONS: &[Section] = &[
+    // DP cells, window cells, prune tallies, FastDTW levels.
+    Section {
+        name: "work",
+        gate: Gate::Hard,
+        show: show_work,
+        absent: "experiment attached no work meter",
+    },
+    // Per-stage prune dispositions and cost units; the tightness
+    // quantiles are floats.
+    Section {
+        name: "funnel",
+        gate: Gate::Hard,
+        show: show_funnel,
+        absent: "experiment ran no lower-bound cascade",
+    },
+    // Per-tier `mismatch` counts cases whose distance diverged bitwise
+    // from the experiment's reference DP, so it must stay 0; cells/s and
+    // speedups are floats.
+    Section {
+        name: "tiers",
+        gate: Gate::Hard,
+        show: show_tiers,
+        absent: "experiment raced no kernel tiers",
+    },
+    // Allocation counts under `--features alloc-telemetry`.
+    Section {
+        name: "memory",
+        gate: Gate::HardExceptBytes,
+        show: show_memory,
+        absent: "run carried no heap probe",
+    },
+    // Sampling-profiler output: sample counts depend on scheduler phase
+    // and machine load.
+    Section {
+        name: "profile",
+        gate: Gate::Advisory,
+        show: show_profile,
+        absent: "run was not profiled; pass --profile to repro",
+    },
+];
 
 /// Fingerprint of the machine and run configuration the snapshot was
 /// taken on. Enough to explain a timing delta, deliberately free of
@@ -142,29 +208,32 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Builds one snapshot document from an experiment's outcome: its
-/// report `work` section (if any), its `funnel` section (`None` emits
-/// `null` — only cascaded experiments carry a funnel), its `tiers`
-/// section (`None` emits `null` — only the kernel-tier race carries
-/// one), the heap delta
-/// measured around the run (`None` emits the disarmed all-zero stub,
-/// so the `memory` section exists in every snapshot), the sampling
-/// profiler's report (`None` emits `null` — only `--profile` runs
-/// carry one), and the span table drained after the run (empty without
-/// `--features obs`).
-#[allow(clippy::too_many_arguments)]
+/// Builds one snapshot document from an experiment's outcome: each
+/// [`SECTIONS`] row taken from `sections` (`null` where it has none —
+/// `repro` passes the experiment's JSON record with the run's `memory`
+/// and `profile` attached), and the span table drained after the run
+/// (empty without `--features obs`).
 pub fn capture(
     experiment: &str,
     title: &str,
     wall_s: f64,
-    work: Option<&Json>,
-    funnel: Option<&Json>,
-    tiers: Option<&Json>,
-    memory: Option<&Json>,
-    profile: Option<&Json>,
+    sections: &Json,
     spans: &[SpanStat],
     n_threads: usize,
 ) -> Json {
+    let mut doc = json_obj! {
+        "schema" => SCHEMA_VERSION,
+        "hash" => "",
+        "experiment" => experiment,
+        "title" => title,
+        "git_rev" => git_rev(),
+        "spans_enabled" => tsdtw_obs::spans_enabled(),
+        "env" => env_fingerprint(n_threads),
+        "wall_s" => wall_s,
+    };
+    for s in SECTIONS {
+        doc.set(s.name, &sections[s.name]);
+    }
     let mut kernels = Json::object();
     for s in spans {
         kernels.set(
@@ -179,29 +248,7 @@ pub fn capture(
             },
         );
     }
-    let mut doc = json_obj! {
-        "schema" => SCHEMA_VERSION,
-        "hash" => "",
-        "experiment" => experiment,
-        "title" => title,
-        "git_rev" => git_rev(),
-        "spans_enabled" => tsdtw_obs::spans_enabled(),
-        "env" => env_fingerprint(n_threads),
-        "wall_s" => wall_s,
-        "work" => work.cloned().unwrap_or(Json::Null),
-        "funnel" => funnel.cloned().unwrap_or(Json::Null),
-        "tiers" => tiers.cloned().unwrap_or(Json::Null),
-        "memory" => memory.cloned().unwrap_or_else(|| {
-            // No probe data reached capture: mark the stub disarmed even
-            // if the allocator happens to be armed in this process, so a
-            // diff can tell "not measured" from "measured zero traffic".
-            let mut stub = tsdtw_obs::AllocDelta::default().report();
-            stub.set("telemetry", false);
-            stub
-        }),
-        "profile" => profile.cloned().unwrap_or(Json::Null),
-        "kernels" => kernels,
-    };
+    doc.set("kernels", kernels);
     let hash = content_hash(&doc);
     doc.set("hash", hash);
     doc
@@ -228,8 +275,7 @@ pub fn write(dir: &Path, experiment: &str, snapshot: &Json) -> io::Result<PathBu
 pub struct Diff {
     /// Human-readable comparison, one line per compared quantity.
     pub lines: Vec<String>,
-    /// Work-counter regressions beyond the tolerance — each one a
-    /// reason to fail.
+    /// Hard-gate failures — each one a reason to fail.
     pub regressions: Vec<String>,
     /// Work counters that shrank (informational).
     pub improvements: usize,
@@ -259,10 +305,10 @@ impl Diff {
 }
 
 /// Collects every integer-counter leaf under `value` as
-/// `(dotted.path, count)`, descending arrays by index. The trend
-/// detector walks history records with the same traversal, so the two
-/// gates always agree on what a "counter" is.
-pub(crate) fn counter_leaves(value: &Json, prefix: &str, out: &mut Vec<(String, i64)>) {
+/// `(dotted.path, count)`, descending arrays by index. Only [`diff`]
+/// walks snapshots with it; the trend detector's counter gate calls
+/// [`diff`], so the two gates cannot disagree on what a counter is.
+fn counter_leaves(value: &Json, prefix: &str, out: &mut Vec<(String, i64)>) {
     match value {
         Json::Int(i) => out.push((prefix.to_string(), *i)),
         Json::Obj(entries) => {
@@ -298,32 +344,30 @@ pub(crate) fn pct_change(base: f64, cur: f64) -> f64 {
     }
 }
 
-/// Walks one snapshot section's integer-counter leaves, hard-gating
-/// growth beyond `fail_pct` except on leaves `advisory` claims, which
-/// only warn (the `memory` section passes `bytes`-named leaves here).
-fn gate_counters(
-    section: &str,
-    baseline: &Json,
-    current: &Json,
-    fail_pct: f64,
-    advisory: &dyn Fn(&str) -> bool,
-    d: &mut Diff,
-) {
+/// Walks one section's integer-counter leaves: growth beyond `fail_pct`
+/// and a leaf missing from `current` fail, except on leaves the
+/// section's [`Gate`] calls advisory, which only warn.
+fn gate_counters(section: &Section, baseline: &Json, current: &Json, fail_pct: f64, d: &mut Diff) {
     let mut base_counters = Vec::new();
     let mut cur_counters = Vec::new();
-    counter_leaves(&baseline[section], section, &mut base_counters);
-    counter_leaves(&current[section], section, &mut cur_counters);
+    counter_leaves(&baseline[section.name], section.name, &mut base_counters);
+    counter_leaves(&current[section.name], section.name, &mut cur_counters);
     let cur_map: std::collections::HashMap<&str, i64> =
         cur_counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     let base_keys: std::collections::HashSet<&str> =
         base_counters.iter().map(|(k, _)| k.as_str()).collect();
 
     for (path, base) in &base_counters {
+        let advisory = section.gate.is_advisory(path);
         let Some(&cur) = cur_map.get(path.as_str()) else {
-            d.lines.push(format!(
-                "warn: counter {path} missing from current snapshot"
-            ));
-            d.timing_warnings += 1;
+            let msg = format!("counter {path} missing from current snapshot");
+            if advisory {
+                d.lines.push(format!("warn: {msg}"));
+                d.timing_warnings += 1;
+            } else {
+                d.lines.push(format!("warn: {msg} REGRESSION"));
+                d.regressions.push(msg);
+            }
             continue;
         };
         d.compared += 1;
@@ -339,7 +383,7 @@ fn gate_counters(
                 let line = format!("  {path}: {base} -> {cur} ({pct:+.2}%)");
                 if pct <= fail_pct {
                     d.lines.push(format!("{line} within tolerance"));
-                } else if advisory(path) {
+                } else if advisory {
                     d.lines.push(format!("{line} [advisory]"));
                     d.timing_warnings += 1;
                 } else {
@@ -359,9 +403,9 @@ fn gate_counters(
     }
 }
 
-/// Compares two snapshots. Work-counter growth beyond `fail_pct`
-/// percent lands in [`Diff::regressions`]; timing deltas are advisory
-/// lines only (see the module docs for why).
+/// Compares two snapshots. Hard-gated counter growth beyond `fail_pct`
+/// percent and missing data land in [`Diff::regressions`]; timing
+/// deltas are advisory lines only (see the module docs for why).
 pub fn diff(baseline: &Json, current: &Json, fail_pct: f64) -> Diff {
     let mut d = Diff::default();
 
@@ -407,40 +451,32 @@ pub fn diff(baseline: &Json, current: &Json, fail_pct: f64) -> Diff {
         current["git_rev"].as_str().unwrap_or("?")
     ));
 
-    // --- section set: both snapshots must describe the same shape -----
+    // --- top-level keys: a non-null baseline key the current snapshot
+    // lacks fails; a null one (a removed section) and a new key are notes
     if let (Some(base_obj), Some(cur_obj)) = (baseline.as_object(), current.as_object()) {
-        for (k, _) in base_obj {
-            if !cur_obj.iter().any(|(ck, _)| ck == k) {
+        for (k, v) in base_obj {
+            if current.get(k).is_some() {
+                continue;
+            }
+            if v.is_null() {
+                d.lines.push(format!(
+                    "note: section {k} null in baseline, absent from current"
+                ));
+            } else {
                 let msg = format!("section {k} present in baseline but missing from current");
                 d.lines.push(format!("warn: {msg} REGRESSION"));
                 d.regressions.push(msg);
             }
         }
         for (k, _) in cur_obj {
-            if !base_obj.iter().any(|(bk, _)| bk == k) {
+            if baseline.get(k).is_none() {
                 d.lines
                     .push(format!("note: new section {k} (not in baseline)"));
             }
         }
     }
 
-    // --- deterministic work counters: the hard gate -------------------
-    gate_counters("work", baseline, current, fail_pct, &|_| false, &mut d);
-
-    // --- funnel dispositions: every integer leaf (entered / pruned /
-    // survived / cost_units / tightness counts) gates hard; the
-    // tightness quantiles are floats, advisory by omission from the
-    // counter walk ----------------------------------------------------
-    gate_counters("funnel", baseline, current, fail_pct, &|_| false, &mut d);
-
-    // --- kernel tiers: the per-tier `mismatch` counters (cases whose
-    // distance diverged bitwise from the reference DP) are 0
-    // in any healthy baseline, so any growth is an infinite-percent hard
-    // failure; cells/sec and speedup floats are advisory by omission
-    // from the counter walk --------------------------------------------
-    gate_counters("tiers", baseline, current, fail_pct, &|_| false, &mut d);
-
-    // --- memory: counts gate hard, byte totals are advisory -----------
+    // An armed baseline pins the telemetry flag (see the module docs).
     if baseline["memory"]["telemetry"].as_bool() == Some(true)
         && current["memory"]["telemetry"].as_bool() == Some(false)
     {
@@ -450,19 +486,9 @@ pub fn diff(baseline: &Json, current: &Json, fail_pct: f64) -> Diff {
         d.lines.push(format!("warn: {msg}"));
         d.regressions.push(msg);
     }
-    gate_counters(
-        "memory",
-        baseline,
-        current,
-        fail_pct,
-        &|path| path.contains("bytes"),
-        &mut d,
-    );
-
-    // --- profile: every leaf is advisory — sample counts depend on
-    // scheduler phase and machine load, so the section is diffed for
-    // visibility (and mined by [`attribute`]) but never hard-fails ----
-    gate_counters("profile", baseline, current, fail_pct, &|_| true, &mut d);
+    for section in SECTIONS {
+        gate_counters(section, baseline, current, fail_pct, &mut d);
+    }
 
     // --- timing: advisory only ----------------------------------------
     let advise = |name: &str, base: Option<f64>, cur: Option<f64>, d: &mut Diff| {
@@ -623,6 +649,151 @@ pub fn render_attribution(suspects: &[Attribution], n: usize) -> String {
         out.push_str(&format!("  {}. {} ({score}): ", i + 1, a.label));
         out.push_str(&a.reasons.join("; "));
         out.push('\n');
+    }
+    out
+}
+
+/// Flattens a JSON subtree to `(dotted.path, rendered value)` rows for
+/// the aligned tables `report show` prints.
+fn flatten_rows(value: &Json, prefix: &str, out: &mut Vec<(String, String)>) {
+    match value {
+        Json::Obj(entries) => {
+            for (k, v) in entries {
+                let path = if prefix.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{prefix}.{k}")
+                };
+                flatten_rows(v, &path, out);
+            }
+        }
+        Json::Arr(items) => {
+            for (i, v) in items.iter().enumerate() {
+                flatten_rows(v, &format!("{prefix}[{i}]"), out);
+            }
+        }
+        Json::Null => out.push((prefix.to_string(), "-".into())),
+        leaf => out.push((prefix.to_string(), leaf.to_string_compact())),
+    }
+}
+
+/// Renders rows as an aligned two-column table with a right-aligned
+/// value column.
+fn aligned(rows: &[(String, String)]) -> String {
+    let key_w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
+    let val_w = rows.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
+    let mut out = String::new();
+    for (k, v) in rows {
+        out.push_str(&format!("  {k:<key_w$}  {v:>val_w$}\n"));
+    }
+    out
+}
+
+fn show_work(work: &Json) -> String {
+    let mut rows = Vec::new();
+    flatten_rows(work, "", &mut rows);
+    format!("\n-- work counters (deterministic) --\n{}", aligned(&rows))
+}
+
+fn show_funnel(funnel: &Json) -> String {
+    let mut out = format!(
+        "\n-- funnel (per-stage prune dispositions, deterministic) --\n  \
+         {} candidate(s), {} cost unit(s)\n",
+        funnel["candidates"].as_i64().unwrap_or(0),
+        funnel["total_cost_units"].as_i64().unwrap_or(0),
+    );
+    if let Some(stages) = funnel["stages"].as_object() {
+        out.push_str(&format!(
+            "  {:<14} {:>10} {:>10} {:>10} {:>14} {:>12}\n",
+            "stage", "entered", "pruned", "survived", "cost_units", "lb/dtw p50"
+        ));
+        for (name, s) in stages {
+            let p50 = s["tightness"]["p50"]
+                .as_f64()
+                .map(|v| format!("{v:.3}"))
+                .unwrap_or_else(|| "-".into());
+            out.push_str(&format!(
+                "  {:<14} {:>10} {:>10} {:>10} {:>14} {:>12}\n",
+                name,
+                s["entered"].as_i64().unwrap_or(0),
+                s["pruned"].as_i64().unwrap_or(0),
+                s["survived"].as_i64().unwrap_or(0),
+                s["cost_units"].as_i64().unwrap_or(0),
+                p50,
+            ));
+        }
+    }
+    out
+}
+
+fn show_tiers(tiers: &Json) -> String {
+    let mut out = format!(
+        "\n-- kernel tiers (mismatch is deterministic; throughput varies with hardware) --\n  \
+         {:<12} {:>10} {:>14} {:>14}\n",
+        "tier", "mismatch", "cells/s", "vs segmented"
+    );
+    for (name, t) in tiers.as_object().into_iter().flatten() {
+        let speedup = t["speedup_vs_segmented"]
+            .as_f64()
+            .map(|v| format!("{v:.2}x"))
+            .unwrap_or_else(|| "-".into());
+        let cps = t["cells_per_s"]
+            .as_f64()
+            .map(|v| format!("{:.1} Mc/s", v / 1e6))
+            .unwrap_or_else(|| "-".into());
+        out.push_str(&format!(
+            "  {:<12} {:>10} {:>14} {:>14}\n",
+            name,
+            t["mismatch"].as_i64().unwrap_or(-1),
+            cps,
+            speedup,
+        ));
+    }
+    out
+}
+
+fn show_memory(memory: &Json) -> String {
+    let mut rows = Vec::new();
+    flatten_rows(memory, "", &mut rows);
+    rows.retain(|(k, _)| k != "telemetry");
+    format!(
+        "\n-- memory ({}) --\n{}",
+        if memory["telemetry"].as_bool() == Some(true) {
+            "telemetry armed"
+        } else {
+            "telemetry disarmed; counters read zero"
+        },
+        aligned(&rows)
+    )
+}
+
+fn show_profile(profile: &Json) -> String {
+    let mut out = format!(
+        "\n-- profile (sampled shares are advisory; never gated) --\n  \
+         sampler: {} Hz nominal, {} tick(s), {} sample(s) in span, {:.3}s armed\n",
+        profile["sampler_hz"].as_f64().unwrap_or(0.0),
+        profile["ticks"].as_i64().unwrap_or(0),
+        profile["samples"].as_i64().unwrap_or(0),
+        profile["duration_s"].as_f64().unwrap_or(0.0),
+    );
+    match profile["spans"].as_object() {
+        Some(spans) if spans.is_empty() => out.push_str("  no samples caught an open span\n"),
+        Some(spans) => {
+            out.push_str(&format!(
+                "  {:<20} {:>8} {:>8} {:>8}\n",
+                "span", "self", "total", "self%"
+            ));
+            for (label, s) in spans {
+                out.push_str(&format!(
+                    "  {:<20} {:>8} {:>8} {:>7.1}%\n",
+                    label,
+                    s["self_samples"].as_i64().unwrap_or(0),
+                    s["total_samples"].as_i64().unwrap_or(0),
+                    s["self_share"].as_f64().unwrap_or(0.0) * 100.0,
+                ));
+            }
+        }
+        None => {}
     }
     out
 }
@@ -966,6 +1137,76 @@ mod tests {
             d.regressions
         );
         assert!(d.render().contains("new section extra"), "{}", d.render());
+
+        // A hard leaf the current snapshot lacks fails however loose the
+        // tolerance: a deleted `work.cells`, and every integer leaf of a
+        // `funnel` that went null.
+        let mut cur = snap(1000, 1.0);
+        let work = base["work"].as_object().unwrap().clone();
+        cur.set(
+            "work",
+            Json::Obj(work.into_iter().filter(|(k, _)| k != "cells").collect()),
+        );
+        let d = diff(&base, &cur, 1e9);
+        assert_eq!(
+            d.regressions,
+            ["counter work.cells missing from current snapshot"],
+            "{}",
+            d.render()
+        );
+        let mut cur = snap(1000, 1.0);
+        cur.set("funnel", Json::Null);
+        let d = diff(&base, &cur, 1e9);
+        assert_eq!(d.regressions.len(), 11, "{:?}", d.regressions);
+        assert!(
+            d.regressions
+                .iter()
+                .all(|r| r.starts_with("counter funnel.")),
+            "{:?}",
+            d.regressions
+        );
+
+        // Advisory leaves only warn when missing: memory byte totals and
+        // a profile section that went null.
+        let mut cur = snap(1000, 1.0);
+        let memory = base["memory"].as_object().unwrap().clone();
+        cur.set(
+            "memory",
+            Json::Obj(
+                memory
+                    .into_iter()
+                    .filter(|(k, _)| k != "peak_bytes")
+                    .collect(),
+            ),
+        );
+        cur.set("profile", Json::Null);
+        let d = diff(&base, &cur, 0.0);
+        assert!(d.regressions.is_empty(), "{:?}", d.regressions);
+        assert!(
+            d.render()
+                .contains("warn: counter memory.peak_bytes missing"),
+            "{}",
+            d.render()
+        );
+        assert!(
+            d.render().contains("warn: counter profile.ticks missing"),
+            "{}",
+            d.render()
+        );
+
+        // A section that is null in the baseline and gone from the
+        // current snapshot was removed, not dropped: a note. This is a
+        // ledger record written before the `rle` section left.
+        let mut old = snap(1000, 1.0);
+        old.set("rle", Json::Null);
+        let d = diff(&old, &snap(1000, 1.0), 0.0);
+        assert!(d.regressions.is_empty(), "{:?}", d.regressions);
+        assert!(
+            d.render()
+                .contains("note: section rle null in baseline, absent from current"),
+            "{}",
+            d.render()
+        );
     }
 
     #[test]
@@ -1099,17 +1340,41 @@ mod tests {
                 },
             },
         };
-        let s = capture(
-            "cells",
-            "title",
-            1.5,
-            Some(&work),
-            Some(&funnel),
-            Some(&tiers),
-            None,
-            Some(&profile),
-            &spans,
-            4,
+        let sections = json_obj! {
+            "work" => work.clone(),
+            "funnel" => funnel,
+            "tiers" => tiers,
+            "memory" => tsdtw_obs::AllocDelta::default().report(),
+            "profile" => profile,
+            "unrelated" => 1,
+        };
+        let s = capture("cells", "title", 1.5, &sections, &spans, 4);
+        // The committed baselines' key order: identity, then SECTIONS in
+        // table order, then kernels. Keys outside the table stay out.
+        let keys: Vec<&str> = s
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "schema",
+                "hash",
+                "experiment",
+                "title",
+                "git_rev",
+                "spans_enabled",
+                "env",
+                "wall_s",
+                "work",
+                "funnel",
+                "tiers",
+                "memory",
+                "profile",
+                "kernels"
+            ]
         );
         assert_eq!(s["schema"], SCHEMA_VERSION);
         // v3: the stamped hash matches a recomputation over the content.
@@ -1125,27 +1390,21 @@ mod tests {
         // v7: and the profile section.
         assert_eq!(s["profile"]["samples"], 900);
         assert_eq!(s["profile"]["spans"]["cdtw"]["self_samples"], 900);
-        // …and a cascade-free, tier-free, unprofiled
-        // experiment carries explicit nulls.
+        // …and sections the run did not produce are explicit nulls.
         let bare = capture(
             "cells",
             "title",
             1.5,
-            Some(&work),
-            None,
-            None,
-            None,
-            None,
+            &json_obj! { "work" => work },
             &spans,
             4,
         );
         assert!(bare["funnel"].is_null());
         assert!(bare["tiers"].is_null());
+        assert!(bare["memory"].is_null());
         assert!(bare["profile"].is_null());
         assert_eq!(s["kernels"]["cdtw"]["count"], 3u64);
         assert_eq!(s["kernels"]["cdtw"]["alloc_bytes"], 64u64);
-        // No memory report passed: the stub section marks telemetry off.
-        assert_eq!(s["memory"]["telemetry"], false);
         assert_eq!(s["memory"]["allocs"], 0);
         assert!(s["env"]["threads"].as_u64().unwrap() >= 1);
         assert_eq!(s["env"]["n_threads"], 4);

@@ -5,14 +5,16 @@
 //! ([`crate::history`]) and applies two different statistics, matched
 //! to how each quantity behaves:
 //!
-//! * **Work counters gate hard at zero tolerance, latest vs previous.**
-//!   DP cells, window cells, prune tallies are pure functions of the
-//!   experiment configuration — the executor's determinism contract
-//!   makes them bit-identical across hosts and thread counts — so *any*
-//!   growth between consecutive ledger records is a confirmed
-//!   regression, no statistics required. A slow 3 %-per-PR drift that
-//!   would hide inside any percentage tolerance is caught on the PR
-//!   that introduces it.
+//! * **Counters gate hard at zero tolerance, latest vs previous.** The
+//!   gate is [`snapshot::diff`] of the previous record against the
+//!   latest at 0 %, so it hard-gates exactly the leaves `report diff`
+//!   does. DP cells, prune dispositions, tier mismatches are pure
+//!   functions of the experiment configuration — the executor's
+//!   determinism contract makes them bit-identical across hosts and
+//!   thread counts — so *any* growth between consecutive ledger records
+//!   is a confirmed regression, no statistics required. A slow
+//!   3 %-per-PR drift that would hide inside any percentage tolerance is
+//!   caught on the PR that introduces it.
 //!
 //! * **Timings get a robust median/MAD drift detector.** Wall time and
 //!   per-kernel latency jitter with hardware and load, so the latest
@@ -86,8 +88,8 @@ pub struct ExperimentTrend {
     pub experiment: String,
     /// Current-schema records analyzed.
     pub records: usize,
-    /// Hard failures: deterministic counters grew vs the previous
-    /// record.
+    /// Hard failures: the regressions of [`snapshot::diff`] from the
+    /// previous record to the latest at zero tolerance.
     pub counter_regressions: Vec<String>,
     /// Confirmed timing drifts (median/MAD gate).
     pub timing_drifts: Vec<String>,
@@ -156,25 +158,6 @@ fn timing_series(rec: &Json) -> Vec<(String, f64)> {
     out
 }
 
-/// Work-counter leaves of a record, plus funnel disposition leaves
-/// (entered / pruned / survived / cost_units are integers and exactly
-/// as deterministic as the work counters), plus memory *count* leaves when telemetry was armed (byte-valued
-/// leaves stay out of the hard gate, matching `report diff`). The v7
-/// `profile` section is deliberately absent: sampling counts depend on
-/// scheduler phase and machine load, so they are advisory everywhere
-/// (see `snapshot`'s module docs) and would make this gate flaky.
-fn hard_counters(rec: &Json) -> Vec<(String, i64)> {
-    let mut out = Vec::new();
-    snapshot::counter_leaves(&rec["work"], "work", &mut out);
-    snapshot::counter_leaves(&rec["funnel"], "funnel", &mut out);
-    if rec["memory"]["telemetry"].as_bool() == Some(true) {
-        let mut mem = Vec::new();
-        snapshot::counter_leaves(&rec["memory"], "memory", &mut mem);
-        out.extend(mem.into_iter().filter(|(k, _)| !k.contains("bytes")));
-    }
-    out
-}
-
 /// Analyzes one experiment's ledger (oldest first) under `cfg`.
 pub fn analyze(experiment: &str, records: &[Json], cfg: &TrendConfig) -> ExperimentTrend {
     let mut t = ExperimentTrend {
@@ -202,24 +185,11 @@ pub fn analyze(experiment: &str, records: &[Json], cfg: &TrendConfig) -> Experim
 
     // --- hard counter gate: latest vs the record before it -----------
     if let Some(&prev) = prior.last() {
-        let prev_counters = hard_counters(prev);
-        let cur_map: std::collections::HashMap<String, i64> =
-            hard_counters(latest).into_iter().collect();
-        for (path, base) in &prev_counters {
-            match cur_map.get(path) {
-                None => t
-                    .notes
-                    .push(format!("counter {path} missing from latest record")),
-                Some(&cur) if cur > *base => {
-                    let pct = snapshot::pct_change(*base as f64, cur as f64);
-                    t.counter_regressions.push(format!(
-                        "{path} grew {base} -> {cur} ({pct:+.2}%) vs previous record \
-                         (deterministic counter, zero tolerance)"
-                    ));
-                }
-                Some(_) => {}
-            }
-        }
+        t.counter_regressions = snapshot::diff(prev, latest, 0.0)
+            .regressions
+            .into_iter()
+            .map(|r| format!("{r} vs previous record"))
+            .collect();
     } else {
         t.notes
             .push("single record: counter gate needs a predecessor".to_string());
@@ -240,7 +210,7 @@ pub fn analyze(experiment: &str, records: &[Json], cfg: &TrendConfig) -> Experim
         ));
     } else {
         for (name, cur) in timing_series(latest) {
-            let hist: Vec<f64> = window
+            let mut hist: Vec<f64> = window
                 .iter()
                 .filter_map(|r| {
                     timing_series(r)
@@ -249,7 +219,15 @@ pub fn analyze(experiment: &str, records: &[Json], cfg: &TrendConfig) -> Experim
                         .map(|(_, v)| v)
                 })
                 .collect();
-            if hist.len() < 2 {
+            // `Json::parse` reads an overflowing literal such as `1e999`
+            // as infinity, which would make the MAD NaN.
+            if !cur.is_finite() || hist.iter().any(|v| !v.is_finite()) {
+                t.notes.push(format!(
+                    "timing series {name}: non-finite sample(s) skipped"
+                ));
+                hist.retain(|v| v.is_finite());
+            }
+            if !cur.is_finite() || hist.len() < 2 {
                 continue;
             }
             let med = median(&hist);
@@ -303,8 +281,8 @@ fn render_section(t: &ExperimentTrend, v3: &[&Json]) -> String {
             r["git_rev"].as_str().unwrap_or("?"),
             r["hash"]
                 .as_str()
-                .map(|h| &h[..h.len().min(8)])
-                .unwrap_or("?"),
+                .map(|h| h.chars().take(8).collect::<String>())
+                .unwrap_or_else(|| "?".into()),
             r["wall_s"]
                 .as_f64()
                 .map(|w| format!("{w:.4}"))
@@ -435,7 +413,13 @@ mod tests {
 
     #[test]
     fn replayed_identical_runs_pass_both_gates() {
-        let records: Vec<Json> = (0..4).map(|_| rec(1000, 1.0, "ci")).collect();
+        let mut records: Vec<Json> = (0..4).map(|_| rec(1000, 1.0, "ci")).collect();
+        // Records written before the `rle` section left carry it as
+        // null; the newest one lacks it, and its hash is not ASCII.
+        for r in &mut records[..3] {
+            r.set("rle", Json::Null);
+        }
+        records[3].set("hash", "aaaaaaaé");
         let t = analyze("cells", &records, &TrendConfig::default());
         assert!(
             t.is_clean(),
@@ -445,6 +429,7 @@ mod tests {
         );
         assert_eq!(t.records, 4);
         assert!(t.markdown.contains("**clean**"), "{}", t.markdown);
+        assert!(t.markdown.contains("| `aaaaaaaé` |"), "{}", t.markdown);
     }
 
     #[test]
@@ -478,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn funnel_leak_hard_fails_even_with_flat_work_counters() {
+    fn funnel_and_tier_leaks_hard_fail_even_with_flat_work_counters() {
         // Same DP work, but more candidates slipping past the lower
         // bounds into the DTW stage: the pruning quality regressed and
         // the funnel leaves catch it at zero tolerance.
@@ -499,6 +484,57 @@ mod tests {
             t.counter_regressions.iter().all(|r| !r.contains("work.")),
             "work counters were flat: {:?}",
             t.counter_regressions
+        );
+        // A kernel route that stops matching its reference DP: `tiers`
+        // gates hard in `report diff`, so it does here too.
+        let tiers =
+            |mismatch: i64| json_obj! { "wavefront" => json_obj! { "mismatch" => mismatch } };
+        let records = vec![
+            rec(1000, 1.0, "ci").with("tiers", tiers(0)),
+            rec(1000, 1.0, "ci").with("tiers", tiers(3)),
+        ];
+        let t = analyze("kernels", &records, &TrendConfig::default());
+        assert_eq!(
+            t.counter_regressions,
+            ["tiers.wavefront.mismatch grew 0 -> 3 (+inf% > 0%) vs previous record"]
+        );
+    }
+
+    #[test]
+    fn non_finite_timings_are_skipped_with_a_note() {
+        // `1e999` parses as infinity; three such records make the MAD NaN
+        // unless non-finite samples are skipped.
+        let line = rec(1000, 1.0, "ci")
+            .to_string_compact()
+            .replace("\"wall_s\":1.0", "\"wall_s\":1e999");
+        let inf = Json::parse(&line).unwrap();
+        assert_eq!(inf["wall_s"].as_f64(), Some(f64::INFINITY));
+        let t = analyze(
+            "cells",
+            &[inf.clone(), inf.clone(), inf],
+            &TrendConfig::default(),
+        );
+        assert!(t.is_clean(), "{:?}", t.timing_drifts);
+        assert!(
+            t.notes
+                .iter()
+                .any(|n| n == "timing series wall_s: non-finite sample(s) skipped"),
+            "{:?}",
+            t.notes
+        );
+        // A finite latest still gates against the finite rest of the window.
+        let mut records: Vec<Json> = [f64::INFINITY, 1.0, 1.01, 0.99]
+            .iter()
+            .map(|w| rec(1000, *w, "ci"))
+            .collect();
+        records.push(rec(1000, 2.0, "ci"));
+        let t = analyze("cells", &records, &TrendConfig::default());
+        assert!(
+            t.timing_drifts
+                .iter()
+                .any(|d| d.contains("wall_s") && d.contains("3-record")),
+            "{:?}",
+            t.timing_drifts
         );
     }
 

@@ -6,8 +6,8 @@
 //! an experiment's data path. This test pins that contract the same way
 //! `tests/parallel_equivalence.rs` pins thread-count invariance: run the
 //! `cells` experiment with the sampler armed and disarmed across several
-//! worker counts and require the `work`/`funnel`/`tiers` sections
-//! to render byte-identically. If a future change routes profiler state
+//! worker counts and require every section the snapshot gates (each
+//! non-advisory row of `snapshot::SECTIONS`) to render byte-identically. If a future change routes profiler state
 //! into a metered path (or makes sampling perturb a counter), the
 //! perf-gate baselines would silently fork between profiled and
 //! unprofiled CI runs — this test turns that fork into a local failure.
@@ -18,6 +18,7 @@
 
 use tsdtw_bench::experiments::cells;
 use tsdtw_bench::report::Scale;
+use tsdtw_bench::snapshot::{Gate, SECTIONS};
 use tsdtw_mining::ParConfig;
 
 /// Runs `cells` once and renders its deterministic sections to a single
@@ -33,10 +34,10 @@ fn deterministic_sections(threads: usize, armed: bool) -> String {
     // Drain recorder state so runs don't leak spans into each other.
     let _ = tsdtw_obs::take_spans();
     let mut out = String::new();
-    for key in ["work", "funnel", "tiers"] {
-        out.push_str(key);
+    for section in SECTIONS.iter().filter(|s| s.gate != Gate::Advisory) {
+        out.push_str(section.name);
         out.push('=');
-        match rep.json.get(key) {
+        match rep.json.get(section.name) {
             Some(section) => out.push_str(&section.to_string_pretty()),
             None => out.push_str("absent"),
         }

@@ -2,19 +2,22 @@
 //! snapshots (see `tsdtw_bench::snapshot` for the schema) and the
 //! append-only history ledger (`tsdtw_bench::history`).
 //!
-//! `report diff` is the pairwise CI regression gate: deterministic work
-//! counters (DP cells, window cells, prunes) and `memory` allocation
-//! counts are compared hard — any growth beyond `--fail-on-regress`
-//! percent is an error and the process exits non-zero, as is a
-//! top-level section present in the baseline but missing from the
-//! current snapshot — while wall-clock, per-kernel timings, and memory
-//! *byte* totals only ever produce advisory warnings, so the gate stays
-//! green on noisy shared runners and across allocator-size-class
-//! changes.
+//! `report diff` is the pairwise CI regression gate: deterministic
+//! counters (DP cells, prune dispositions, tier mismatches, `memory`
+//! allocation counts) are compared hard — any growth beyond
+//! `--fail-on-regress` percent is an error and the process exits
+//! non-zero, as is a hard counter or a non-null top-level section
+//! present in the baseline but missing from the current snapshot —
+//! while wall-clock, per-kernel timings, memory *byte* totals and the
+//! profile section only ever produce advisory warnings, so the gate
+//! stays green on noisy shared runners and across allocator-size-class
+//! changes. Each section's gate class is its row in
+//! `tsdtw_bench::snapshot::SECTIONS`.
 //!
 //! `report trend` is the longitudinal gate: it reads every experiment's
 //! ledger under `<results>/history/`, applies the noise-aware detector
-//! (`tsdtw_bench::trend` — counters at zero tolerance, timings through
+//! (`tsdtw_bench::trend` — `report diff`'s counter gate at zero
+//! tolerance, latest record vs the one before, timings through
 //! a median/MAD window of comparable-environment records), writes the
 //! `TREND.md` dashboard, and under `--fail-on-drift` exits non-zero on
 //! any confirmed drift.
@@ -45,8 +48,8 @@ tsdtw report flame COLLAPSED [--width N]
                         memory-count growth (default 0 = any growth
                         fails); timing changes, memory byte totals and
                         the profile section are always advisory and
-                        never fail the diff. A baseline section missing
-                        from CURRENT fails too.
+                        never fail the diff. A baseline section or hard
+                        counter missing from CURRENT fails too.
     --attribute         rank spans by per-span delta (calls, wall time,
                         alloc bytes, profile self-time share) and print
                         the top-3 suspect spans for the drift
@@ -159,8 +162,8 @@ fn run_diff(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
         // the gate. Include the full comparison so CI logs are useful.
         let mut msg = rendered;
         msg.push_str(&format!(
-            "FAIL: {} regression(s) (counters beyond {fail_pct}%, dropped sections, \
-             or disarmed telemetry):\n",
+            "FAIL: {} regression(s) (counters beyond {fail_pct}%, missing counters or \
+             sections, or disarmed telemetry):\n",
             d.regressions.len()
         ));
         for r in &d.regressions {
@@ -312,42 +315,6 @@ fn run_trend(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     }
 }
 
-/// Flattens a JSON subtree to `(dotted.path, rendered value)` rows for
-/// the aligned tables `show` prints.
-fn flatten_rows(value: &Json, prefix: &str, out: &mut Vec<(String, String)>) {
-    match value {
-        Json::Obj(entries) => {
-            for (k, v) in entries {
-                let path = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                flatten_rows(v, &path, out);
-            }
-        }
-        Json::Arr(items) => {
-            for (i, v) in items.iter().enumerate() {
-                flatten_rows(v, &format!("{prefix}[{i}]"), out);
-            }
-        }
-        Json::Null => out.push((prefix.to_string(), "-".into())),
-        leaf => out.push((prefix.to_string(), leaf.to_string_compact())),
-    }
-}
-
-/// Renders rows as an aligned two-column table with a right-aligned
-/// value column.
-fn aligned(rows: &[(String, String)]) -> String {
-    let key_w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    let val_w = rows.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (k, v) in rows {
-        out.push_str(&format!("  {k:<key_w$}  {v:>val_w$}\n"));
-    }
-    out
-}
-
 fn run_show(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     let [path] = raw else {
         return Err(Box::new(ArgError(format!(
@@ -393,157 +360,14 @@ fn run_show(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
         out.push_str(&format!("wall         {w:.6} s\n"));
     }
 
-    let mut work = Vec::new();
-    flatten_rows(&snap["work"], "", &mut work);
-    if !work.is_empty() {
-        out.push_str("\n-- work counters (deterministic) --\n");
-        out.push_str(&aligned(&work));
-    }
-
-    match snap.get("funnel") {
-        Some(funnel) if !funnel.is_null() => {
-            out.push_str("\n-- funnel (per-stage prune dispositions, deterministic) --\n");
-            out.push_str(&format!(
-                "  {} candidate(s), {} cost unit(s)\n",
-                funnel["candidates"].as_i64().unwrap_or(0),
-                funnel["total_cost_units"].as_i64().unwrap_or(0),
-            ));
-            if let Some(stages) = funnel["stages"].as_object() {
-                out.push_str(&format!(
-                    "  {:<14} {:>10} {:>10} {:>10} {:>14} {:>12}\n",
-                    "stage", "entered", "pruned", "survived", "cost_units", "lb/dtw p50"
-                ));
-                for (name, s) in stages {
-                    let p50 = s["tightness"]["p50"]
-                        .as_f64()
-                        .map(|v| format!("{v:.3}"))
-                        .unwrap_or_else(|| "-".into());
-                    out.push_str(&format!(
-                        "  {:<14} {:>10} {:>10} {:>10} {:>14} {:>12}\n",
-                        name,
-                        s["entered"].as_i64().unwrap_or(0),
-                        s["pruned"].as_i64().unwrap_or(0),
-                        s["survived"].as_i64().unwrap_or(0),
-                        s["cost_units"].as_i64().unwrap_or(0),
-                        p50,
-                    ));
-                }
-            }
+    for section in snapshot::SECTIONS {
+        match snap.get(section.name) {
+            Some(v) if !v.is_null() => out.push_str(&(section.show)(v)),
+            _ => out.push_str(&format!(
+                "\nno {} section ({})\n",
+                section.name, section.absent
+            )),
         }
-        // Pre-v4 snapshots carry no funnel key; v4 snapshots of
-        // non-cascaded experiments carry an explicit null. Both degrade
-        // to the same note rather than an empty table.
-        _ => out.push_str(&format!(
-            "\nno funnel section ({})\n",
-            if schema < 4 {
-                "pre-v4 snapshot; regenerate with `repro`"
-            } else {
-                "experiment ran no lower-bound cascade"
-            }
-        )),
-    }
-
-    match snap.get("tiers") {
-        Some(tiers) if !tiers.is_null() => {
-            out.push_str(
-                "\n-- kernel tiers (mismatch is deterministic; throughput varies with hardware) --\n",
-            );
-            out.push_str(&format!(
-                "  {:<12} {:>10} {:>14} {:>14}\n",
-                "tier", "mismatch", "cells/s", "vs segmented"
-            ));
-            if let Some(entries) = tiers.as_object() {
-                for (name, t) in entries {
-                    let speedup = t["speedup_vs_segmented"]
-                        .as_f64()
-                        .map(|v| format!("{v:.2}x"))
-                        .unwrap_or_else(|| "-".into());
-                    let cps = t["cells_per_s"]
-                        .as_f64()
-                        .map(|v| format!("{:.1} Mc/s", v / 1e6))
-                        .unwrap_or_else(|| "-".into());
-                    out.push_str(&format!(
-                        "  {:<12} {:>10} {:>14} {:>14}\n",
-                        name,
-                        t["mismatch"].as_i64().unwrap_or(-1),
-                        cps,
-                        speedup,
-                    ));
-                }
-            }
-        }
-        // Pre-v6 snapshots carry no tiers key; v6 snapshots of
-        // experiments that race no kernel tiers carry an explicit null.
-        // Both degrade to a note — the same convention as funnel.
-        _ => out.push_str(&format!(
-            "\nno tiers section ({})\n",
-            if schema < 6 {
-                "pre-v6 snapshot; regenerate with `repro`"
-            } else {
-                "experiment raced no kernel tiers"
-            }
-        )),
-    }
-
-    if let Some(mem) = snap["memory"].as_object() {
-        let armed = snap["memory"]["telemetry"].as_bool() == Some(true);
-        out.push_str(&format!(
-            "\n-- memory ({}) --\n",
-            if armed {
-                "telemetry armed"
-            } else {
-                "telemetry disarmed; counters read zero"
-            }
-        ));
-        let rows: Vec<(String, String)> = mem
-            .iter()
-            .filter(|(k, _)| k != "telemetry")
-            .map(|(k, v)| (k.clone(), v.to_string_compact()))
-            .collect();
-        out.push_str(&aligned(&rows));
-    }
-
-    match snap.get("profile") {
-        Some(profile) if !profile.is_null() => {
-            out.push_str("\n-- profile (sampled shares are advisory; never gated) --\n");
-            out.push_str(&format!(
-                "  sampler: {} Hz nominal, {} tick(s), {} sample(s) in span, {:.3}s armed\n",
-                profile["sampler_hz"].as_f64().unwrap_or(0.0),
-                profile["ticks"].as_i64().unwrap_or(0),
-                profile["samples"].as_i64().unwrap_or(0),
-                profile["duration_s"].as_f64().unwrap_or(0.0),
-            ));
-            if let Some(spans) = profile["spans"].as_object() {
-                if spans.is_empty() {
-                    out.push_str("  no samples caught an open span\n");
-                } else {
-                    out.push_str(&format!(
-                        "  {:<20} {:>8} {:>8} {:>8}\n",
-                        "span", "self", "total", "self%"
-                    ));
-                    for (label, s) in spans {
-                        out.push_str(&format!(
-                            "  {:<20} {:>8} {:>8} {:>7.1}%\n",
-                            label,
-                            s["self_samples"].as_i64().unwrap_or(0),
-                            s["total_samples"].as_i64().unwrap_or(0),
-                            s["self_share"].as_f64().unwrap_or(0.0) * 100.0,
-                        ));
-                    }
-                }
-            }
-        }
-        // Pre-v7 snapshots carry no profile key; v7 snapshots of runs
-        // made without --profile carry an explicit null. Both degrade
-        // to a note — the same convention as funnel/tiers.
-        _ => out.push_str(&format!(
-            "\nno profile section ({})\n",
-            if schema < 7 {
-                "pre-v7 snapshot; regenerate with `repro`"
-            } else {
-                "run was not profiled; pass --profile to repro"
-            }
-        )),
     }
 
     if let Some(kernels) = snap["kernels"].as_object() {
@@ -882,63 +706,22 @@ mod tests {
     }
 
     #[test]
-    fn show_degrades_cleanly_when_the_snapshot_has_no_funnel() {
-        let d = tmpdir("tsdtw-report-show-nofunnel");
-        // Pre-v4 snapshots have no funnel key at all.
-        let mut old = snap_json(100);
-        old.set("schema", 3i64);
-        let path = write_snap(&d, "BENCH_old.json", &old);
-        let out = run(&raw(&["show", &path])).unwrap();
-        assert!(out.contains("no funnel section"), "{out}");
-        assert!(out.contains("pre-v4"), "{out}");
-        // Current-schema snapshots of non-cascaded experiments carry an
-        // explicit null.
-        let mut bare = snap_json(100);
-        bare.set("funnel", Json::Null);
-        let path = write_snap(&d, "BENCH_bare.json", &bare);
-        let out = run(&raw(&["show", &path])).unwrap();
-        assert!(out.contains("no funnel section"), "{out}");
-        assert!(out.contains("no lower-bound cascade"), "{out}");
-    }
-
-    #[test]
-    fn show_degrades_cleanly_when_the_snapshot_has_no_tiers_section() {
-        let d = tmpdir("tsdtw-report-show-notiers");
-        // Pre-v6 snapshots have no tiers key at all: note, don't omit.
-        let mut old = snap_json(100);
-        old.set("schema", 5i64);
-        let path = write_snap(&d, "BENCH_old.json", &old);
-        let out = run(&raw(&["show", &path])).unwrap();
-        assert!(out.contains("no tiers section"), "{out}");
-        assert!(out.contains("pre-v6"), "{out}");
-        // Current-schema snapshots of non-racing experiments carry an
-        // explicit null and get the other wording.
-        let mut bare = snap_json(100);
-        bare.set("tiers", Json::Null);
-        let path = write_snap(&d, "BENCH_bare.json", &bare);
-        let out = run(&raw(&["show", &path])).unwrap();
-        assert!(out.contains("no tiers section"), "{out}");
-        assert!(out.contains("raced no kernel tiers"), "{out}");
-    }
-
-    #[test]
-    fn show_degrades_cleanly_when_the_snapshot_has_no_profile_section() {
-        let d = tmpdir("tsdtw-report-show-noprofile");
-        // Pre-v7 snapshots have no profile key at all: note, don't omit.
-        let mut old = snap_json(100);
-        old.set("schema", 6i64);
-        let path = write_snap(&d, "BENCH_old.json", &old);
-        let out = run(&raw(&["show", &path])).unwrap();
-        assert!(out.contains("no profile section"), "{out}");
-        assert!(out.contains("pre-v7"), "{out}");
-        // Current-schema snapshots of unprofiled runs carry an explicit
-        // null and get the other wording.
-        let mut bare = snap_json(100);
-        bare.set("profile", Json::Null);
-        let path = write_snap(&d, "BENCH_bare.json", &bare);
-        let out = run(&raw(&["show", &path])).unwrap();
-        assert!(out.contains("no profile section"), "{out}");
-        assert!(out.contains("was not profiled"), "{out}");
+    fn show_notes_every_null_or_absent_section() {
+        let d = tmpdir("tsdtw-report-show-absent");
+        for section in snapshot::SECTIONS {
+            let note = format!("\nno {} section ({})\n", section.name, section.absent);
+            let mut null = snap_json(100);
+            null.set(section.name, Json::Null);
+            let mut absent = snap_json(100);
+            if let Json::Obj(fields) = &mut absent {
+                fields.retain(|(k, _)| k != section.name);
+            }
+            for (case, s) in [("null", null), ("absent", absent)] {
+                let path = write_snap(&d, &format!("BENCH_{}_{case}.json", section.name), &s);
+                let out = run(&raw(&["show", &path])).unwrap();
+                assert!(out.contains(&note), "{case} {}: {out}", section.name);
+            }
+        }
     }
 
     #[test]
