@@ -15,12 +15,14 @@
 /// A local (pointwise) cost between two sample values.
 ///
 /// Implementations must be cheap — this is the innermost call of every DP —
-/// and must return non-negative values, finite for finite inputs short of
-/// overflow, so that accumulated costs remain ordered. `f64::INFINITY`
-/// stands in for cells outside the search window; a cost that overflows
-/// to it ([`SquaredCost`] at `|a − b| ≳ 1.34e154`) makes the distance
-/// `+∞`, and every kernel still returns a path inside its window. Every
-/// cost takes the same kernel routes.
+/// and must return values `≥ +0.0`, never `−0.0` or NaN for finite inputs,
+/// finite short of overflow, so that accumulated costs remain ordered and
+/// the DP's cell minimum returns `f64::min`'s bits without its NaN
+/// handling. `f64::INFINITY` stands in for cells outside the search
+/// window; a cost that overflows to it ([`SquaredCost`] at
+/// `|a − b| ≳ 1.34e154`) makes the distance `+∞`, and every kernel still
+/// returns a path inside its window. Every cost takes the same kernel
+/// routes.
 pub trait CostFn: Copy {
     /// The cost of aligning sample value `a` with sample value `b`.
     fn cost(&self, a: f64, b: f64) -> f64;
@@ -103,6 +105,17 @@ mod tests {
         for v in [-1.5, 0.0, 2.25, 1e6] {
             assert_eq!(SquaredCost.cost(v, v), 0.0);
             assert_eq!(AbsoluteCost.cost(v, v), 0.0);
+        }
+        // Signed zeros must cost `+0.0` exactly: a `−0.0` compares equal
+        // to `0.0` above but would break the DP minimum's contract.
+        for (a, b) in [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)] {
+            assert_eq!(SquaredCost.cost(a, b).to_bits(), 0, "squared ({a}, {b})");
+            assert_eq!(AbsoluteCost.cost(a, b).to_bits(), 0, "absolute ({a}, {b})");
+            assert_eq!(
+                Rooted(SquaredCost).cost(a, b).to_bits(),
+                0,
+                "rooted ({a}, {b})"
+            );
         }
     }
 

@@ -14,10 +14,13 @@
 //! **Bitwise equality.** Lane `l` executes exactly the scalar banded
 //! recurrence of `(x, ys[l])`: the same Sakoe–Chiba window (shared —
 //! all candidates have equal length), the same guarded `+∞`
-//! substitutions, the same `cost + diag.min(up).min(left)` expression,
-//! and the same row-0 prefix sum. Interleaving independent scalar
-//! computations does not change any of their intermediate values, so
-//! every lane's distance is bitwise equal to
+//! substitutions, the same `cost + neighbor_min(diag, up, left)`
+//! expression, and the same row-0 prefix sum. Every minimum, the
+//! early-abandon row-minimum folds included, is the crate-private
+//! `sweep::cell_min`, whose doc shows it returns `f64::min`'s bits on
+//! this domain. Interleaving independent scalar computations does not
+//! change any of their intermediate values, so every lane's distance is
+//! bitwise equal to
 //! [`cdtw_distance`](super::banded::cdtw_distance) on that pair —
 //! `tests/kernel_equivalence.rs` locks this per lane.
 //!
@@ -44,6 +47,7 @@ use tsdtw_obs::{Meter, NoMeter};
 
 use super::banded::check_band;
 use super::early_abandon::EaOutcome;
+use super::sweep::{cell_min, neighbor_min};
 
 /// Number of candidate lanes per batched call. Eight f64 lanes match
 /// the widest vector unit this crate targets and keep the struct-of-
@@ -246,7 +250,7 @@ fn batch_row<C: CostFn>(
         let yj = yt[j];
         let mut v = [0.0f64; LANES];
         for l in 0..LANES {
-            v[l] = cost.cost(xi, yj[l]) + diag[l].min(up[l]).min(left[l]);
+            v[l] = cost.cost(xi, yj[l]) + neighbor_min(diag[l], up[l], left[l]);
         }
         cur[j - lo] = v;
         left = v;
@@ -339,7 +343,7 @@ pub fn cdtw_batch_ea_metered<C: CostFn, M: Meter>(
         let yj = buf.yt[j];
         for l in 0..LANES {
             acc[l] += cost.cost(x0, yj[l]);
-            row_min[l] = row_min[l].min(acc[l]);
+            row_min[l] = cell_min(row_min[l], acc[l]);
         }
         buf.prev[k] = acc;
     }
@@ -386,8 +390,8 @@ pub fn cdtw_batch_ea_metered<C: CostFn, M: Meter>(
             let yj = buf.yt[j];
             let mut v = [0.0f64; LANES];
             for l in 0..LANES {
-                v[l] = cost.cost(xi, yj[l]) + diag[l].min(up[l]).min(left[l]);
-                row_min[l] = row_min[l].min(v[l]);
+                v[l] = cost.cost(xi, yj[l]) + neighbor_min(diag[l], up[l], left[l]);
+                row_min[l] = cell_min(row_min[l], v[l]);
             }
             buf.cur[j - lo] = v;
             left = v;

@@ -178,7 +178,7 @@ fn ea_core<C: CostFn, M: Meter>(
     for (k, j) in (lo0..=hi0).enumerate() {
         acc += cost.cost(x0, y[j]);
         buf.prev[k] = acc;
-        row_min = row_min.min(acc);
+        row_min = sweep::cell_min(row_min, acc);
     }
     meter.cells((hi0 - lo0 + 1) as u64);
     let suffix_bound = |cb: Option<&[f64]>, row: usize| {

@@ -65,15 +65,16 @@ impl Kernel {
 /// wavefront order.
 ///
 /// A property of the input shape, not a tuning knob. Measured as
-/// segmented ÷ wavefront time per cell on Sakoe–Chiba bands: on an idle
-/// core the wavefront wins from width 33 (1.36–1.41×, 2.2–2.3× at width
-/// 401). Its gain is issue slots the latency-bound row sweep leaves idle,
-/// so it shrinks when another thread shares the physical core: in the
-/// slowest tenth of 30 ms slices it is 0.83–1.02× at widths 33–49,
-/// 1.05–1.13× at 77 and 1.18–1.24× from 129, while its time per cell
-/// swings up to 2× with that load and the row sweep's stays within
-/// ~1.25×. From 129 the wavefront wins clearly either way
-/// (DESIGN.md §16).
+/// segmented ÷ wavefront time per cell on Sakoe–Chiba bands (N = 128 to
+/// 24,000, alternating 30 ms slices, shared 2-vCPU Xeon): the wavefront
+/// breaks even at width 33 (0.91–1.03× in the median slice), leads
+/// 1.13–1.43× at 77, 1.41–2.13× at 129 and 1.87–2.91× at 401, and the
+/// slowest tenth of slices reads about the same. Its gain is issue slots
+/// the latency-bound row sweep leaves idle, so it shrinks when another
+/// thread shares the physical core: before the NaN-free cell minimum,
+/// such load held it to 1.05–1.13× at width 77 in the slowest tenth of
+/// slices while its time per cell swung up to 2×. From 129 the wavefront
+/// wins clearly in every measurement (DESIGN.md §16).
 pub const WAVEFRONT_MIN_WIDTH: usize = 129;
 
 #[cfg(test)]

@@ -25,10 +25,10 @@
 //! Three sweeps share this shape: distance-only, min-tracking (the
 //! early-abandon test value) and path. The path sweep, which FastDTW runs
 //! at every level, also records one traceback byte per cell into the
-//! row's slice of the direction plane. Its tie-break takes the minimum as
-//! `diag.min(up).min(left)`, like the other two, and derives the
-//! direction from the same comparisons without a branch, so a path cell
-//! costs about what a distance cell costs plus the byte store.
+//! row's slice of the direction plane. Its tie-break takes the minimum
+//! with [`neighbor_min`], like the other two, and derives the direction
+//! from the same comparisons without a branch, so a path cell costs
+//! about what a distance cell costs plus the byte store.
 //!
 //! **Cost overflow.** The guards stand in `∞` for an out-of-window
 //! neighbor. A finite input pair whose cost overflows (`|x − y| ≳
@@ -44,18 +44,50 @@
 //! **Bitwise contract.** Every cell performs exactly the textbook
 //! guarded DP's operations, `cost + diag.min(up).min(left)` on the same
 //! operand values: the interior merely substitutes the guard results
-//! that are statically known. The recurrence domain contains no NaN
-//! (inputs are validated finite, costs are non-negative) and no `-0.0`
-//! (accumulated costs are sums of non-negative terms), so `f64::min` and
-//! `+` are deterministic pure functions of their operand values and the
-//! sweep agrees bit for bit with the full-matrix oracle in
-//! `tests/kernel_equivalence.rs`, distances, paths and `∞` included. The
-//! meters are recorded by the callers (per row, from the window bounds
-//! alone).
+//! that are statically known. Every DP-cell minimum the kernels take
+//! (this sweep, the wavefront, the batched lanes and the early-abandon
+//! folds) is [`cell_min`], whose doc shows that on the recurrence domain
+//! it returns `f64::min`'s bits; with `+`, it is a deterministic pure
+//! function of its operand values, so the sweep agrees bit for bit with
+//! the full-matrix `f64::min` oracle in `tests/kernel_equivalence.rs`,
+//! distances, paths and `∞` included. The meters are recorded by the
+//! callers (per row, from the window bounds alone).
 
 use std::ops::Range;
 
 use crate::cost::CostFn;
+
+/// The smaller of two recurrence values: `if b < a { b } else { a }`.
+///
+/// On the recurrence domain this returns exactly `a.min(b)`'s bits, in
+/// one `minsd`/`minpd` on x86-64, where `f64::min` adds a four-instruction
+/// NaN fix-up (`cmpunordsd`, `andpd`, `andnpd`, `orpd`) that lands on the
+/// row sweep's loop-carried `left` chain and in every vector lane.
+///
+/// The domain holds no NaN and no `−0.0`. Each operand is a guard's `+∞`,
+/// a cost, or a sum of costs. Inputs are validated finite, and for finite
+/// inputs every [`CostFn`] returns a value `≥ +0.0` that is never `−0.0`
+/// or NaN (`+∞` on overflow). A sum of such terms is `≥ +0.0` as well
+/// (`+0.0 + +0.0` is `+0.0`), and it is never NaN, because no term is
+/// `−∞`. Without NaN, `b < a` takes the strictly smaller operand, as
+/// `f64::min` does. When `a == b` the two have the same bits, since only
+/// `+0.0` and `−0.0` compare equal with different bits, so returning `a`
+/// returns `f64::min`'s answer too.
+#[inline(always)]
+pub(crate) fn cell_min(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The recurrence's `min(diag, up, left)`, folded in the textbook order
+/// `diag.min(up).min(left)` with [`cell_min`].
+#[inline(always)]
+pub(crate) fn neighbor_min(diag: f64, up: f64, left: f64) -> f64 {
+    cell_min(cell_min(diag, up), left)
+}
 
 /// The three neighbors of column `j` under the row guards (module
 /// docs): each neighbor's value, `+∞` outside the window, and whether
@@ -101,7 +133,7 @@ impl Guarded {
     /// The neighbor minimum, the expression the interior uses.
     #[inline(always)]
     fn best(self) -> f64 {
-        self.diag.min(self.up).min(self.left)
+        neighbor_min(self.diag, self.up, self.left)
     }
 
     /// [`pick`] restricted to in-window neighbors: a neighbor outside the
@@ -129,8 +161,8 @@ fn step(on_diag: bool, left_wins: bool) -> u8 {
 /// matching the classic presentation. Returns the neighbor minimum and
 /// the chosen step as its [`Direction`](crate::path::Direction) byte.
 ///
-/// The minimum is `diag.min(up).min(left)`, the expression the distance
-/// sweep uses. The step is Diagonal if `diag <= up && diag <= left`, else
+/// The minimum is [`neighbor_min`], the expression the distance sweep
+/// uses. The step is Diagonal if `diag <= up && diag <= left`, else
 /// Up if `up <= left`, else Left, computed from those comparisons as
 /// data rather than control flow: which neighbor wins changes from cell
 /// to cell with the data, so a branching choice mispredicts often.
@@ -138,7 +170,7 @@ fn step(on_diag: bool, left_wins: bool) -> u8 {
 fn pick(diag: f64, up: f64, left: f64) -> (f64, u8) {
     let on_diag = (diag <= up) & (diag <= left);
     // `left < up` is `!(up <= left)`: the recurrence domain holds no NaN.
-    (diag.min(up).min(left), step(on_diag, left < up))
+    (neighbor_min(diag, up, left), step(on_diag, left < up))
 }
 
 /// Fills distance-row columns `js` with the guarded rule.
@@ -218,10 +250,10 @@ pub(crate) fn distance_row<C: CostFn>(
     let out = &mut cur[seg_lo - lo..seg_lo - lo + len];
     let mut k = 0;
     while k + 4 <= len {
-        let v0 = cost.cost(xi, y_s[k]) + diag_s[k].min(up_s[k]).min(left);
-        let v1 = cost.cost(xi, y_s[k + 1]) + diag_s[k + 1].min(up_s[k + 1]).min(v0);
-        let v2 = cost.cost(xi, y_s[k + 2]) + diag_s[k + 2].min(up_s[k + 2]).min(v1);
-        let v3 = cost.cost(xi, y_s[k + 3]) + diag_s[k + 3].min(up_s[k + 3]).min(v2);
+        let v0 = cost.cost(xi, y_s[k]) + neighbor_min(diag_s[k], up_s[k], left);
+        let v1 = cost.cost(xi, y_s[k + 1]) + neighbor_min(diag_s[k + 1], up_s[k + 1], v0);
+        let v2 = cost.cost(xi, y_s[k + 2]) + neighbor_min(diag_s[k + 2], up_s[k + 2], v1);
+        let v3 = cost.cost(xi, y_s[k + 3]) + neighbor_min(diag_s[k + 3], up_s[k + 3], v2);
         out[k] = v0;
         out[k + 1] = v1;
         out[k + 2] = v2;
@@ -230,7 +262,7 @@ pub(crate) fn distance_row<C: CostFn>(
         k += 4;
     }
     while k < len {
-        let v = cost.cost(xi, y_s[k]) + diag_s[k].min(up_s[k]).min(left);
+        let v = cost.cost(xi, y_s[k]) + neighbor_min(diag_s[k], up_s[k], left);
         out[k] = v;
         left = v;
         k += 1;
@@ -257,7 +289,7 @@ fn min_cells<C: CostFn>(
     for j in js {
         let v = cost.cost(xi, y[j]) + Guarded::at(j, lo, plo, phi, prev, cur).best();
         cur[j - lo] = v;
-        row_min = row_min.min(v);
+        row_min = cell_min(row_min, v);
     }
     row_min
 }
@@ -336,9 +368,9 @@ pub(crate) fn min_row<C: CostFn>(
     let y_s = &y[seg_lo..seg_lo + len];
     let out = &mut cur[seg_lo - lo..seg_lo - lo + len];
     for k in 0..len {
-        let v = cost.cost(xi, y_s[k]) + diag_s[k].min(up_s[k]).min(left);
+        let v = cost.cost(xi, y_s[k]) + neighbor_min(diag_s[k], up_s[k], left);
         out[k] = v;
-        row_min = row_min.min(v);
+        row_min = cell_min(row_min, v);
         left = v;
     }
     min_cells(
@@ -452,4 +484,25 @@ pub(crate) fn path_row<C: CostFn>(
         dirs,
         cost,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::cell_min;
+
+    #[test]
+    fn cell_min_returns_f64_min_bits_on_the_recurrence_domain() {
+        // Zero, subnormals, ordinary and huge finite values, and the
+        // guards' `+∞`: every sign the domain admits.
+        const DOMAIN: [f64; 7] = [0.0, 4.9e-324, 1e-310, 1.0, 1e154, f64::MAX, f64::INFINITY];
+        for a in DOMAIN {
+            for b in DOMAIN {
+                assert_eq!(
+                    cell_min(a, b).to_bits(),
+                    a.min(b).to_bits(),
+                    "cell_min({a:e}, {b:e})"
+                );
+            }
+        }
+    }
 }

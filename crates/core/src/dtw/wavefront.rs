@@ -11,16 +11,17 @@
 //! autovectorizes — no unstable features, no target-specific intrinsics.
 //!
 //! **Bitwise equality.** Each cell computes exactly the row sweep's
-//! expression, `cost(xᵢ, yⱼ) + diag.min(up).min(left)`, from the same
-//! three predecessor *values* (out-of-window predecessors read `+∞`
+//! expression, `cost(xᵢ, yⱼ) + neighbor_min(diag, up, left)`, from the
+//! same three predecessor *values* (out-of-window predecessors read `+∞`
 //! here exactly where the sweep's guards substitute `+∞`). IEEE-754
-//! addition and `f64::min` are deterministic functions of their operand
-//! values, and the row-0 prefix sum `acc + cost` reappears here as
-//! `cost + left` (addition is commutative bitwise on this domain — no
-//! NaNs survive validation and costs are non-negative, so the `-0.0`
-//! corner cannot arise). Distances are therefore bitwise equal to the
-//! row sweep on every window shape, `+∞` from an overflowing cost
-//! included — the contract `tests/kernel_equivalence.rs` locks.
+//! addition and [`cell_min`](super::sweep::cell_min) are deterministic
+//! functions of their operand values on this domain (the helper's doc
+//! has the proof), and the row-0 prefix sum `acc + cost` reappears here
+//! as `cost + left` (addition is commutative bitwise on this domain — no
+//! NaNs survive validation and costs are `≥ +0.0`, so the `-0.0` corner
+//! cannot arise). Distances are therefore bitwise equal to the row sweep
+//! on every window shape, `+∞` from an overflowing cost included — the
+//! contract `tests/kernel_equivalence.rs` locks.
 //!
 //! **Geometry.** With validated windows (`lo`/`hi` monotone
 //! non-decreasing, `lo[i] ≤ hi[i-1] + 1`), both `f(i) = i + lo[i]` and
@@ -57,6 +58,7 @@ use crate::error::Result;
 use crate::window::SearchWindow;
 use tsdtw_obs::Meter;
 
+use super::sweep::neighbor_min;
 use super::windowed::DtwBuffer;
 
 /// Lane width of the diagonal inner loop. Eight f64 lanes fill one
@@ -158,14 +160,14 @@ pub(crate) fn wavefront_distance<C: CostFn, M: Meter>(
             while k + LANE_WIDTH <= cnt {
                 let mut lane = [0.0f64; LANE_WIDTH];
                 for (t, slot) in lane.iter_mut().enumerate() {
-                    let pred = diag_s[k + t].min(up_s[k + t]).min(left_s[k + t]);
+                    let pred = neighbor_min(diag_s[k + t], up_s[k + t], left_s[k + t]);
                     *slot = cost.cost(xs[k + t], yr[k + t]) + pred;
                 }
                 out[k..k + LANE_WIDTH].copy_from_slice(&lane);
                 k += LANE_WIDTH;
             }
             while k < cnt {
-                let pred = diag_s[k].min(up_s[k]).min(left_s[k]);
+                let pred = neighbor_min(diag_s[k], up_s[k], left_s[k]);
                 out[k] = cost.cost(xs[k], yr[k]) + pred;
                 k += 1;
             }

@@ -53,6 +53,9 @@
 //!   live lanes, and the mining k-NN scan (which takes the batched
 //!   route) must produce one meter regardless of worker count.
 
+mod common;
+
+use common::adversarial;
 use proptest::prelude::*;
 use tsdtw::core::cost::{AbsoluteCost, CostFn, Rooted, SquaredCost};
 use tsdtw::core::dtw::banded::{
@@ -210,19 +213,6 @@ fn assert_same_outcome(got: EaOutcome, want: EaOutcome, what: &str) {
 /// path, are common rather than measure-zero.
 fn tie_heavy(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec((-2i32..3).prop_map(f64::from), len)
-}
-
-/// Hostile values: ±1e155, whose squared difference with anything not
-/// within ~1e154 of it overflows to `+∞`; subnormals (±4.9e-324,
-/// ±1e-310); and ±0.0 — two thirds of the samples, mixed with ordinary
-/// values in −10..10.
-fn adversarial(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
-    const HOSTILE: [f64; 8] = [
-        1e155, -1e155, 4.9e-324, -4.9e-324, 1e-310, -1e-310, 0.0, -0.0,
-    ];
-    let sample =
-        (0usize..12, -10.0f64..10.0).prop_map(|(k, v)| HOSTILE.get(k).copied().unwrap_or(v));
-    prop::collection::vec(sample, len)
 }
 
 /// Piecewise-constant series: 40–120 points in at most 4 runs, each run

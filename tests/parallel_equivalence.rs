@@ -24,6 +24,9 @@
 //!   `chunk = 1`, and for any fixed chunk their counters are identical
 //!   at every thread count (winners are bitwise identical regardless).
 
+mod common;
+
+use common::adversarial;
 use proptest::prelude::*;
 use proptest::strategy::Just;
 use tsdtw::core::cost::SquaredCost;
@@ -199,32 +202,44 @@ proptest! {
     }
 
     /// Brute-force k-NN is an independent-item workload: neighbors and
-    /// counters equal the plain serial path at any thread count.
+    /// counters equal the plain serial path at any thread count, on
+    /// ordinary and on adversarial series (±1e155, subnormals, ±0.0),
+    /// through the batched lanes the equal-length scan takes.
     #[test]
     fn knn_brute_force_is_bitwise_serial(
         (series, labels) in labeled_suite(10, 32),
         query in prop::collection::vec(-10.0f64..10.0, 32..=32),
+        adv_series in prop::collection::vec(adversarial(32..33), 3..10),
+        adv_query in adversarial(32..33),
         k in 1usize..4,
         band in 0usize..4,
     ) {
-        let view = LabeledView::new(&series, &labels).unwrap();
+        let adv_labels: Vec<usize> = (0..adv_series.len()).map(|i| i % 3).collect();
         let spec = DistanceSpec::CdtwBand(band);
-        let mut serial_meter = WorkMeter::new();
-        let serial =
-            knn_brute_force_metered(&view, &query, spec, k, usize::MAX, &mut serial_meter).unwrap();
-        for n in thread_counts() {
-            let cfg = ParConfig::new(n).unwrap();
-            let mut par_meter = WorkMeter::new();
-            let par =
-                knn_brute_force_par(&view, &query, spec, k, usize::MAX, &cfg, &mut par_meter)
+        for (series, labels, query) in [
+            (&series, &labels, &query),
+            (&adv_series, &adv_labels, &adv_query),
+        ] {
+            let view = LabeledView::new(series, labels).unwrap();
+            let mut serial_meter = WorkMeter::new();
+            let serial =
+                knn_brute_force_metered(&view, query, spec, k, usize::MAX, &mut serial_meter)
                     .unwrap();
-            prop_assert_eq!(par.len(), serial.len());
-            for (p, s) in par.iter().zip(&serial) {
-                prop_assert_eq!(p.index, s.index, "n_threads={}", n);
-                prop_assert_eq!(p.label, s.label, "n_threads={}", n);
-                prop_assert_eq!(bits(p.distance), bits(s.distance), "n_threads={}", n);
+            prop_assert!(serial_meter.batch_groups > 0, "the scan takes the batched lanes");
+            for n in thread_counts() {
+                let cfg = ParConfig::new(n).unwrap();
+                let mut par_meter = WorkMeter::new();
+                let par =
+                    knn_brute_force_par(&view, query, spec, k, usize::MAX, &cfg, &mut par_meter)
+                        .unwrap();
+                prop_assert_eq!(par.len(), serial.len());
+                for (p, s) in par.iter().zip(&serial) {
+                    prop_assert_eq!(p.index, s.index, "n_threads={}", n);
+                    prop_assert_eq!(p.label, s.label, "n_threads={}", n);
+                    prop_assert_eq!(bits(p.distance), bits(s.distance), "n_threads={}", n);
+                }
+                prop_assert_eq!(&par_meter, &serial_meter, "n_threads={}", n);
             }
-            prop_assert_eq!(&par_meter, &serial_meter, "n_threads={}", n);
         }
     }
 
@@ -279,30 +294,34 @@ proptest! {
     }
 
     /// Pairwise distance matrices: every entry and every counter equals
-    /// the single-threaded run at any thread count.
+    /// the single-threaded run at any thread count, on ordinary and on
+    /// adversarial series.
     #[test]
     fn pairwise_matrix_is_bitwise_serial(
         (series, _) in labeled_suite(9, 24),
+        adv_series in prop::collection::vec(adversarial(24..25), 3..9),
         band in 0usize..4,
     ) {
         let dist = |a: &[f64], b: &[f64], m: &mut WorkMeter| {
             cdtw_distance_metered(a, b, band, SquaredCost, m)
         };
-        let cfg1 = ParConfig::new(1).unwrap();
-        let mut serial_meter = WorkMeter::new();
-        let serial = pairwise_matrix_par(&series, &cfg1, &mut serial_meter, dist).unwrap();
-        // The unmetered convenience wrapper agrees with the metered path.
-        let plain = pairwise_matrix(&series, 1, |a, b| {
-            tsdtw::core::dtw::banded::cdtw_distance(a, b, band, SquaredCost)
-        })
-        .unwrap();
-        prop_assert_eq!(&plain, &serial);
-        for n in thread_counts() {
-            let cfg = ParConfig::new(n).unwrap();
-            let mut par_meter = WorkMeter::new();
-            let par = pairwise_matrix_par(&series, &cfg, &mut par_meter, dist).unwrap();
-            prop_assert_eq!(&par, &serial, "n_threads={}", n);
-            prop_assert_eq!(&par_meter, &serial_meter, "n_threads={}", n);
+        for series in [&series, &adv_series] {
+            let cfg1 = ParConfig::new(1).unwrap();
+            let mut serial_meter = WorkMeter::new();
+            let serial = pairwise_matrix_par(series, &cfg1, &mut serial_meter, dist).unwrap();
+            // The unmetered convenience wrapper agrees with the metered path.
+            let plain = pairwise_matrix(series, 1, |a, b| {
+                tsdtw::core::dtw::banded::cdtw_distance(a, b, band, SquaredCost)
+            })
+            .unwrap();
+            prop_assert_eq!(&plain, &serial);
+            for n in thread_counts() {
+                let cfg = ParConfig::new(n).unwrap();
+                let mut par_meter = WorkMeter::new();
+                let par = pairwise_matrix_par(series, &cfg, &mut par_meter, dist).unwrap();
+                prop_assert_eq!(&par, &serial, "n_threads={}", n);
+                prop_assert_eq!(&par_meter, &serial_meter, "n_threads={}", n);
+            }
         }
     }
 
