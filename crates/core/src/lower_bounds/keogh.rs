@@ -80,14 +80,38 @@ pub fn lb_keogh_reordered(c: &[f64], env: &Envelope, order: &[usize], bsf: f64) 
             reason: format!("order has {} entries for length {}", order.len(), c.len()),
         });
     }
+    Ok(lb_keogh_reordered_by(env, order, bsf, |i| c[i], |_, _| {}))
+}
+
+/// The loop of [`lb_keogh_reordered`], generic over how candidate value
+/// `i` is read (`c(i)`), with no validation: the scan that derives each
+/// value on the fly (the subsequence search z-normalizes only the points
+/// this visits) shares it with the slice wrapper, bit for bit.
+///
+/// Each visited index and its excursion go to `visit`. A pass that
+/// returns below `bsf` has visited every index of `order`, so when
+/// `order` is a permutation, `visit` has seen the whole per-index
+/// contribution vector that [`suffix_sums_into`] turns into the
+/// cumulative bound. `c` must return finite values, and every index of
+/// `order` must be below `env.len()` (otherwise this panics).
+#[inline(always)]
+pub fn lb_keogh_reordered_by(
+    env: &Envelope,
+    order: &[usize],
+    bsf: f64,
+    c: impl Fn(usize) -> f64,
+    mut visit: impl FnMut(usize, f64),
+) -> f64 {
     let mut acc = 0.0;
     for &i in order {
-        acc += excursion(c[i], env.upper[i], env.lower[i]);
+        let e = excursion(c(i), env.upper[i], env.lower[i]);
+        visit(i, e);
+        acc += e;
         if acc >= bsf {
-            return Ok(acc);
+            return acc;
         }
     }
-    Ok(acc)
+    acc
 }
 
 /// LB_Keogh that additionally writes each index's contribution into
@@ -229,6 +253,30 @@ mod tests {
         // First visited index (25) alone exceeds the threshold.
         let lb = lb_keogh_reordered(&c, &env, &order, 1.0).unwrap();
         assert!(lb >= 1.0);
+    }
+
+    #[test]
+    fn reordered_pass_records_a_survivors_contributions() {
+        let q = rand_series(5, 48);
+        let c = rand_series(6, 48);
+        let env = Envelope::new(&q, 3).unwrap();
+        let order = sort_indices_by_magnitude(&q);
+        let mut want = Vec::new();
+        lb_keogh_with_contrib(&c, &env, &mut want).unwrap();
+        let mut got = vec![f64::NAN; c.len()];
+        let lb = lb_keogh_reordered_by(&env, &order, f64::INFINITY, |i| c[i], |i, e| got[i] = e);
+        assert_eq!(
+            lb.to_bits(),
+            lb_keogh_reordered(&c, &env, &order, f64::INFINITY)
+                .unwrap()
+                .to_bits()
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        // An abandoned pass stops at the index that crossed the bound.
+        let mut visited = 0;
+        let partial = lb_keogh_reordered_by(&env, &order, lb * 0.5, |i| c[i], |_, _| visited += 1);
+        assert!(partial >= lb * 0.5 && visited < order.len());
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! assumed z-normalized when that matters for tightness, but every bound is
 //! mathematically valid for raw series too.
 //!
-//! * [`kim`] — LB_Kim: O(1)-ish bound from boundary points.
+//! * [`kim`] — LB_Kim: O(1)-ish bound from boundary points, with its tier
+//!   arithmetic in one function over the points it reads.
 //! * [`keogh`] — LB_Keogh: O(n) bound from the band envelope, with early
-//!   abandoning and reordered-early-abandoning variants.
+//!   abandoning and reordered-early-abandoning variants (the latter also
+//!   generic over how a candidate value is read).
 //! * [`improved`] — LB_Improved (Lemire 2009): a tighter two-pass bound.
 //! * [`cascade`] — the UCR-suite ordering of the above plus early-abandoning
 //!   DTW, packaged for reuse by search and classification.

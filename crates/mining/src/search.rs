@@ -5,10 +5,30 @@
 //! citation of Rakthanmanon et al.: *"for similarity search of a cDTW_5
 //! query of length 128 … searched a time series of length one trillion in
 //! 1.4 days, however … FastDTW_10 would take 5.8 years."* It slides a
-//! query over a long haystack, z-normalizing each candidate window
-//! *just-in-time* from rolling sums, and disposes of almost every position
-//! with the lower-bound cascade before the DP ever runs. None of this
-//! machinery is available to FastDTW.
+//! query over a long haystack and disposes of almost every position with
+//! the lower-bound cascade before the DP ever runs. None of this machinery
+//! is available to FastDTW.
+//!
+//! A search runs in two steps:
+//!
+//! 1. **Validate and normalize once.** One pass over the haystack rejects a
+//!    non-finite value, then rolling sums give every window's
+//!    `(mean, 1/std)`. The running sums are re-summed over the current
+//!    window whenever the sum of squares falls below 2⁻²⁰ of its peak since
+//!    the last re-sum, so a spike that leaves the window takes its
+//!    cancellation error with it. A window whose sum of squares overflows
+//!    is rejected. The serial search, the executor search and the distance
+//!    profiles share this routine, so their windows agree bit for bit.
+//! 2. **Score each window** in the UCR suite's order. LB_Kim reads the six
+//!    corners of the window, z-normalized as they are read. The reordered,
+//!    early-abandoning LB_Keogh normalizes each point it visits and records
+//!    that point's contribution. A window that survives it has therefore
+//!    visited every point, and its cumulative bound for early-abandoning
+//!    `cDTW` is the suffix sum of those contributions, with no second pass.
+//!    Only the windows that reach the DP are normalized in full, into a
+//!    reused buffer. The bounds need no per-window validation: with a
+//!    finite haystack and a finite sum of squares, every normalized value
+//!    is finite.
 
 use crate::par::{par_fold_argmin, par_map, ParConfig};
 use tsdtw_core::cost::SquaredCost;
@@ -18,9 +38,9 @@ use tsdtw_core::dtw::Kernel;
 use tsdtw_core::envelope::Envelope;
 use tsdtw_core::error::{Error, Result};
 use tsdtw_core::lower_bounds::keogh::{
-    lb_keogh_reordered, lb_keogh_with_contrib, sort_indices_by_magnitude, suffix_sums_into,
+    lb_keogh_reordered_by, sort_indices_by_magnitude, suffix_sums_into,
 };
-use tsdtw_core::lower_bounds::kim::lb_kim_hierarchy;
+use tsdtw_core::lower_bounds::kim::{lb_kim_corners, Corners};
 use tsdtw_core::norm::znorm;
 use tsdtw_obs::{tightness_ppb, FunnelStage, LbKind, Meter, MeterShard, NoMeter, StageTag};
 
@@ -59,6 +79,240 @@ impl SearchStats {
         }
         (self.pruned_kim + self.pruned_keogh) as f64 / self.candidates as f64
     }
+
+    fn count(&mut self, d: &Disposition) {
+        self.candidates += 1;
+        match d {
+            Disposition::Kim => self.pruned_kim += 1,
+            Disposition::Keogh => self.pruned_keogh += 1,
+            Disposition::Abandoned => self.dtw_abandoned += 1,
+            Disposition::Exact(_) => self.dtw_exact += 1,
+        }
+    }
+}
+
+/// A window's z-normalization, `(mean, 1/std)`; `1/std` is 0 for a
+/// constant window, which normalizes to all zeros.
+type Norm = (f64, f64);
+
+/// Re-sum threshold of the rolling normalization: the running sums are
+/// recomputed over the current window once the sum of squares falls below
+/// this fraction (2⁻²⁰) of its peak since the last re-sum.
+const RESUM_BELOW: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// Checks the query and haystack of a search, and returns the z-normalized
+/// query with every window's `(mean, 1/std)`.
+///
+/// This is the search's only validation of the haystack: a non-finite
+/// value fails with [`Error::NonFiniteInput`], and a window whose running
+/// sum of squares is not finite (its squares overflow) fails with
+/// [`Error::InvalidParameter`]. Past it, `(x − mean) · (1/std)` is finite
+/// for every haystack value `x` of the window.
+///
+/// The sums roll by the UCR suite's recurrence: add the entering value (and
+/// its square), subtract the leaving one. When the sum of squares falls
+/// below 2⁻²⁰ of its peak since the last re-sum, both sums are recomputed
+/// over the current window, so the cancellation error a large value leaves
+/// behind when it exits does not reach any later window. On data without
+/// such a drop, nothing is re-summed and the recurrence is the plain one.
+fn prepare(haystack: &[f64], query: &[f64]) -> Result<(Vec<f64>, Vec<Norm>)> {
+    let m = query.len();
+    if m == 0 {
+        return Err(Error::EmptyInput { which: "query" });
+    }
+    if haystack.len() < m {
+        return Err(Error::InvalidParameter {
+            name: "haystack",
+            reason: format!("haystack ({}) shorter than query ({m})", haystack.len()),
+        });
+    }
+    let q = znorm(query)?;
+    if let Some(index) = haystack.iter().position(|v| !v.is_finite()) {
+        return Err(Error::NonFiniteInput {
+            which: "haystack",
+            index,
+        });
+    }
+    let sums = |w: &[f64]| w.iter().fold((0.0, 0.0), |(s, s2), &v| (s + v, s2 + v * v));
+    let (mut sum, mut sum_sq) = sums(&haystack[..m]);
+    let mut peak = sum_sq;
+    let n_pos = haystack.len() - m + 1;
+    let mut norms = Vec::with_capacity(n_pos);
+    for pos in 0..n_pos {
+        if pos > 0 {
+            let out = haystack[pos - 1];
+            let inc = haystack[pos + m - 1];
+            sum += inc - out;
+            sum_sq += inc * inc - out * out;
+            if sum_sq > peak {
+                peak = sum_sq;
+            } else if sum_sq < peak * RESUM_BELOW {
+                (sum, sum_sq) = sums(&haystack[pos..pos + m]);
+                peak = sum_sq;
+            }
+        }
+        if !sum_sq.is_finite() {
+            return Err(Error::InvalidParameter {
+                name: "haystack",
+                reason: format!("the sum of squares of the window at {pos} overflows"),
+            });
+        }
+        let mean = sum / m as f64;
+        let var = (sum_sq / m as f64 - mean * mean).max(0.0);
+        let std = var.sqrt();
+        norms.push((mean, if std > f64::EPSILON { 1.0 / std } else { 0.0 }));
+    }
+    Ok((q, norms))
+}
+
+/// Writes the z-normalized window `raw` into `out`.
+fn normalize_into(out: &mut [f64], raw: &[f64], (mean, inv): Norm) {
+    for (w, &v) in out.iter_mut().zip(raw) {
+        *w = (v - mean) * inv;
+    }
+}
+
+/// How a search disposed of one candidate position.
+enum Disposition {
+    Kim,
+    Keogh,
+    Abandoned,
+    Exact(f64),
+}
+
+impl Disposition {
+    /// The completed distance, the value competing for the minimum.
+    fn distance(&self) -> Option<f64> {
+        match self {
+            Disposition::Exact(d) => Some(*d),
+            _ => None,
+        }
+    }
+}
+
+/// What a subsequence search holds fixed across windows: the haystack
+/// and its window normalization, and the z-normalized query with its
+/// envelope, LB_Keogh visiting order and LB_Kim corners.
+struct Scan<'a> {
+    haystack: &'a [f64],
+    norms: Vec<Norm>,
+    q: Vec<f64>,
+    q_corners: Corners,
+    env: Envelope,
+    order: Vec<usize>,
+    band: usize,
+    /// Funnel cost proxy for the DTW stage: rows filled × band width.
+    band_width: u64,
+}
+
+/// One worker's scratch: the window materialized for the DP, LB_Keogh's
+/// per-index contributions and their suffix sums, and the DP buffer.
+struct Scratch {
+    window: Vec<f64>,
+    contrib: Vec<f64>,
+    cb: Vec<f64>,
+    dtw: DtwBuffer,
+}
+
+impl<'a> Scan<'a> {
+    fn new<M: Meter>(
+        haystack: &'a [f64],
+        query: &[f64],
+        band: usize,
+        meter: &mut M,
+    ) -> Result<Self> {
+        let (q, norms) = prepare(haystack, query)?;
+        let env = Envelope::new(&q, band)?;
+        meter.envelope_built(q.len() as u64);
+        Ok(Scan {
+            haystack,
+            norms,
+            q_corners: Corners::read(q.len(), |i| q[i]),
+            order: sort_indices_by_magnitude(&q),
+            env,
+            band,
+            band_width: (2 * band + 1).min(q.len()) as u64,
+            q,
+        })
+    }
+
+    fn scratch(&self) -> Scratch {
+        Scratch {
+            window: vec![0.0; self.q.len()],
+            contrib: vec![0.0; self.q.len()],
+            cb: Vec::new(),
+            dtw: DtwBuffer::new(),
+        }
+    }
+
+    /// Disposes of the window at `pos` against the best-so-far `bsf`:
+    /// LB_Kim on its corners, then the reordered LB_Keogh pass, both
+    /// normalizing only the points they read; then, for a window both
+    /// bounds let through, early-abandoning `cDTW` on the materialized
+    /// window with the cumulative bound from that same LB_Keogh pass.
+    fn score<M: Meter>(
+        &self,
+        pos: usize,
+        bsf: f64,
+        s: &mut Scratch,
+        meter: &mut M,
+    ) -> Result<Disposition> {
+        let m = self.q.len();
+        let (mean, inv) = self.norms[pos];
+        let raw = &self.haystack[pos..pos + m];
+        let z = |i: usize| (raw[i] - mean) * inv;
+
+        meter.lb(LbKind::Kim);
+        meter.stage_entered(FunnelStage::Kim);
+        meter.stage_cost(FunnelStage::Kim, 1);
+        let kim = lb_kim_corners(&self.q_corners, &Corners::read(m, z), bsf);
+        if kim >= bsf {
+            meter.prune(StageTag::Kim);
+            return Ok(Disposition::Kim);
+        }
+        meter.lb(LbKind::Keogh);
+        meter.stage_entered(FunnelStage::KeoghQC);
+        meter.stage_cost(FunnelStage::KeoghQC, m as u64);
+        let contrib = &mut s.contrib;
+        let keogh = lb_keogh_reordered_by(&self.env, &self.order, bsf, z, |i, e| contrib[i] = e);
+        if keogh >= bsf {
+            meter.prune(StageTag::KeoghQC);
+            return Ok(Disposition::Keogh);
+        }
+
+        meter.stage_entered(FunnelStage::Dtw);
+        suffix_sums_into(&s.contrib, &mut s.cb);
+        normalize_into(&mut s.window, raw, (mean, inv));
+        match cdtw_distance_ea_metered_buf_kernel(
+            &self.q,
+            &s.window,
+            self.band,
+            bsf,
+            Some(&s.cb),
+            SquaredCost,
+            &mut s.dtw,
+            meter,
+            Kernel::Auto,
+        )? {
+            EaOutcome::Exact(d) => {
+                meter.stage_cost(FunnelStage::Dtw, m as u64 * self.band_width);
+                if meter.enabled() {
+                    for (stage, lb) in [(FunnelStage::Kim, kim), (FunnelStage::KeoghQC, keogh)] {
+                        if let Some(ppb) = tightness_ppb(lb, d) {
+                            meter.stage_tightness(stage, ppb);
+                        }
+                    }
+                }
+                meter.prune(StageTag::DtwExact);
+                Ok(Disposition::Exact(d))
+            }
+            EaOutcome::Abandoned { rows_filled } => {
+                meter.stage_cost(FunnelStage::Dtw, rows_filled as u64 * self.band_width);
+                meter.prune(StageTag::DtwAbandoned);
+                Ok(Disposition::Abandoned)
+            }
+        }
+    }
 }
 
 /// Finds the best match of `query` across all sliding windows of
@@ -85,7 +339,12 @@ pub fn subsequence_search(haystack: &[f64], query: &[f64], band: usize) -> Resul
 /// [`subsequence_search`] with a [`Meter`] accumulating lower-bound
 /// invocations, per-stage prune tallies and the (early-abandoning) DP work
 /// across all candidate positions. The [`SearchStats`] counters and the
-/// meter's prune tallies agree by construction; tests pin it.
+/// meter's prune tallies agree by construction; tests pin it. Each window
+/// counts one LB_Kim call, and one LB_Keogh call if it gets past LB_Kim.
+///
+/// This is the plain serial fold (the best-so-far tightens after every
+/// window), the reference the executor's [`subsequence_search_par`]
+/// reproduces at `chunk = 1`.
 pub fn subsequence_search_metered<M: Meter>(
     haystack: &[f64],
     query: &[f64],
@@ -93,159 +352,24 @@ pub fn subsequence_search_metered<M: Meter>(
     meter: &mut M,
 ) -> Result<SearchResult> {
     let _span = tsdtw_obs::span("subsequence_search");
-    let m = query.len();
-    if m == 0 {
-        return Err(Error::EmptyInput { which: "query" });
-    }
-    if haystack.len() < m {
-        return Err(Error::InvalidParameter {
-            name: "haystack",
-            reason: format!("haystack ({}) shorter than query ({m})", haystack.len()),
-        });
-    }
-    let q = znorm(query)?;
-    let env = Envelope::new(&q, band)?;
-    meter.envelope_built(q.len() as u64);
-    let order = sort_indices_by_magnitude(&q);
-
-    let mut bsf = f64::INFINITY;
-    let mut best_pos = 0usize;
-    let mut stats = SearchStats::default();
-    let mut window = vec![0.0; m];
-    let mut contrib: Vec<f64> = Vec::new();
-    let mut cb: Vec<f64> = Vec::new();
-    let mut dtw_buf = DtwBuffer::new();
-    // Funnel cost proxy for the DTW stage: rows filled × band width.
-    let band_width = (2 * band + 1).min(m) as u64;
-
-    // Rolling sums for O(1) mean/std per position (just-in-time z-norm).
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    for &v in &haystack[..m] {
-        sum += v;
-        sum_sq += v * v;
-    }
-
-    for pos in 0..=haystack.len() - m {
-        if pos > 0 {
-            let out = haystack[pos - 1];
-            let inc = haystack[pos + m - 1];
-            sum += inc - out;
-            sum_sq += inc * inc - out * out;
-        }
-        stats.candidates += 1;
-        let mean = sum / m as f64;
-        let var = (sum_sq / m as f64 - mean * mean).max(0.0);
-        let std = var.sqrt();
-        let inv = if std > f64::EPSILON { 1.0 / std } else { 0.0 };
-
-        // Materialize the normalized candidate (one pass; the UCR suite
-        // fuses this with LB_Keogh — we keep it separate for clarity, the
-        // asymptotics are identical).
-        for (k, w) in window.iter_mut().enumerate() {
-            *w = (haystack[pos + k] - mean) * inv;
-        }
-
-        meter.lb(LbKind::Kim);
-        meter.stage_entered(FunnelStage::Kim);
-        meter.stage_cost(FunnelStage::Kim, 1);
-        let kim = lb_kim_hierarchy(&q, &window, bsf)?;
-        if kim >= bsf {
-            stats.pruned_kim += 1;
-            meter.prune(StageTag::Kim);
-            continue;
-        }
-        meter.lb(LbKind::Keogh);
-        meter.stage_entered(FunnelStage::KeoghQC);
-        meter.stage_cost(FunnelStage::KeoghQC, m as u64);
-        let keogh = lb_keogh_reordered(&window, &env, &order, bsf)?;
-        if keogh >= bsf {
-            stats.pruned_keogh += 1;
-            meter.prune(StageTag::KeoghQC);
-            continue;
-        }
-        meter.lb(LbKind::Keogh);
-        meter.stage_entered(FunnelStage::Dtw);
-        let _ = lb_keogh_with_contrib(&window, &env, &mut contrib)?;
-        suffix_sums_into(&contrib, &mut cb);
-        match cdtw_distance_ea_metered_buf_kernel(
-            &q,
-            &window,
-            band,
-            bsf,
-            Some(&cb),
-            SquaredCost,
-            &mut dtw_buf,
-            meter,
-            Kernel::Auto,
-        )? {
-            EaOutcome::Exact(d) => {
-                stats.dtw_exact += 1;
-                meter.stage_cost(FunnelStage::Dtw, m as u64 * band_width);
-                if meter.enabled() {
-                    for (stage, lb) in [(FunnelStage::Kim, kim), (FunnelStage::KeoghQC, keogh)] {
-                        if let Some(ppb) = tightness_ppb(lb, d) {
-                            meter.stage_tightness(stage, ppb);
-                        }
-                    }
-                }
-                meter.prune(StageTag::DtwExact);
-                if d < bsf {
-                    bsf = d;
-                    best_pos = pos;
-                }
-            }
-            EaOutcome::Abandoned { rows_filled } => {
-                stats.dtw_abandoned += 1;
-                meter.stage_cost(FunnelStage::Dtw, rows_filled as u64 * band_width);
-                meter.prune(StageTag::DtwAbandoned);
+    let scan = Scan::new(haystack, query, band, meter)?;
+    let mut scratch = scan.scratch();
+    let mut best = SearchResult {
+        position: 0,
+        distance: f64::INFINITY,
+        stats: SearchStats::default(),
+    };
+    for pos in 0..scan.norms.len() {
+        let disposition = scan.score(pos, best.distance, &mut scratch, meter)?;
+        best.stats.count(&disposition);
+        if let Some(d) = disposition.distance() {
+            if d < best.distance {
+                best.distance = d;
+                best.position = pos;
             }
         }
     }
-
-    Ok(SearchResult {
-        position: best_pos,
-        distance: bsf,
-        stats,
-    })
-}
-
-/// Per-position `(mean, 1/std)` of every length-`m` window of `haystack`,
-/// computed with the exact rolling-sum recurrence the serial searchers
-/// use, so the windows the parallel paths materialize from these arrays
-/// are bitwise identical to the serially-normalized ones.
-fn rolling_norm_params(haystack: &[f64], m: usize) -> (Vec<f64>, Vec<f64>) {
-    let n_pos = haystack.len() - m + 1;
-    let mut means = Vec::with_capacity(n_pos);
-    let mut invs = Vec::with_capacity(n_pos);
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    for &v in &haystack[..m] {
-        sum += v;
-        sum_sq += v * v;
-    }
-    for pos in 0..n_pos {
-        if pos > 0 {
-            let out = haystack[pos - 1];
-            let inc = haystack[pos + m - 1];
-            sum += inc - out;
-            sum_sq += inc * inc - out * out;
-        }
-        let mean = sum / m as f64;
-        let var = (sum_sq / m as f64 - mean * mean).max(0.0);
-        let std = var.sqrt();
-        means.push(mean);
-        invs.push(if std > f64::EPSILON { 1.0 / std } else { 0.0 });
-    }
-    (means, invs)
-}
-
-/// How the parallel searcher disposed of one candidate position.
-enum Disposition {
-    Kim,
-    Keogh,
-    Abandoned,
-    Exact(f64),
+    Ok(best)
 }
 
 /// [`subsequence_search`] on the deterministic parallel executor.
@@ -268,112 +392,21 @@ pub fn subsequence_search_par<M: MeterShard>(
     meter: &mut M,
 ) -> Result<SearchResult> {
     let _span = tsdtw_obs::span("subsequence_search");
-    let m = query.len();
-    if m == 0 {
-        return Err(Error::EmptyInput { which: "query" });
-    }
-    if haystack.len() < m {
-        return Err(Error::InvalidParameter {
-            name: "haystack",
-            reason: format!("haystack ({}) shorter than query ({m})", haystack.len()),
-        });
-    }
-    let q = znorm(query)?;
-    let env = Envelope::new(&q, band)?;
-    meter.envelope_built(q.len() as u64);
-    let order = sort_indices_by_magnitude(&q);
-    let (means, invs) = rolling_norm_params(haystack, m);
-    let positions: Vec<usize> = (0..means.len()).collect();
-
-    let band_width = (2 * band + 1).min(m) as u64;
+    let scan = Scan::new(haystack, query, band, meter)?;
     let (best, outcomes) = par_fold_argmin(
         cfg,
-        &positions,
+        &scan.norms,
         meter,
         f64::INFINITY,
-        || {
-            Ok((
-                vec![0.0; m],
-                Vec::<f64>::new(),
-                Vec::<f64>::new(),
-                DtwBuffer::new(),
-            ))
-        },
-        |ctx, _, &pos, bsf, mm| {
-            let (window, contrib, cb, dtw_buf) = ctx;
-            for (k, w) in window.iter_mut().enumerate() {
-                *w = (haystack[pos + k] - means[pos]) * invs[pos];
-            }
-            mm.lb(LbKind::Kim);
-            mm.stage_entered(FunnelStage::Kim);
-            mm.stage_cost(FunnelStage::Kim, 1);
-            let kim = lb_kim_hierarchy(&q, window, bsf)?;
-            if kim >= bsf {
-                mm.prune(StageTag::Kim);
-                return Ok(Disposition::Kim);
-            }
-            mm.lb(LbKind::Keogh);
-            mm.stage_entered(FunnelStage::KeoghQC);
-            mm.stage_cost(FunnelStage::KeoghQC, m as u64);
-            let keogh = lb_keogh_reordered(window, &env, &order, bsf)?;
-            if keogh >= bsf {
-                mm.prune(StageTag::KeoghQC);
-                return Ok(Disposition::Keogh);
-            }
-            mm.lb(LbKind::Keogh);
-            mm.stage_entered(FunnelStage::Dtw);
-            let _ = lb_keogh_with_contrib(window, &env, contrib)?;
-            suffix_sums_into(contrib, cb);
-            match cdtw_distance_ea_metered_buf_kernel(
-                &q,
-                window,
-                band,
-                bsf,
-                Some(cb),
-                SquaredCost,
-                dtw_buf,
-                mm,
-                Kernel::Auto,
-            )? {
-                EaOutcome::Exact(d) => {
-                    mm.stage_cost(FunnelStage::Dtw, m as u64 * band_width);
-                    if mm.enabled() {
-                        for (stage, lb) in [(FunnelStage::Kim, kim), (FunnelStage::KeoghQC, keogh)]
-                        {
-                            if let Some(ppb) = tightness_ppb(lb, d) {
-                                mm.stage_tightness(stage, ppb);
-                            }
-                        }
-                    }
-                    mm.prune(StageTag::DtwExact);
-                    Ok(Disposition::Exact(d))
-                }
-                EaOutcome::Abandoned { rows_filled } => {
-                    mm.stage_cost(FunnelStage::Dtw, rows_filled as u64 * band_width);
-                    mm.prune(StageTag::DtwAbandoned);
-                    Ok(Disposition::Abandoned)
-                }
-            }
-        },
-        |e| match e {
-            Disposition::Exact(d) => Some(*d),
-            _ => None,
-        },
+        || Ok(scan.scratch()),
+        |scratch, pos, _, bsf, mm| scan.score(pos, bsf, scratch, mm),
+        Disposition::distance,
     )?;
-
-    let mut stats = SearchStats {
-        candidates: outcomes.len() as u64,
-        ..SearchStats::default()
-    };
-    for e in &outcomes {
-        match e {
-            Disposition::Kim => stats.pruned_kim += 1,
-            Disposition::Keogh => stats.pruned_keogh += 1,
-            Disposition::Abandoned => stats.dtw_abandoned += 1,
-            Disposition::Exact(_) => stats.dtw_exact += 1,
-        }
+    let mut stats = SearchStats::default();
+    for d in &outcomes {
+        stats.count(d);
     }
-    let (position, distance) = best.map_or((0, f64::INFINITY), |(pos, d)| (pos, d));
+    let (position, distance) = best.unwrap_or((0, f64::INFINITY));
     Ok(SearchResult {
         position,
         distance,
@@ -424,7 +457,9 @@ pub fn subsequence_search_brute(
 ///
 /// Unlike [`subsequence_search`] this computes *every* value (no
 /// pruning — all of them are the output), which is what top-k matching,
-/// motif exploration and plotting need.
+/// motif exploration and plotting need. Its windows are the search's bit
+/// for bit (one normalization routine), so the profile's first strict
+/// minimum is the search's result, position and distance bits alike.
 pub fn distance_profile(haystack: &[f64], query: &[f64], band: usize) -> Result<Vec<f64>> {
     distance_profile_metered(haystack, query, band, &mut NoMeter)
 }
@@ -439,47 +474,16 @@ pub fn distance_profile_metered<M: Meter>(
 ) -> Result<Vec<f64>> {
     let _span = tsdtw_obs::span("subsequence_search");
     let m = query.len();
-    if m == 0 {
-        return Err(Error::EmptyInput { which: "query" });
-    }
-    if haystack.len() < m {
-        return Err(Error::InvalidParameter {
-            name: "haystack",
-            reason: format!("haystack ({}) shorter than query ({m})", haystack.len()),
-        });
-    }
-    let q = znorm(query)?;
-    let mut out = Vec::with_capacity(haystack.len() - m + 1);
+    let (q, norms) = prepare(haystack, query)?;
     let mut window = vec![0.0; m];
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    for &v in &haystack[..m] {
-        sum += v;
-        sum_sq += v * v;
-    }
-    for pos in 0..=haystack.len() - m {
-        if pos > 0 {
-            let outv = haystack[pos - 1];
-            let inv_ = haystack[pos + m - 1];
-            sum += inv_ - outv;
-            sum_sq += inv_ * inv_ - outv * outv;
-        }
-        let mean = sum / m as f64;
-        let var = (sum_sq / m as f64 - mean * mean).max(0.0);
-        let std = var.sqrt();
-        let inv = if std > f64::EPSILON { 1.0 / std } else { 0.0 };
-        for (k, w) in window.iter_mut().enumerate() {
-            *w = (haystack[pos + k] - mean) * inv;
-        }
-        out.push(tsdtw_core::dtw::banded::cdtw_distance_metered(
-            &q,
-            &window,
-            band,
-            SquaredCost,
-            meter,
-        )?);
-    }
-    Ok(out)
+    norms
+        .iter()
+        .enumerate()
+        .map(|(pos, &norm)| {
+            normalize_into(&mut window, &haystack[pos..pos + m], norm);
+            tsdtw_core::dtw::banded::cdtw_distance_metered(&q, &window, band, SquaredCost, meter)
+        })
+        .collect()
 }
 
 /// [`distance_profile`] on the deterministic parallel executor: every
@@ -495,23 +499,10 @@ pub fn distance_profile_par<M: MeterShard>(
 ) -> Result<Vec<f64>> {
     let _span = tsdtw_obs::span("subsequence_search");
     let m = query.len();
-    if m == 0 {
-        return Err(Error::EmptyInput { which: "query" });
-    }
-    if haystack.len() < m {
-        return Err(Error::InvalidParameter {
-            name: "haystack",
-            reason: format!("haystack ({}) shorter than query ({m})", haystack.len()),
-        });
-    }
-    let q = znorm(query)?;
-    let (means, invs) = rolling_norm_params(haystack, m);
-    let positions: Vec<usize> = (0..means.len()).collect();
-    par_map(cfg, &positions, meter, |_, &pos, mm| {
+    let (q, norms) = prepare(haystack, query)?;
+    par_map(cfg, &norms, meter, |pos, &norm, mm| {
         let mut window = vec![0.0; m];
-        for (k, w) in window.iter_mut().enumerate() {
-            *w = (haystack[pos + k] - means[pos]) * invs[pos];
-        }
+        normalize_into(&mut window, &haystack[pos..pos + m], norm);
         tsdtw_core::dtw::banded::cdtw_distance_metered(&q, &window, band, SquaredCost, mm)
     })
 }
@@ -613,6 +604,7 @@ fn greedy_top_k(profile: &[f64], k: usize, exclusion: usize) -> Vec<Match> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsdtw_datasets::random_walk::random_walks;
 
     /// A haystack with a planted (scaled + offset) copy of the query.
     fn planted(seed: u64, n: usize, m: usize, at: usize) -> (Vec<f64>, Vec<f64>) {
@@ -690,10 +682,70 @@ mod tests {
         assert!((a.distance - b.distance).abs() < 1e-6);
     }
 
+    type ErrorCheck = fn(&Error) -> bool;
+
+    /// Haystacks the one up-front validation must reject, each with a
+    /// check of the error: a NaN or an infinity (`NonFiniteInput` at its
+    /// index), and a finite value whose square overflows the window's sum
+    /// of squares (`InvalidParameter`).
+    fn bad_haystacks() -> Vec<(Vec<f64>, ErrorCheck)> {
+        let base: Vec<f64> = (0..60).map(|i| (i as f64 * 0.3).sin()).collect();
+        let non_finite: ErrorCheck = |e| {
+            *e == Error::NonFiniteInput {
+                which: "haystack",
+                index: 37,
+            }
+        };
+        let overflow: ErrorCheck = |e| {
+            matches!(
+                e,
+                Error::InvalidParameter {
+                    name: "haystack",
+                    ..
+                }
+            )
+        };
+        [
+            (f64::NAN, non_finite),
+            (f64::INFINITY, non_finite),
+            (1e160, overflow),
+        ]
+        .into_iter()
+        .map(|(v, check)| {
+            let mut hay = base.clone();
+            hay[37] = v;
+            (hay, check)
+        })
+        .collect()
+    }
+
     #[test]
     fn rejects_degenerate_inputs() {
         assert!(subsequence_search(&[1.0, 2.0], &[], 1).is_err());
         assert!(subsequence_search(&[1.0], &[1.0, 2.0], 1).is_err());
+        let query = [0.3, -1.0, 2.0, 0.5, 0.0, 1.5, -0.5, 1.0];
+        for (hay, check) in bad_haystacks() {
+            let e = subsequence_search(&hay, &query, 2).unwrap_err();
+            assert!(check(&e), "{e}");
+            let e = distance_profile(&hay, &query, 2).unwrap_err();
+            assert!(check(&e), "{e}");
+        }
+    }
+
+    /// A spike that leaves the window must take its cancellation error
+    /// with it: without re-summing, the running sum of squares keeps the
+    /// rounding error of `spike²` in every later window, and the search
+    /// returned position 31 (d = 40.04) instead of 250 (d = 17.49).
+    #[test]
+    fn a_spike_leaving_the_window_does_not_skew_later_windows() {
+        let mut hay = random_walks(1, 4000, 7).unwrap().remove(0);
+        hay[100] = 1e10;
+        let query = random_walks(1, 64, 8).unwrap().remove(0);
+        let fast = subsequence_search(&hay, &query, 3).unwrap();
+        let brute = subsequence_search_brute(&hay, &query, 3).unwrap();
+        assert_eq!(fast.position, 250);
+        assert_eq!(fast.position, brute.position);
+        assert!((fast.distance - brute.distance).abs() <= 1e-12 * brute.distance);
     }
 
     #[test]
@@ -709,8 +761,11 @@ mod tests {
                 |acc, (i, &v)| if v < acc.1 { (i, v) } else { acc },
             );
         let search = subsequence_search(&hay, &query, 4).unwrap();
+        // The profile never prunes and shares the search's window
+        // normalization, so its first strict minimum is the search's
+        // answer bit for bit.
         assert_eq!(argmin, search.position);
-        assert!((min - search.distance).abs() < 1e-9);
+        assert_eq!(min.to_bits(), search.distance.to_bits());
     }
 
     #[test]
@@ -851,6 +906,12 @@ mod tests {
         assert!(subsequence_search_par(&hay, &[], 2, &ok, &mut NoMeter).is_err());
         assert!(distance_profile_par(&[1.0], &[1.0, 2.0], 1, &ok, &mut NoMeter).is_err());
         assert!(top_k_matches_par(&hay, &query, 2, 0, 8, &ok, &mut NoMeter).is_err());
+        for (hay, check) in bad_haystacks() {
+            let e = subsequence_search_par(&hay, &query, 2, &ok, &mut NoMeter).unwrap_err();
+            assert!(check(&e), "{e}");
+            let e = distance_profile_par(&hay, &query, 2, &ok, &mut NoMeter).unwrap_err();
+            assert!(check(&e), "{e}");
+        }
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! inputs.
 
 use proptest::prelude::*;
+use tsdtw_core::cost::SquaredCost;
+use tsdtw_core::dtw::banded::cdtw_distance;
+use tsdtw_core::norm::znorm;
 use tsdtw_mining::cluster::{agglomerative, Linkage};
 use tsdtw_mining::dataset_views::LabeledView;
 use tsdtw_mining::knn::{classify_knn, knn_brute_force, nn_brute_force, nn_cascade, DistanceSpec};
 use tsdtw_mining::pairwise::{pairwise_matrix, DistanceMatrix};
-use tsdtw_mining::search::{subsequence_search, subsequence_search_brute};
+use tsdtw_mining::search::{distance_profile, subsequence_search, subsequence_search_brute};
 
 fn labeled_pool(count: usize, len: usize) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<usize>)> {
     (
@@ -94,19 +97,59 @@ proptest! {
         prop_assert!((tree.merges[0].height - min_d).abs() < 1e-12);
     }
 
-    /// The accelerated subsequence search equals the brute-force scan.
+    /// The accelerated subsequence search finds the first strict minimum
+    /// of the distance profile, which never prunes and normalizes its
+    /// windows by the same routine, so position and distance bits agree
+    /// exactly; and it agrees with the brute-force scan (every window
+    /// z-normalized on its own) within 1e-9. Query lengths run 2–40
+    /// (LB_Kim's first/last fallback covers those below 6), bands
+    /// 0..=m+2, and four haystacks in five carry one spike of up to
+    /// 1e150 (squares still finite).
     #[test]
-    fn search_equivalence(seed in 0u64..30) {
+    fn search_equivalence(
+        seed in 0u64..1000,
+        m in 2usize..=40,
+        band_pick in 0usize..1000,
+        spike in 0usize..5,
+    ) {
+        let band = band_pick % (m + 3);
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
         let mut rnd = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
-        let hay: Vec<f64> = (0..200).map(|_| rnd() * 2.0).collect();
-        let query: Vec<f64> = (0..24).map(|_| rnd()).collect();
-        let fast = subsequence_search(&hay, &query, 3).unwrap();
-        let brute = subsequence_search_brute(&hay, &query, 3).unwrap();
-        prop_assert_eq!(fast.position, brute.position);
-        prop_assert!((fast.distance - brute.distance).abs() < 1e-9);
+        let mut hay: Vec<f64> = (0..200).map(|_| rnd() * 2.0).collect();
+        if spike > 0 {
+            let at = ((rnd() + 1.0) * 100.0) as usize % hay.len();
+            hay[at] = [1e3, 1e8, 1e10, 1e150][spike - 1] * rnd().signum();
+        }
+        let query: Vec<f64> = (0..m).map(|_| rnd()).collect();
+        let fast = subsequence_search(&hay, &query, band).unwrap();
+
+        let profile = distance_profile(&hay, &query, band).unwrap();
+        let (argmin, min) = profile
+            .iter()
+            .enumerate()
+            .fold((0, f64::INFINITY), |acc, (i, &v)| if v < acc.1 { (i, v) } else { acc });
+        prop_assert_eq!(fast.position, argmin, "m {} band {} spike {}", m, band, spike);
+        prop_assert_eq!(fast.distance.to_bits(), min.to_bits());
+
+        // Every 2-point window z-normalizes to ±(1, −1), so those tie
+        // exactly and brute force may pick another of the tied positions:
+        // there, compare its distance at the search's position instead.
+        let brute = subsequence_search_brute(&hay, &query, band).unwrap();
+        if m > 2 {
+            prop_assert_eq!(fast.position, brute.position);
+        }
+        let at_fast = cdtw_distance(
+            &znorm(&query).unwrap(),
+            &znorm(&hay[fast.position..fast.position + m]).unwrap(),
+            band,
+            SquaredCost,
+        )
+        .unwrap();
+        let tol = 1e-9;
+        prop_assert!((fast.distance - brute.distance).abs() <= tol);
+        prop_assert!((at_fast - brute.distance).abs() <= tol);
     }
 }

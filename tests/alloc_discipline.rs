@@ -28,7 +28,8 @@ use tsdtw::core::norm::znorm;
 use tsdtw::core::{Envelope, Kernel, SearchWindow};
 use tsdtw::datasets::ecg::beats;
 use tsdtw::datasets::random_walk::random_walks;
-use tsdtw::mining::{DistanceSpec, LabeledView};
+use tsdtw::mining::search::subsequence_search_par;
+use tsdtw::mining::{DistanceSpec, LabeledView, ParConfig};
 use tsdtw_obs::{heap_telemetry_enabled, spans_enabled, AllocScope, NoMeter, WorkMeter};
 
 /// Whether the zero-allocation assertions are provable in this build:
@@ -400,6 +401,32 @@ fn warmed_subsequence_candidate_loop_never_allocates() {
         assert!(
             warm.is_zero(),
             "warmed subsequence candidate loop touched the heap: {warm:?}"
+        );
+    }
+
+    // The library's own loop, as the benchmark times it: the executor's
+    // search at one worker makes the same number of allocations on a
+    // haystack four times as long, so none of them is per window.
+    let long = random_walks(1, 4096, 0xD15C + 5)
+        .expect("generator")
+        .remove(0);
+    let search_allocs = |hay: &[f64]| {
+        let probe = AllocScope::begin();
+        let hit = subsequence_search_par(hay, &query, band, &ParConfig::serial(), &mut NoMeter)
+            .expect("valid inputs");
+        (probe.end(), hit.stats.dtw_exact + hit.stats.dtw_abandoned)
+    };
+    let (short_heap, short_dp) = search_allocs(&haystack);
+    let (long_heap, long_dp) = search_allocs(&long);
+    assert!(
+        short_dp >= 1 && long_dp > short_dp,
+        "{short_dp} vs {long_dp} DP entrants"
+    );
+    if strict() {
+        assert_eq!(
+            (short_heap.allocs, short_heap.reallocs),
+            (long_heap.allocs, long_heap.reallocs),
+            "the search's allocations grow with the haystack: {short_heap:?} vs {long_heap:?}"
         );
     }
 }
