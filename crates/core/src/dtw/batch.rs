@@ -11,16 +11,25 @@
 //! has no cross-lane dependency, and the compiler autovectorizes the
 //! `[f64; LANES]` arithmetic (no unstable features).
 //!
+//! **Row split.** Each row is split against the previous one exactly as
+//! the scalar row sweep (`sweep::distance_row`, DESIGN.md §11) splits
+//! it, at `seg_lo = max(lo, plo + 1)` and `seg_hi = min(hi, phi)`. The
+//! prefix `[lo, seg_lo)` and the suffix `(seg_hi, hi]` run the guarded
+//! rule once per column for all lanes; the interior `[seg_lo, seg_hi]`,
+//! where `up` and `diag` are admissible by construction, reads four
+//! slices taken once per row and carries `left` in registers, with no
+//! per-column guard. Degenerate rows (`seg_lo > seg_hi`) run the
+//! guarded rule over the whole row, out of line.
+//!
 //! **Bitwise equality.** Lane `l` executes exactly the scalar banded
 //! recurrence of `(x, ys[l])`: the same Sakoe–Chiba window (shared —
 //! all candidates have equal length), the same guarded `+∞`
 //! substitutions, the same `cost + neighbor_min(diag, up, left)`
-//! expression, and the same row-0 prefix sum. Every minimum, the
-//! early-abandon row-minimum folds included, is the crate-private
-//! `sweep::cell_min`, whose doc shows it returns `f64::min`'s bits on
-//! this domain. Interleaving independent scalar computations does not
-//! change any of their intermediate values, so every lane's distance is
-//! bitwise equal to
+//! expression, and the same row-0 prefix sum. Every minimum is the
+//! crate-private `sweep::cell_min`, whose doc shows it returns
+//! `f64::min`'s bits on this domain. Interleaving independent scalar
+//! computations does not change any of their intermediate values, so
+//! every lane's distance is bitwise equal to
 //! [`cdtw_distance`](super::banded::cdtw_distance) on that pair —
 //! `tests/kernel_equivalence.rs` locks this per lane.
 //!
@@ -31,14 +40,8 @@
 //! ([`Meter::batch_group`]) that exist only on this path. Padding
 //! lanes (when fewer than [`LANES`] candidates remain) replicate lane 0
 //! and are never metered or reported.
-//!
-//! The early-abandoning variant [`cdtw_batch_ea_metered`] carries a
-//! per-lane alive mask: each lane folds its row minimum left-to-right
-//! in column order — the abandon-test fold-order contract of the
-//! scalar kernel ([`super::early_abandon`]) — and drops out of the
-//! metering exactly at the row where the scalar kernel would abandon,
-//! so per-lane outcomes, `rows_filled`, and `ea.*` counters all match
-//! the scalar kernel with the same thresholds.
+
+use std::ops::Range;
 
 use crate::cost::CostFn;
 use crate::error::{check_finite, check_nonempty, Error, Result};
@@ -46,8 +49,7 @@ use crate::window::SearchWindow;
 use tsdtw_obs::{Meter, NoMeter};
 
 use super::banded::check_band;
-use super::early_abandon::EaOutcome;
-use super::sweep::{cell_min, neighbor_min};
+use super::sweep::neighbor_min;
 
 /// Number of candidate lanes per batched call. Eight f64 lanes match
 /// the widest vector unit this crate targets and keep the struct-of-
@@ -220,9 +222,70 @@ pub fn cdtw_batch_distances_metered<C: CostFn, M: Meter>(
     Ok(())
 }
 
-/// One interior DP row across all lanes: the guarded scalar recurrence,
-/// lane-vectorized. The `left` predecessor rides in a register.
+/// The `+∞` stand-in for an out-of-window neighbor, in every lane.
+const INF_ROW: [f64; LANES] = [f64::INFINITY; LANES];
+
+/// Fills columns `js` of one row with the guarded rule, lane-wide: the
+/// scalar sweep's guards, evaluated once per column for all lanes.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn batch_cells<C: CostFn>(
+    xi: f64,
+    yt: &[[f64; LANES]],
+    js: Range<usize>,
+    lo: usize,
+    plo: usize,
+    phi: usize,
+    prev: &[[f64; LANES]],
+    cur: &mut [[f64; LANES]],
+    cost: C,
+) {
+    for j in js {
+        let up = if j >= plo && j <= phi {
+            prev[j - plo]
+        } else {
+            INF_ROW
+        };
+        let diag = if j > plo && j - 1 <= phi {
+            prev[j - 1 - plo]
+        } else {
+            INF_ROW
+        };
+        let left = if j > lo { cur[j - 1 - lo] } else { INF_ROW };
+        let yj = yt[j];
+        let mut v = [0.0f64; LANES];
+        for l in 0..LANES {
+            v[l] = cost.cost(xi, yj[l]) + neighbor_min(diag[l], up[l], left[l]);
+        }
+        cur[j - lo] = v;
+    }
+}
+
+/// A degenerate row, guarded column by column. Kept out of line like
+/// the scalar sweep's degenerate rows, so it does not grow the hot row
+/// body.
+#[allow(clippy::too_many_arguments)]
+#[cold]
+#[inline(never)]
+fn batch_row_degenerate<C: CostFn>(
+    xi: f64,
+    yt: &[[f64; LANES]],
+    lo: usize,
+    hi: usize,
+    plo: usize,
+    phi: usize,
+    prev: &[[f64; LANES]],
+    cur: &mut [[f64; LANES]],
+    cost: C,
+) {
+    batch_cells(xi, yt, lo..hi + 1, lo, plo, phi, prev, cur, cost);
+}
+
+/// One DP row across all lanes, split like the scalar
+/// `sweep::distance_row`: guarded prefix, branch-free interior, guarded
+/// suffix.
+#[allow(clippy::too_many_arguments)]
+#[inline]
 fn batch_row<C: CostFn>(
     xi: f64,
     yt: &[[f64; LANES]],
@@ -234,192 +297,35 @@ fn batch_row<C: CostFn>(
     cur: &mut [[f64; LANES]],
     cost: C,
 ) {
-    const INF_ROW: [f64; LANES] = [f64::INFINITY; LANES];
-    let mut left = INF_ROW;
-    for j in lo..=hi {
-        let up = if j >= plo && j <= phi {
-            prev[j - plo]
-        } else {
-            INF_ROW
-        };
-        let diag = if j > plo && j - 1 <= phi {
-            prev[j - 1 - plo]
-        } else {
-            INF_ROW
-        };
-        let yj = yt[j];
+    let seg_lo = lo.max(plo + 1);
+    let seg_hi = hi.min(phi);
+    if seg_lo > seg_hi {
+        return batch_row_degenerate(xi, yt, lo, hi, plo, phi, prev, cur, cost);
+    }
+    batch_cells(xi, yt, lo..seg_lo, lo, plo, phi, prev, cur, cost);
+    // Interior invariant (the scalar sweep's): for j ∈ [seg_lo, seg_hi]
+    // both `up` (prev[j]) and `diag` (prev[j-1]) are admissible and
+    // stored, and `left` is the cell written one step earlier, seeded
+    // from the prefix (or ∞ at the row start).
+    let len = seg_hi - seg_lo + 1;
+    let mut left = if seg_lo > lo {
+        cur[seg_lo - 1 - lo]
+    } else {
+        INF_ROW
+    };
+    let up_s = &prev[seg_lo - plo..seg_lo - plo + len];
+    let diag_s = &prev[seg_lo - 1 - plo..seg_lo - 1 - plo + len];
+    let y_s = &yt[seg_lo..seg_lo + len];
+    let out = &mut cur[seg_lo - lo..seg_lo - lo + len];
+    for (((o, yj), up), diag) in out.iter_mut().zip(y_s).zip(up_s).zip(diag_s) {
         let mut v = [0.0f64; LANES];
         for l in 0..LANES {
             v[l] = cost.cost(xi, yj[l]) + neighbor_min(diag[l], up[l], left[l]);
         }
-        cur[j - lo] = v;
+        *o = v;
         left = v;
     }
-}
-
-/// Early-abandoning batched `cDTW_band`: per-lane thresholds, optional
-/// per-lane cumulative bounds (each of the candidate's length, as in
-/// the scalar kernel), per-lane outcomes. Lane `l` abandons at exactly
-/// the row `cdtw_distance_ea(x, ys[l], band, thresholds[l], cb_l, ..)`
-/// abandons at, and completed lanes return the bitwise-equal exact
-/// distance; `ea.*`/`cells` counters fold only over rows a lane was
-/// still alive for, matching the scalar kernel per lane.
-#[allow(clippy::too_many_arguments)]
-pub fn cdtw_batch_ea_metered<C: CostFn, M: Meter>(
-    x: &[f64],
-    ys: &[&[f64]],
-    band: usize,
-    thresholds: &[f64],
-    cbs: Option<&[&[f64]]>,
-    cost: C,
-    buf: &mut BatchBuffer,
-    meter: &mut M,
-) -> Result<Vec<EaOutcome>> {
-    let m = check_batch(x, ys, band)?;
-    let active = ys.len();
-    if thresholds.len() != active {
-        return Err(Error::InvalidParameter {
-            name: "thresholds",
-            reason: format!("{} thresholds for {} candidates", thresholds.len(), active),
-        });
-    }
-    if let Some(cbs) = cbs {
-        if cbs.len() != active {
-            return Err(Error::InvalidParameter {
-                name: "cbs",
-                reason: format!("{} cumulative bounds for {} candidates", cbs.len(), active),
-            });
-        }
-        for cb in cbs {
-            if cb.len() != m {
-                return Err(Error::InvalidParameter {
-                    name: "cb",
-                    reason: format!(
-                        "cumulative bound has {} entries for a candidate of {} columns",
-                        cb.len(),
-                        m
-                    ),
-                });
-            }
-        }
-    }
-    let _span = tsdtw_obs::span("dtw_batch");
-    let n = x.len();
-    let window = buf.take_window(n, m, band);
-    let band_area = window.cell_count() as u64;
-    let width = window.max_row_width();
-    meter.batch_group(active as u64);
-    for _ in 0..active {
-        meter.window_cells(band_area);
-        meter.dp_buffer_bytes(2 * width as u64 * std::mem::size_of::<f64>() as u64);
-    }
-
-    buf.load(ys);
-    buf.reset_rows(width);
-
-    // The scalar kernel's suffix-bound index: columns beyond `row + band`
-    // are unvisited after filling `row`.
-    let suffix_bound = |l: usize, row: usize| {
-        cbs.map_or(0.0, |cbs| {
-            let k = row + band + 1;
-            if k < m {
-                cbs[l][k]
-            } else {
-                0.0
-            }
-        })
-    };
-
-    let mut outcome = vec![EaOutcome::Exact(f64::NAN); active];
-    let mut alive = [false; LANES];
-    alive[..active].fill(true);
-
-    // Row 0: prefix sums with the left-to-right row-minimum fold.
-    let (lo0, hi0) = window.row_bounds(0);
-    let x0 = x[0];
-    let mut acc = [0.0f64; LANES];
-    let mut row_min = [f64::INFINITY; LANES];
-    for (k, j) in (lo0..=hi0).enumerate() {
-        let yj = buf.yt[j];
-        for l in 0..LANES {
-            acc[l] += cost.cost(x0, yj[l]);
-            row_min[l] = cell_min(row_min[l], acc[l]);
-        }
-        buf.prev[k] = acc;
-    }
-    let mut n_alive = active;
-    for l in 0..active {
-        meter.cells((hi0 - lo0 + 1) as u64);
-        if row_min[l] + suffix_bound(l, 0) > thresholds[l] {
-            meter.ea_rows(1, n as u64);
-            outcome[l] = EaOutcome::Abandoned { rows_filled: 1 };
-            alive[l] = false;
-            n_alive -= 1;
-        }
-    }
-    let mut plo = lo0;
-    let mut phi = hi0;
-
-    for (i, &xi) in x.iter().enumerate().skip(1) {
-        if n_alive == 0 {
-            break;
-        }
-        let (lo, hi) = window.row_bounds(i);
-        for &live in alive.iter().take(active) {
-            if live {
-                meter.cells((hi - lo + 1) as u64);
-            }
-        }
-        // Fill the row for every lane (dead lanes are masked out of the
-        // abandon test and the meters, not out of the arithmetic — the
-        // lockstep fill is what keeps the loop vector-shaped).
-        const INF_ROW: [f64; LANES] = [f64::INFINITY; LANES];
-        row_min = INF_ROW;
-        let mut left = INF_ROW;
-        for j in lo..=hi {
-            let up = if j >= plo && j <= phi {
-                buf.prev[j - plo]
-            } else {
-                INF_ROW
-            };
-            let diag = if j > plo && j - 1 <= phi {
-                buf.prev[j - 1 - plo]
-            } else {
-                INF_ROW
-            };
-            let yj = buf.yt[j];
-            let mut v = [0.0f64; LANES];
-            for l in 0..LANES {
-                v[l] = cost.cost(xi, yj[l]) + neighbor_min(diag[l], up[l], left[l]);
-                row_min[l] = cell_min(row_min[l], v[l]);
-            }
-            buf.cur[j - lo] = v;
-            left = v;
-        }
-        for l in 0..active {
-            if alive[l] && row_min[l] + suffix_bound(l, i) > thresholds[l] {
-                meter.ea_rows((i + 1) as u64, n as u64);
-                outcome[l] = EaOutcome::Abandoned { rows_filled: i + 1 };
-                alive[l] = false;
-                n_alive -= 1;
-            }
-        }
-        std::mem::swap(&mut buf.prev, &mut buf.cur);
-        plo = lo;
-        phi = hi;
-    }
-
-    if n_alive > 0 {
-        let (lo_last, _) = window.row_bounds(n - 1);
-        for (l, slot) in outcome.iter_mut().enumerate() {
-            if alive[l] {
-                meter.ea_rows(n as u64, n as u64);
-                *slot = EaOutcome::Exact(cost.finish(buf.prev[m - 1 - lo_last][l]));
-            }
-        }
-    }
-    buf.cached_window = Some((band, window));
-    Ok(outcome)
+    batch_cells(xi, yt, seg_hi + 1..hi + 1, lo, plo, phi, prev, cur, cost);
 }
 
 #[cfg(test)]
@@ -427,7 +333,6 @@ mod tests {
     use super::*;
     use crate::cost::{AbsoluteCost, SquaredCost};
     use crate::dtw::banded::cdtw_distance;
-    use crate::dtw::early_abandon::cdtw_distance_ea_metered;
     use tsdtw_obs::WorkMeter;
 
     fn series(n: usize, seed: u64) -> Vec<f64> {
@@ -524,106 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn ea_outcomes_and_meters_match_the_scalar_kernel_per_lane() {
-        let x = series(60, 5);
-        // A mix of near and far candidates so some lanes abandon early,
-        // some late, some complete.
-        let cands: Vec<Vec<f64>> = (0..LANES as u64)
-            .map(|s| {
-                let shift = if s % 3 == 0 { 0.0 } else { s as f64 };
-                series(60, 50 + s).iter().map(|v| v + shift).collect()
-            })
-            .collect();
-        let ys: Vec<&[f64]> = cands.iter().map(|c| c.as_slice()).collect();
-        let band = 6;
-        let exact: Vec<f64> = cands
-            .iter()
-            .map(|y| cdtw_distance(&x, y, band, SquaredCost).unwrap())
-            .collect();
-        let thresholds: Vec<f64> = exact
-            .iter()
-            .enumerate()
-            .map(|(l, d)| match l % 3 {
-                0 => d * 1.5,
-                1 => d * 0.5,
-                _ => d * 0.05,
-            })
-            .collect();
-
-        let mut scalar = WorkMeter::new();
-        let scalar_out: Vec<EaOutcome> = cands
-            .iter()
-            .zip(&thresholds)
-            .map(|(y, &t)| {
-                cdtw_distance_ea_metered(&x, y, band, t, None, SquaredCost, &mut scalar).unwrap()
-            })
-            .collect();
-
-        let mut batched = WorkMeter::new();
-        let mut buf = BatchBuffer::new();
-        let got = cdtw_batch_ea_metered(
-            &x,
-            &ys,
-            band,
-            &thresholds,
-            None,
-            SquaredCost,
-            &mut buf,
-            &mut batched,
-        )
-        .unwrap();
-        assert!(got.iter().any(|o| matches!(o, EaOutcome::Abandoned { .. })));
-        assert!(got.iter().any(|o| matches!(o, EaOutcome::Exact(_))));
-        for (l, (g, s)) in got.iter().zip(&scalar_out).enumerate() {
-            match (g, s) {
-                (EaOutcome::Exact(a), EaOutcome::Exact(b)) => {
-                    assert_eq!(a.to_bits(), b.to_bits(), "lane {l}")
-                }
-                (a, b) => assert_eq!(a, b, "lane {l}"),
-            }
-        }
-        assert_eq!(sans_batch(batched), scalar);
-    }
-
-    #[test]
-    fn ea_respects_per_lane_cumulative_bounds() {
-        let x = series(50, 6);
-        let cands: Vec<Vec<f64>> = (0..3u64)
-            .map(|s| series(50, 60 + s).iter().map(|v| v + 2.0).collect())
-            .collect();
-        let ys: Vec<&[f64]> = cands.iter().map(|c| c.as_slice()).collect();
-        let band = 5;
-        let cb: Vec<f64> = (0..50).rev().map(|k| k as f64 * 0.5).collect();
-        let cbs: Vec<&[f64]> = vec![&cb; 3];
-        let thresholds = vec![1.0; 3];
-        let mut buf = BatchBuffer::new();
-        let got = cdtw_batch_ea_metered(
-            &x,
-            &ys,
-            band,
-            &thresholds,
-            Some(&cbs),
-            SquaredCost,
-            &mut buf,
-            &mut NoMeter,
-        )
-        .unwrap();
-        for (l, y) in cands.iter().enumerate() {
-            let s = cdtw_distance_ea_metered(
-                &x,
-                y,
-                band,
-                thresholds[l],
-                Some(&cb),
-                SquaredCost,
-                &mut NoMeter,
-            )
-            .unwrap();
-            assert_eq!(got[l], s, "lane {l}");
-        }
-    }
-
-    #[test]
     fn invalid_batches_are_rejected() {
         let x = series(10, 7);
         let a = series(10, 8);
@@ -639,31 +444,5 @@ mod tests {
         // Output length mismatch.
         let mut short = vec![0.0; 1];
         assert!(cdtw_batch_distances(&x, &[&a, &a], 3, SquaredCost, &mut short).is_err());
-        // Threshold/cb arity mismatches on the EA form.
-        let mut buf = BatchBuffer::new();
-        assert!(cdtw_batch_ea_metered(
-            &x,
-            &[&a, &a],
-            3,
-            &[1.0],
-            None,
-            SquaredCost,
-            &mut buf,
-            &mut NoMeter
-        )
-        .is_err());
-        let cb_bad = vec![0.0; 4];
-        let cbs: Vec<&[f64]> = vec![&cb_bad, &cb_bad];
-        assert!(cdtw_batch_ea_metered(
-            &x,
-            &[&a, &a],
-            3,
-            &[1.0, 1.0],
-            Some(&cbs),
-            SquaredCost,
-            &mut buf,
-            &mut NoMeter
-        )
-        .is_err());
     }
 }

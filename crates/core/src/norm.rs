@@ -42,12 +42,23 @@ pub fn znorm_in_place(s: &mut [f64]) -> Result<()> {
     Ok(())
 }
 
+/// Re-sum threshold of rolling window sums: once the sum of squares
+/// falls below this fraction (2⁻²⁰) of its peak since the last re-sum,
+/// both sums are recomputed over the current window.
+///
+/// A large value leaves cancellation error behind in the running sums
+/// when it exits the window, up to its own square times the rounding
+/// unit; re-summing after such a drop keeps that error out of every
+/// later window. On data without such a drop nothing is re-summed.
+pub const RESUM_BELOW: f64 = 1.0 / (1u64 << 20) as f64;
+
 /// Running sums over a sliding window, supporting O(1) mean/std per step —
 /// the "just-in-time normalization" of the UCR suite.
 ///
 /// Feed samples with [`RollingStats::push`]; once `len() == capacity`, each
 /// further push evicts the oldest sample. [`RollingStats::mean_std`] then
-/// describes the current window without rescanning it.
+/// describes the current window without rescanning it. The sums re-sum
+/// by the [`RESUM_BELOW`] rule.
 #[derive(Debug, Clone)]
 pub struct RollingStats {
     capacity: usize,
@@ -56,6 +67,8 @@ pub struct RollingStats {
     filled: bool,
     sum: f64,
     sum_sq: f64,
+    /// Peak of `sum_sq` since the last re-sum.
+    peak: f64,
 }
 
 impl RollingStats {
@@ -74,6 +87,7 @@ impl RollingStats {
             filled: false,
             sum: 0.0,
             sum_sq: 0.0,
+            peak: 0.0,
         })
     }
 
@@ -112,6 +126,16 @@ impl RollingStats {
         }
         self.sum += v;
         self.sum_sq += v * v;
+        // Only an eviction lowers `sum_sq`, so only one can re-sum.
+        if self.sum_sq > self.peak {
+            self.peak = self.sum_sq;
+        } else if self.sum_sq < self.peak * RESUM_BELOW {
+            (self.sum, self.sum_sq) = self
+                .buf
+                .iter()
+                .fold((0.0, 0.0), |(s, s2), &v| (s + v, s2 + v * v));
+            self.peak = self.sum_sq;
+        }
     }
 
     /// Mean and population standard deviation of the current window.
@@ -184,6 +208,37 @@ mod tests {
                 let (rm, rstd) = rs.mean_std();
                 assert!((bm - rm).abs() < 1e-9, "window ending at {i}");
                 assert!((bs - rstd).abs() < 1e-9, "window ending at {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_spike_leaving_the_window_does_not_skew_later_windows() {
+        // A 4,000-point random walk with uniform steps in [-1, 1), and
+        // one 1e10 spike: its square leaves ~1e4 of cancellation error
+        // in the running sum of squares, the size of a 64-point window's
+        // own sum of squares here.
+        let mut state = 7u64;
+        let mut level = 0.0;
+        let mut data: Vec<f64> = (0..4000)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                level += ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
+                level
+            })
+            .collect();
+        data[100] = 1e10;
+        let w = 64;
+        let mut rs = RollingStats::new(w).unwrap();
+        for (i, &v) in data.iter().enumerate() {
+            rs.push(v);
+            if i + 1 >= w {
+                let (_, want) = mean_std(&data[i + 1 - w..=i]).unwrap();
+                let (_, got) = rs.mean_std();
+                let rel = (got - want).abs() / want;
+                assert!(rel <= 1e-9, "window ending at {i}: std {got} vs {want}");
             }
         }
     }

@@ -41,7 +41,7 @@ use tsdtw_core::lower_bounds::keogh::{
     lb_keogh_reordered_by, sort_indices_by_magnitude, suffix_sums_into,
 };
 use tsdtw_core::lower_bounds::kim::{lb_kim_corners, Corners};
-use tsdtw_core::norm::znorm;
+use tsdtw_core::norm::{znorm, RESUM_BELOW};
 use tsdtw_obs::{tightness_ppb, FunnelStage, LbKind, Meter, MeterShard, NoMeter, StageTag};
 
 /// Outcome of a subsequence search.
@@ -94,11 +94,6 @@ impl SearchStats {
 /// A window's z-normalization, `(mean, 1/std)`; `1/std` is 0 for a
 /// constant window, which normalizes to all zeros.
 type Norm = (f64, f64);
-
-/// Re-sum threshold of the rolling normalization: the running sums are
-/// recomputed over the current window once the sum of squares falls below
-/// this fraction (2⁻²⁰) of its peak since the last re-sum.
-const RESUM_BELOW: f64 = 1.0 / (1u64 << 20) as f64;
 
 /// Checks the query and haystack of a search, and returns the z-normalized
 /// query with every window's `(mean, 1/std)`.

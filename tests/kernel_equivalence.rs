@@ -45,13 +45,13 @@
 //!   longest diagonal is as long as the widest row;
 //! * the **batched** kernel (one query against up to [`LANES`]
 //!   same-length candidates in struct-of-lanes layout) must match the
-//!   oracle per lane — distances bitwise, early-abandon outcomes and
-//!   abandonment rows identical — and the summed scan `WorkMeter` must
-//!   equal the scalar row sweep's except for the two `batch.*` counters
-//!   that exist only on the batched path. The lane-remainder grid pins
-//!   scan sizes whose final group holds `LANES`, `1`, and `LANES − 1`
-//!   live lanes, and the mining k-NN scan (which takes the batched
-//!   route) must produce one meter regardless of worker count.
+//!   oracle per lane, distances bitwise, and the summed scan
+//!   `WorkMeter` must equal the scalar row sweep's except for the two
+//!   `batch.*` counters that exist only on the batched path. The
+//!   lane-remainder grid pins scan sizes whose final group holds
+//!   `LANES`, `1`, and `LANES − 1` live lanes, and the mining k-NN scan
+//!   (which takes the batched route) must produce one meter regardless
+//!   of worker count.
 
 mod common;
 
@@ -61,9 +61,7 @@ use tsdtw::core::cost::{AbsoluteCost, CostFn, Rooted, SquaredCost};
 use tsdtw::core::dtw::banded::{
     cdtw_distance, cdtw_distance_kernel, cdtw_distance_metered_with_buf_kernel, cdtw_with_path,
 };
-use tsdtw::core::dtw::batch::{
-    cdtw_batch_distances_metered, cdtw_batch_ea_metered, BatchBuffer, LANES,
-};
+use tsdtw::core::dtw::batch::{cdtw_batch_distances_metered, BatchBuffer, LANES};
 use tsdtw::core::dtw::early_abandon::{cdtw_distance_ea_metered, EaOutcome};
 use tsdtw::core::dtw::full::dtw_distance;
 use tsdtw::core::dtw::kernel::WAVEFRONT_MIN_WIDTH;
@@ -494,57 +492,25 @@ proptest! {
 
     /// Every lane of the batched kernel equals the oracle on that pair —
     /// bitwise — over random query lengths, band widths, and batch
-    /// occupancies from one lane to the full [`LANES`].
+    /// occupancies from one lane to the full [`LANES`]. Each case also
+    /// runs an equal-length query, the k-NN scans' shape, where a row
+    /// past the band's first rows is one interior segment plus a
+    /// one-cell suffix; bands reach max(n, m) + 2, past the band that
+    /// covers the matrix, which the `FullDtw` scan route uses; and
+    /// tie-heavy series make the neighbor minimum tie often.
     #[test]
     fn batched_lanes_are_bitwise_equal_to_the_scalar_kernel(
         x in prop::collection::vec(-10.0f64..10.0, 4..32),
+        xe in prop::collection::vec(-10.0f64..10.0, 19),
         ys in prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 19), 1..9),
-        band in 0usize..12,
+        band in 0usize..34,
         (xa, ysa) in (adversarial(4..32), prop::collection::vec(adversarial(19..20), 1..9)),
+        (xt, yst) in (tie_heavy(4..32), prop::collection::vec(tie_heavy(19..20), 1..9)),
     ) {
         assert_batch_matches_scalar(&x, &ys, band);
+        assert_batch_matches_scalar(&xe, &ys, band);
         assert_batch_matches_scalar(&xa, &ysa, band);
-    }
-
-    /// The batched early-abandoning kernel: per-lane outcome kind,
-    /// exact-distance bits, and abandonment rows must equal the naive EA
-    /// oracle with the same per-lane thresholds, and the scan meters
-    /// must agree with the scalar kernel's modulo the `batch.*` counters.
-    #[test]
-    fn batched_ea_outcomes_and_abandonment_rows_match_the_scalar_kernel(
-        x in prop::collection::vec(-10.0f64..10.0, 4..28),
-        ys in prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 17), 1..9),
-        band in 0usize..8,
-        threshold in 0.0f64..300.0,
-        (xa, ysa) in (adversarial(4..28), prop::collection::vec(adversarial(17..18), 1..9)),
-    ) {
-        for (x, ys) in [(&x, &ys), (&xa, &ysa)] {
-            let refs: Vec<&[f64]> = ys.iter().map(|y| y.as_slice()).collect();
-            // Spread the thresholds so lanes abandon at different rows (or
-            // not at all) within one batched call.
-            let thresholds: Vec<f64> =
-                (0..refs.len()).map(|l| threshold * (0.25 + 0.37 * l as f64)).collect();
-            let mut bbuf = BatchBuffer::new();
-            let mut m_batch = WorkMeter::new();
-            let outcomes = cdtw_batch_ea_metered(
-                x, &refs, band, &thresholds, None, SquaredCost, &mut bbuf, &mut m_batch,
-            )
-            .unwrap();
-            let mut m_scalar = WorkMeter::new();
-            for (l, y) in refs.iter().enumerate() {
-                let oracle = naive_ea(x, y, band, thresholds[l], None);
-                assert_same_outcome(outcomes[l], oracle, &format!("lane {l}"));
-                let scalar = cdtw_distance_ea_metered(
-                    x, y, band, thresholds[l], None, SquaredCost, &mut m_scalar,
-                )
-                .unwrap();
-                assert_same_outcome(scalar, oracle, &format!("scalar {l}"));
-            }
-            let mut sans = m_batch.clone();
-            sans.batch_groups = 0;
-            sans.batch_lanes = 0;
-            prop_assert_eq!(&sans, &m_scalar, "EA meters modulo batch.*");
-        }
+        assert_batch_matches_scalar(&xt, &yst, band);
     }
 }
 
