@@ -11,8 +11,9 @@
 //!
 //! * distance-only windowed calls whose window is at least
 //!   [`WAVEFRONT_MIN_WIDTH`] cells wide run in anti-diagonal order (the
-//!   private `dtw::wavefront` module), whose lanes beat the row sweep's
-//!   left-neighbor chain clearly only once a diagonal holds enough cells;
+//!   private `dtw::wavefront` module), whose packed cells beat the row
+//!   sweep's left-neighbor chain clearly only once a diagonal holds
+//!   enough cells;
 //! * mining scans of same-length candidates run the query-batched
 //!   kernel ([`crate::dtw::batch`]).
 //!
@@ -39,7 +40,8 @@ pub enum Kernel {
     /// the windowed distance entry points
     /// (the `dtw::wavefront` module) for every window width:
     /// cells on one anti-diagonal have no mutual data dependency, so the
-    /// inner loop runs in fixed-width lanes the compiler autovectorizes.
+    /// loop over a diagonal's cells compiles to packed vector
+    /// instructions (two cells each in the default x86-64 build).
     /// Bitwise-equal to the row sweep cell for cell.
     Wavefront,
 }
@@ -66,15 +68,18 @@ impl Kernel {
 ///
 /// A property of the input shape, not a tuning knob. Measured as
 /// segmented ÷ wavefront time per cell on Sakoe–Chiba bands (N = 128 to
-/// 24,000, alternating 30 ms slices, shared 2-vCPU Xeon): the wavefront
-/// breaks even at width 33 (0.91–1.03× in the median slice), leads
-/// 1.13–1.43× at 77, 1.41–2.13× at 129 and 1.87–2.91× at 401, and the
-/// slowest tenth of slices reads about the same. Its gain is issue slots
-/// the latency-bound row sweep leaves idle, so it shrinks when another
+/// 24,000, alternating 30 ms slices, shared 2-vCPU Xeon), with the
+/// wavefront's packed cell loop: the wavefront breaks even around width
+/// 33 (0.90–1.17× in the median slice), leads 1.49–2.10× at 77,
+/// 1.87–2.30× at 129 and 2.90–3.93× at 401, and the slowest tenth of
+/// slices reads about the same. Its gain is issue slots the
+/// latency-bound row sweep leaves idle, so it shrinks when another
 /// thread shares the physical core: before the NaN-free cell minimum,
 /// such load held it to 1.05–1.13× at width 77 in the slowest tenth of
 /// slices while its time per cell swung up to 2×. From 129 the wavefront
-/// wins clearly in every measurement (DESIGN.md §16).
+/// wins clearly in every measurement. A lower crossover would move Case
+/// A's pairs (width 77), which needs end-to-end runs of its own
+/// (DESIGN.md §16).
 pub const WAVEFRONT_MIN_WIDTH: usize = 129;
 
 #[cfg(test)]

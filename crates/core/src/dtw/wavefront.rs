@@ -6,9 +6,14 @@
 //! Walking the same recurrence in anti-diagonal order removes the chain:
 //! every cell on diagonal `d = i + j` depends only on diagonals `d-1`
 //! (its `up` and `left` predecessors) and `d-2` (its `diag`
-//! predecessor), so all cells of one diagonal are mutually independent
-//! and the inner loop runs in fixed-width `[f64; W]` lanes the compiler
-//! autovectorizes — no unstable features, no target-specific intrinsics.
+//! predecessor), so all cells of one diagonal are mutually independent.
+//! The inner loop is one indexed loop over six slices cut to the
+//! diagonal's length, which LLVM's loop vectorizer packs: in the default
+//! x86-64 build, two cells per SSE2 instruction (`subpd`, `mulpd`, two
+//! `minpd`, `addpd`) and a one-cell scalar remainder — no unstable
+//! features, no target-specific intrinsics. Keep that shape: a
+//! fixed-width `[f64; 8]` block compiled to six scalar cells and one
+//! packed pair (DESIGN.md §16 has the check).
 //!
 //! **Bitwise equality.** Each cell computes exactly the row sweep's
 //! expression, `cost(xᵢ, yⱼ) + neighbor_min(diag, up, left)`, from the
@@ -40,7 +45,7 @@
 //! `cnt = a_d - b_d + 1`) hold `+∞` sentinels. A diagonal never has more
 //! cells than the widest row — row `a_d` spans `[d - a_d, d - b_d]`
 //! because `hi` is monotone — so the scratch is O(band width), not
-//! O(series length). Relative to cell `(i, d-i)` at lane `k = i - b_d`,
+//! O(series length). Relative to cell `(i, d-i)` at index `k = i - b_d`,
 //! the `up` and `left` predecessors sit on diagonal `d-1` at `k + s₁`
 //! and `k + s₁ + 1` with `s₁ = b_d - b_{d-1} ∈ {0, 1}`, and `diag` on
 //! `d-2` at `k + s₂` with `s₂ = b_d - b_{d-2} ∈ {0, 1, 2}`. Because the
@@ -50,7 +55,7 @@
 //! read is always a genuinely out-of-window predecessor, so `+∞` is the
 //! correct value. `y` is consulted once per diagonal as `y[d - i]`, a
 //! backwards stride; the kernel reverses it once into scratch so the
-//! lane loop reads all five streams (x, reversed-y, up, left, diag)
+//! cell loop reads all five streams (x, reversed-y, up, left, diag)
 //! forward.
 
 use crate::cost::CostFn;
@@ -60,11 +65,6 @@ use tsdtw_obs::Meter;
 
 use super::sweep::neighbor_min;
 use super::windowed::DtwBuffer;
-
-/// Lane width of the diagonal inner loop. Eight f64 lanes fill one
-/// 512-bit vector (or two 256-bit ops) — wide enough to saturate the
-/// autovectorizer, small enough that short diagonals stay cheap.
-pub(crate) const LANE_WIDTH: usize = 8;
 
 /// Windowed DTW distance in wavefront order. Inputs are already
 /// validated by the caller ([`windowed_distance_metered_kernel`]
@@ -146,7 +146,7 @@ pub(crate) fn wavefront_distance<C: CostFn, M: Meter>(
             let yoff = imin + m - 1 - d;
             let xs = &x[imin..imin + cnt];
             let yr = &buf.yrev[yoff..yoff + cnt];
-            // Predecessors of (i, d-i) at lane k = i - imin: up = (i-1, j)
+            // Predecessors of (i, d-i) at index k = i - imin: up = (i-1, j)
             // and left = (i, j-1) on diagonal d-1 at k + s1 and k + s1 + 1;
             // diag = (i-1, j-1) on d-2 at k + s2.
             let up_s = &buf.wf_prev[s1..s1 + cnt];
@@ -154,22 +154,11 @@ pub(crate) fn wavefront_distance<C: CostFn, M: Meter>(
             let diag_s = &buf.wf_prev2[s2..s2 + cnt];
             let out = &mut buf.wf_cur[1..1 + cnt];
 
-            // Fixed-width lanes with the fused three-way min; every lane
-            // is independent, so this loop vectorizes as written.
-            let mut k = 0;
-            while k + LANE_WIDTH <= cnt {
-                let mut lane = [0.0f64; LANE_WIDTH];
-                for (t, slot) in lane.iter_mut().enumerate() {
-                    let pred = neighbor_min(diag_s[k + t], up_s[k + t], left_s[k + t]);
-                    *slot = cost.cost(xs[k + t], yr[k + t]) + pred;
-                }
-                out[k..k + LANE_WIDTH].copy_from_slice(&lane);
-                k += LANE_WIDTH;
-            }
-            while k < cnt {
-                let pred = neighbor_min(diag_s[k], up_s[k], left_s[k]);
-                out[k] = cost.cost(xs[k], yr[k]) + pred;
-                k += 1;
+            // Every cell is independent and every slice is `cnt` long, so
+            // the bounds checks fold away and the loop vectorizer packs
+            // the body, with a one-cell scalar remainder.
+            for k in 0..cnt {
+                out[k] = cost.cost(xs[k], yr[k]) + neighbor_min(diag_s[k], up_s[k], left_s[k]);
             }
         }
 
@@ -266,14 +255,17 @@ mod tests {
     }
 
     #[test]
-    fn lane_remainders_cover_full_partial_and_single() {
-        // Diagonal lengths n mod W ∈ {0, 1, W-1} exercise the chunked
-        // loop, the scalar tail, and the all-tail case.
-        for n in [8usize, 9, 15, 16, 17, 23] {
+    fn packed_body_and_remainder_cover_every_diagonal_length() {
+        // A full n × m window's diagonals hold every count from 1 to
+        // min(n, m) cells: the 1-, 2- and 3-cell shapes run the one-cell
+        // remainder alone, one packed pair, and a pair plus the
+        // remainder; the squares run odd and even counts up to 65.
+        let thin = [(1usize, 1usize), (2, 2), (3, 3), (40, 1), (2, 41), (40, 3)];
+        let squares = [4usize, 5, 16, 17, 32, 33, 64, 65].map(|n| (n, n));
+        for (n, m) in thin.into_iter().chain(squares) {
             let x = series(n, 5);
-            let y = series(n, 6);
-            let w = SearchWindow::full(n, n);
-            assert_wavefront_matches(&x, &y, &w);
+            let y = series(m, 6);
+            assert_wavefront_matches(&x, &y, &SearchWindow::full(n, m));
         }
     }
 

@@ -82,7 +82,7 @@ pub struct DtwBuffer {
     pub(crate) wf_prev2: Vec<f64>,
     pub(crate) wf_prev: Vec<f64>,
     pub(crate) wf_cur: Vec<f64>,
-    /// Reversed copy of `y` so the wavefront lane loop reads all its
+    /// Reversed copy of `y` so the wavefront cell loop reads all its
     /// streams with a forward stride.
     pub(crate) yrev: Vec<f64>,
     /// `(band, window)` of the last band built through this buffer.

@@ -19,8 +19,10 @@
 //! whose squared difference with almost anything overflows to `+∞`;
 //! subnormals, whose products underflow to zero; and ±0.0, mixed with
 //! ordinary values. On them every route must return the oracle's bits,
-//! `+∞` included, and every path must stay inside its window. The
-//! full-matrix property also runs on **piecewise-constant** series (at
+//! `+∞` included, and every path must stay inside its window. One
+//! deterministic Case B-shaped pair (N = 600, band 200, every 7th sample
+//! hostile) takes the same contract onto the wavefront's long diagonals.
+//! The full-matrix property also runs on **piecewise-constant** series (at
 //! most 4 runs over 40–120 points), the run-compressible input class,
 //! through both full-window distance entry points.
 //!
@@ -642,7 +644,9 @@ fn auto_matches_the_oracle_around_the_wavefront_crossover() {
 }
 
 /// One deterministic case wide enough that the 4-wide unrolled interior,
-/// its scalar remainder, and both guarded edges all execute.
+/// its scalar remainder, and both guarded edges all execute; then a Case
+/// B-shaped adversarial pair that `Auto` sends through the wavefront's
+/// packed cell loop on diagonals up to 401 cells long.
 #[test]
 fn wide_band_exercises_the_unrolled_interior() {
     let x: Vec<f64> = (0..200).map(|i| (i as f64 * 0.05).sin() * 5.0).collect();
@@ -653,6 +657,26 @@ fn wide_band_exercises_the_unrolled_interior() {
         let w = SearchWindow::sakoe_chiba(x.len(), y.len(), band);
         assert_window_tiers_match(&x, &y, &w, SquaredCost);
     }
+
+    // N = 600, band 200, with every 7th sample of both series hostile:
+    // ±1e155 overflow the cost to `+∞` against every ordinary sample, the
+    // subnormals underflow, and −0.0 meets its own sign. Hostile samples
+    // share indices across the pair, so the distance stays finite while
+    // `+∞` operands fill the diagonals.
+    const HOSTILE: [f64; 5] = [1e155, -1e155, 4.9e-324, -4.9e-324, -0.0];
+    let hostile = |warp: f64| -> Vec<f64> {
+        (0..600)
+            .map(|i| match i % 7 {
+                0 => HOSTILE[i / 7 % HOSTILE.len()],
+                _ => ((i as f64 + warp * (i as f64 * 0.01).sin()) * 0.031).sin() * 4.0,
+            })
+            .collect()
+    };
+    let (xb, yb) = (hostile(0.0), hostile(40.0));
+    let w = SearchWindow::sakoe_chiba(xb.len(), yb.len(), 200);
+    assert!(auto_takes_wavefront(&xb, &yb, &w, SquaredCost));
+    assert!(naive_windowed(&xb, &yb, &w, SquaredCost).is_finite());
+    assert_window_tiers_match(&xb, &yb, &w, SquaredCost);
 }
 
 /// The buffered cdtw entry point used by the mining hot loops.

@@ -1,13 +1,15 @@
 //! No-panic properties for the parsers that read user files.
 //!
 //! `Json::parse` reads every snapshot and ledger line `report
-//! diff/show/trend` is pointed at, and `read_ucr` reads every dataset
-//! `classify`, `cluster`, `bakeoff` and `window` load. On any input each
-//! must return `Ok` or `Err`: no panic, and no stack overflow on deep
-//! nesting.
+//! diff/show/trend` is pointed at, `read_ucr` reads every dataset
+//! `classify`, `cluster`, `bakeoff` and `window` load, and
+//! `parse_collapsed` reads the folded stacks `report flame` renders. On
+//! any input each must return `Ok` or `Err`: no panic, and no stack
+//! overflow on deep nesting.
 
 use proptest::prelude::*;
 use tsdtw::datasets::ucr_format::read_ucr;
+use tsdtw_obs::profile::parse_collapsed;
 use tsdtw_obs::Json;
 
 /// Bytes drawn mostly from `alphabet`, the rest arbitrary, so inputs
@@ -21,6 +23,8 @@ fn bytes_over(alphabet: &'static [u8], len: usize) -> impl Strategy<Value = Vec<
 const JSON_ALPHABET: &[u8] = b"{}[]\",:\\/-+.eE0123456789 \n\ttrufalsn\"\"ub";
 
 const UCR_ALPHABET: &[u8] = b"0123456789.-+eE\t\t\t,,\n\n\n  NaNinfINF#";
+
+const COLLAPSED_ALPHABET: &[u8] = b";;;    \n\n\n0123456789012345678901234567890123456789abcxyz_";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -57,6 +61,36 @@ proptest! {
             prop_assert!(d.series.iter().all(|s| s.len() == len));
             prop_assert!(d.series.iter().flatten().all(|v| v.is_finite()));
             prop_assert!(d.labels.iter().all(|&l| l < d.n_classes()));
+        }
+    }
+
+    /// A collapsed-stack file: well-formed lines over three stacks, whose
+    /// counts are sometimes near `u64::MAX` so duplicates merge and sums
+    /// overflow, followed half the time by arbitrary bytes. `Ok` or
+    /// `Err`, and an accepted profile is sorted by stack with no empty or
+    /// repeated stack and a total that fits in a `u64`.
+    #[test]
+    fn parse_collapsed_never_panics(
+        lines in prop::collection::vec(
+            (0u8..3, 0u8..4, 0u64..1_000, u64::MAX / 4..u64::MAX),
+            0..6,
+        ),
+        bytes in bytes_over(COLLAPSED_ALPHABET, 96),
+        append_bytes in 0u8..2,
+    ) {
+        let mut text = String::new();
+        for (stack, pick, small, huge) in lines {
+            let count = if pick == 0 { huge } else { small };
+            text.push_str(&format!("main;f{stack} {count}\n"));
+        }
+        if append_bytes == 1 {
+            text.push_str(&String::from_utf8_lossy(&bytes));
+        }
+        if let Ok(folded) = parse_collapsed(&text) {
+            prop_assert!(folded.windows(2).all(|p| p[0].0 < p[1].0), "sorted, unique");
+            prop_assert!(folded.iter().all(|(stack, _)| !stack.is_empty()));
+            let total = folded.iter().try_fold(0u64, |t, &(_, n)| t.checked_add(n));
+            prop_assert!(total.is_some(), "counts sum past u64::MAX");
         }
     }
 }
