@@ -174,14 +174,14 @@ fn meter_overhead(c: &mut Criterion) {
 }
 
 fn recorder_overhead(c: &mut Criterion) {
-    // The flight recorder's contract mirrors the meter's: without
-    // `--features obs` the span probes are unit structs and cost
-    // nothing; with it, an armed recorder pays one ring push per
-    // begin/end plus a histogram update on drop. ISSUE budget: < 5 %
-    // on the banded kernel. The three states measured here are
-    // baseline (no probes active), spans-without-recorder (aggregate
-    // table only), and spans-with-armed-recorder (table + ring).
-    use tsdtw_obs::{recorder_start, recorder_stop, span, take_spans};
+    // The flight recorder's contract mirrors the meter's: with nothing
+    // armed a span probe is one relaxed atomic load and an idle guard;
+    // an armed recorder pays one ring push per begin/end plus a
+    // histogram update on drop. Budget: < 5 % on the banded kernel. The
+    // four states measured here are baseline (no extra probe), a
+    // disarmed span, an armed span without a recorder (aggregate table
+    // only), and a span with an armed recorder (table + ring).
+    use tsdtw_obs::{arm_spans, recorder_start, recorder_stop, span, take_spans};
     let x = random_walk(1024, 51).unwrap();
     let y = random_walk(1024, 52).unwrap();
     let band = 50;
@@ -190,11 +190,19 @@ fn recorder_overhead(c: &mut Criterion) {
     g.bench_function("baseline", |b| {
         b.iter(|| black_box(cdtw_distance(&x, &y, band, SquaredCost).unwrap()))
     });
-    g.bench_function("span_table_only", |b| {
+    g.bench_function("disarmed_span", |b| {
         b.iter(|| {
             let _s = span("bench_cdtw");
             black_box(cdtw_distance(&x, &y, band, SquaredCost).unwrap())
         })
+    });
+    g.bench_function("span_table_only", |b| {
+        let armed = arm_spans();
+        b.iter(|| {
+            let _s = span("bench_cdtw");
+            black_box(cdtw_distance(&x, &y, band, SquaredCost).unwrap())
+        });
+        drop(armed);
     });
     let _ = take_spans();
     g.bench_function("span_plus_recorder", |b| {
@@ -216,19 +224,20 @@ fn profile_overhead(c: &mut Criterion) {
     // sampler contends on for nanoseconds, ~997 times a second); the
     // walking itself happens on the sampler thread. Three states:
     //
-    // * `baseline` — spans without any live-stack publication
-    //   (profiler disarmed; the relaxed atomic check is the only cost);
-    // * `spans_only` — same workload, still disarmed, fresh group so
-    //   the two disarmed shapes bracket measurement noise;
+    // * `baseline` — armed spans without any live-stack publication
+    //   (profiler disarmed; the relaxed atomic check is its only cost);
+    // * `spans_only` — same workload, still without the profiler, fresh
+    //   group so the two unprofiled shapes bracket measurement noise;
     // * `armed_sampler` — a running `Profiler` at `DEFAULT_SAMPLE_HZ`:
     //   every span now publishes into its slot and the sampler walks
-    //   it. This leg against `baseline` is the ISSUE's < 5 % criterion.
-    use tsdtw_obs::{span, take_spans, Profiler, DEFAULT_SAMPLE_HZ};
+    //   it. This leg against `baseline` is the < 5 % budget.
+    use tsdtw_obs::{arm_spans, span, take_spans, Profiler, DEFAULT_SAMPLE_HZ};
     let x = random_walk(1024, 51).unwrap();
     let y = random_walk(1024, 52).unwrap();
     let band = 50;
     let mut g = c.benchmark_group("ablation_profile");
     g.sample_size(30);
+    let armed = arm_spans();
     g.bench_function("baseline", |b| {
         b.iter(|| {
             let _s = span("bench_cdtw_prof");
@@ -242,6 +251,7 @@ fn profile_overhead(c: &mut Criterion) {
             black_box(cdtw_distance(&x, &y, band, SquaredCost).unwrap())
         })
     });
+    drop(armed);
     let _ = take_spans();
     g.bench_function("armed_sampler", |b| {
         let profiler = Profiler::start(DEFAULT_SAMPLE_HZ);

@@ -16,7 +16,8 @@
 //!   --list       list experiments and exit
 //!   --trace      arm the flight recorder per experiment and write
 //!                TRACE_<id>.json (Chrome Trace Format; open in
-//!                Perfetto). Needs --features obs to carry events.
+//!                Perfetto). The recorder arms the span probes, so the
+//!                snapshot's `kernels` table fills too.
 //!   --profile    arm the sampling profiler per experiment: write the
 //!                collapsed-stack export to <out>/PROFILE_<id>.txt
 //!                (flamegraph.pl / inferno compatible; render in-tree
@@ -25,8 +26,12 @@
 //!                advisory `profile` section. `--profile=FILE` writes
 //!                the export to FILE instead (meant for single-
 //!                experiment runs; with several experiments the last
-//!                one wins). Needs --features obs to catch frames.
+//!                one wins).
 //! ```
+//!
+//! Without `--trace` or `--profile` the span probes stay disarmed, so a
+//! timed experiment pays one atomic load per probe and its snapshot
+//! carries `spans_enabled: false` and an empty `kernels` table.
 //!
 //! Every run additionally emits one perf-trajectory snapshot per
 //! experiment (`BENCH_<id>.json`, see `tsdtw_bench::snapshot`) which
@@ -174,18 +179,6 @@ fn main() -> ExitCode {
         par.n_threads,
         out.display()
     );
-    if want_trace && !tsdtw_obs::spans_enabled() {
-        eprintln!(
-            "note: --trace without --features obs records no span events; \
-             the trace files will be valid but empty"
-        );
-    }
-    if profile.is_some() && !tsdtw_obs::spans_enabled() {
-        eprintln!(
-            "note: --profile without --features obs publishes no live stacks; \
-             the sampler will tick but catch no frames"
-        );
-    }
     for (id, runner) in selected {
         // Drain spans left over from a previous experiment so each
         // snapshot's kernel table reflects this run only.
@@ -236,6 +229,7 @@ fn main() -> ExitCode {
             wall_s,
             &report.json,
             &spans,
+            want_trace || profile.is_some(),
             par.n_threads,
         );
         if let Err(e) = snapshot::write(&out, id, &snap) {

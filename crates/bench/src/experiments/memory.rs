@@ -132,12 +132,12 @@ fn probe_case(
         agree, warm_reps,
         "warm calls must reproduce the cold distance"
     );
-    // The zero-alloc contract is about the algorithm: with `obs` spans
-    // armed, every call also appends a latency sample to the
-    // thread-local span table, whose amortized growth shows up here as
-    // occasional reallocs (see DESIGN.md §12). Only assert the strict
-    // form when the spans layer is quiet.
-    if heap_telemetry_enabled() && !tsdtw_obs::spans_enabled() {
+    // The zero-alloc contract is about the algorithm. Armed spans would
+    // append latency samples to the thread-local span table, whose
+    // amortized growth shows up as occasional reallocs (DESIGN.md §12);
+    // the memory leg runs without `--trace` and `--profile`, which arm
+    // them.
+    if heap_telemetry_enabled() {
         assert!(
             warm.is_zero(),
             "warmed BandedDtw must not touch the heap, saw {warm:?}"
@@ -284,14 +284,8 @@ mod tests {
             assert!(row["dp_peak_bytes"].as_u64().unwrap() > 0);
         }
         // Two runs must agree bitwise — the snapshot gate depends on it.
-        // Span telemetry (obs feature) allocates amortized sample
-        // storage of its own, so the byte-exact comparison only holds
-        // with the spans layer quiet — the configuration the CI memory
-        // gate runs (alloc-telemetry without obs).
-        if !tsdtw_obs::spans_enabled() {
-            let again = run(&Scale::Quick, &ParConfig::serial());
-            assert_eq!(rep.json.to_string_compact(), again.json.to_string_compact());
-        }
+        let again = run(&Scale::Quick, &ParConfig::serial());
+        assert_eq!(rep.json.to_string_compact(), again.json.to_string_compact());
     }
 
     #[cfg(feature = "alloc-telemetry")]
@@ -303,11 +297,8 @@ mod tests {
         let peak = |r: &tsdtw_obs::Json, k: &str| r[k].as_u64().unwrap();
         for row in rows {
             // Warm loop is allocation-free; probe_case asserts too.
-            // (Only provable with the spans layer quiet — see run().)
-            if !tsdtw_obs::spans_enabled() {
-                assert_eq!(row["cdtw_warm_allocs"], 0u64);
-                assert_eq!(row["cdtw_warm_bytes"], 0u64);
-            }
+            assert_eq!(row["cdtw_warm_allocs"], 0u64);
+            assert_eq!(row["cdtw_warm_bytes"], 0u64);
             // The analytic DP high-water mark never exceeds what the
             // allocator actually handed out at peak.
             assert!(

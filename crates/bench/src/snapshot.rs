@@ -212,13 +212,15 @@ pub fn git_rev() -> String {
 /// [`SECTIONS`] row taken from `sections` (`null` where it has none —
 /// `repro` passes the experiment's JSON record with the run's `memory`
 /// and `profile` attached), and the span table drained after the run
-/// (empty without `--features obs`).
+/// (empty unless `spans_armed`, which the `spans_enabled` key records:
+/// `repro` arms spans only for `--trace` and `--profile`).
 pub fn capture(
     experiment: &str,
     title: &str,
     wall_s: f64,
     sections: &Json,
     spans: &[SpanStat],
+    spans_armed: bool,
     n_threads: usize,
 ) -> Json {
     let mut doc = json_obj! {
@@ -227,7 +229,7 @@ pub fn capture(
         "experiment" => experiment,
         "title" => title,
         "git_rev" => git_rev(),
-        "spans_enabled" => tsdtw_obs::spans_enabled(),
+        "spans_enabled" => spans_armed,
         "env" => env_fingerprint(n_threads),
         "wall_s" => wall_s,
     };
@@ -1348,7 +1350,7 @@ mod tests {
             "profile" => profile,
             "unrelated" => 1,
         };
-        let s = capture("cells", "title", 1.5, &sections, &spans, 4);
+        let s = capture("cells", "title", 1.5, &sections, &spans, true, 4);
         // The committed baselines' key order: identity, then SECTIONS in
         // table order, then kernels. Keys outside the table stay out.
         let keys: Vec<&str> = s
@@ -1396,13 +1398,18 @@ mod tests {
             "title",
             1.5,
             &json_obj! { "work" => work },
-            &spans,
+            &[],
+            false,
             4,
         );
         assert!(bare["funnel"].is_null());
         assert!(bare["tiers"].is_null());
         assert!(bare["memory"].is_null());
         assert!(bare["profile"].is_null());
+        // The header records whether spans were armed for the run.
+        assert_eq!(s["spans_enabled"], true);
+        assert_eq!(bare["spans_enabled"], false);
+        assert_eq!(bare["kernels"], Json::object());
         assert_eq!(s["kernels"]["cdtw"]["count"], 3u64);
         assert_eq!(s["kernels"]["cdtw"]["alloc_bytes"], 64u64);
         assert_eq!(s["memory"]["allocs"], 0);

@@ -12,9 +12,9 @@
 //! perf-gate baselines would silently fork between profiled and
 //! unprofiled CI runs — this test turns that fork into a local failure.
 //!
-//! Builds without `--features obs` keep the test meaningful: spans
-//! compile to unit structs, the sampler sees empty stacks, and the
-//! sections must *still* be identical.
+//! A running profiler arms the span probes, so the armed runs also
+//! record spans into the aggregate table and publish live stacks; the
+//! disarmed runs leave the probes idle. Neither may move a gated byte.
 
 use tsdtw_bench::experiments::cells;
 use tsdtw_bench::report::Scale;

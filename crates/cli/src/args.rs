@@ -108,6 +108,7 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn raw(s: &[&str]) -> Vec<String> {
         s.iter().map(|v| v.to_string()).collect()
@@ -168,5 +169,61 @@ mod tests {
     fn unparsable_value_is_an_error() {
         let a = Args::parse(&raw(&["--w", "abc"]), &["w"], &[]).unwrap();
         assert!(a.get_or::<f64>("w", 0.0).is_err());
+    }
+
+    /// Names the generated declarations draw from, non-ASCII included.
+    const NAMES: [&str; 6] = ["w", "threads", "explain", "k", "ß", "名"];
+
+    /// Token fragments: mostly the grammar's own pieces and numbers.
+    const PIECES: [&str; 16] = [
+        "--", "--", "=", "w", "threads", "explain", "k", "ß", "名", "0", "17", "-3", "1e309",
+        "NaN", "x", " ",
+    ];
+
+    /// One command-line token glued from a few fragments, now and then
+    /// one of them an arbitrary non-ASCII string.
+    fn token() -> impl Strategy<Value = String> {
+        prop::collection::vec(0usize..PIECES.len() + 2, 0..5).prop_map(|ks| {
+            ks.iter()
+                .map(|&k| PIECES.get(k).copied().unwrap_or("é\u{0}🦀"))
+                .collect()
+        })
+    }
+
+    fn declared(mask: u8) -> Vec<&'static str> {
+        NAMES
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask >> i & 1 == 1)
+            .map(|(_, n)| *n)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary token lists against random declarations (a name in
+        /// both masks is declared as both kinds): parsing returns `Ok` or
+        /// `Err`, an `Ok` holds only declared names, and reading any flag
+        /// as a number returns without panicking. Nothing runs a command.
+        #[test]
+        fn parse_never_panics_and_keeps_only_declared_names(
+            tokens in prop::collection::vec(token(), 0..8),
+            value_mask in 0u8..64,
+            switch_mask in 0u8..64,
+        ) {
+            let value_flags = declared(value_mask);
+            let switches = declared(switch_mask);
+            if let Ok(a) = Args::parse(&tokens, &value_flags, &switches) {
+                for name in a.flags.keys() {
+                    prop_assert!(value_flags.contains(&name.as_str()), "{name:?} in {tokens:?}");
+                    let _ = a.get_or::<usize>(name, 0);
+                    let _ = a.get_or::<f64>(name, 0.0);
+                }
+                for name in &a.switches {
+                    prop_assert!(switches.contains(&name.as_str()), "{name:?} in {tokens:?}");
+                }
+            }
+        }
     }
 }

@@ -49,6 +49,13 @@ fn discover(dir: &Path) -> Result<Vec<DatasetPair>, Box<dyn std::error::Error>> 
     Ok(out)
 }
 
+/// Index of the best accuracy in `[euclidean, cdtw, fastdtw]`; a tie
+/// goes to the leftmost, so exact cDTW keeps a tie with the FastDTW that
+/// approximates it.
+fn winner(acc: [f64; 3]) -> usize {
+    (1..acc.len()).fold(0, |best, i| if acc[i] > acc[best] { i } else { best })
+}
+
 /// Runs the command, returning the printable result.
 pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     let args = Args::parse(raw, &["dir", "max-w", "limit", "fastdtw-radius"], &[])?;
@@ -85,13 +92,7 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
         let e = acc(DistanceSpec::Euclidean)?;
         let c = acc(DistanceSpec::CdtwBand(band))?;
         let f = acc(DistanceSpec::FastDtwRef(radius))?;
-        let best = [e, c, f]
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .map(|(i, _)| i)
-            .expect("nonempty");
-        wins[best] += 1;
+        wins[winner([e, c, f])] += 1;
         out.push_str(&format!(
             "{:<24}{:>8}{:>8}{:>11.1}%{:>13.1}%{:>13.1}%{:>7}%\n",
             name,
@@ -170,6 +171,14 @@ mod tests {
         .unwrap();
         assert!(out.contains("Alpha") && !out.contains("Beta"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ties_go_to_the_leftmost_measure() {
+        assert_eq!(winner([90.0, 90.0, 90.0]), 0, "three-way tie: euclidean");
+        assert_eq!(winner([80.0, 95.0, 95.0]), 1, "cDTW keeps its tie");
+        assert_eq!(winner([95.0, 80.0, 95.0]), 0);
+        assert_eq!(winner([70.0, 80.0, 95.0]), 2, "a strict FastDTW win");
     }
 
     #[test]

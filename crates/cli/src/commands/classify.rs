@@ -25,7 +25,7 @@ tsdtw classify --train FILE --test FILE [--w PCT|auto] [--max-w PCT] [--measure 
   --stats        print DP-cell counters summed over every test-vs-train comparison
   --stats-json   also dump the counters as JSON to FILE (implies --stats)
   --trace        record a flight-recorder trace of the evaluation to FILE
-                 (Chrome Trace Format; needs a build with --features obs)
+                 (Chrome Trace Format; open in Perfetto)
   --metrics      write the run's work counters and request latency to FILE
                  in the Prometheus text exposition format
   --explain      print the EXPLAIN prune-funnel table for the evaluation's
@@ -33,8 +33,8 @@ tsdtw classify --train FILE --test FILE [--w PCT|auto] [--max-w PCT] [--measure 
                  so this reports an explanatory note until it cascades).
                  --explain=FILE also dumps the funnel JSON
   --profile      arm the sampling profiler and print the per-span
-                 self-vs-total table (needs --features obs to catch frames).
-                 --profile=FILE also writes the collapsed stacks to FILE
+                 self-vs-total table. --profile=FILE also writes the
+                 collapsed stacks to FILE
                  (flamegraph.pl compatible; render with `tsdtw report flame`)
   files: UCR archive format (label, then values; tab- or comma-separated)";
 
@@ -110,6 +110,7 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     let want_stats = args.has(stats::STATS_SWITCH) || json_path.is_some();
     let want_meter = want_stats || metrics_path.is_some() || want_explain;
     let mut meter = WorkMeter::new();
+    let _spans = stats::spans_start(want_stats);
     stats::trace_start(trace_path);
     let profiler = stats::profile_start(want_profile);
     let t0 = std::time::Instant::now();

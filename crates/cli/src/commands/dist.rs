@@ -22,15 +22,15 @@ tsdtw dist --a FILE --b FILE [--measure M] [--w PCT] [--radius R] [--znorm]
   --stats        print DP-cell / window / buffer counters for the evaluation
   --stats-json   also dump the counters as JSON to FILE (implies --stats)
   --trace        record a flight-recorder trace of the evaluation to FILE
-                 (Chrome Trace Format; needs a build with --features obs)
+                 (Chrome Trace Format; open in Perfetto)
   --metrics      write the run's work counters and request latency to FILE
                  in the Prometheus text exposition format
   --explain      print the EXPLAIN prune-funnel table (a single-pair
                  distance runs no lower-bound cascade, so this reports an
                  explanatory note). --explain=FILE also dumps the funnel JSON
   --profile      arm the sampling profiler and print the per-span
-                 self-vs-total table (needs --features obs to catch frames).
-                 --profile=FILE also writes the collapsed stacks to FILE
+                 self-vs-total table. --profile=FILE also writes the
+                 collapsed stacks to FILE
                  (flamegraph.pl compatible; render with `tsdtw report flame`)
   series files: one finite value per line, '#' comments allowed";
 
@@ -90,6 +90,7 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     let want_stats = args.has(stats::STATS_SWITCH) || json_path.is_some();
     let want_meter = want_stats || metrics_path.is_some() || want_explain;
     let mut meter = WorkMeter::new();
+    let _spans = stats::spans_start(want_stats);
     stats::trace_start(trace_path);
     let profiler = stats::profile_start(want_profile);
     let t0 = std::time::Instant::now();
@@ -207,6 +208,9 @@ mod tests {
         assert!(out.contains("-- work --"), "{out}");
         assert!(out.contains("DP cells evaluated"), "{out}");
         assert!(out.contains("fastdtw:"), "{out}");
+        // --stats arms the span probes for the command.
+        assert!(out.contains("-- spans --"), "{out}");
+        assert!(out.contains("fastdtw "), "{out}");
         let dumped = std::fs::read_to_string(&json).unwrap();
         assert!(dumped.contains("\"fastdtw_levels\""), "{dumped}");
     }
@@ -260,13 +264,10 @@ mod tests {
         assert!(out.contains("trace written"), "{out}");
         let text = std::fs::read_to_string(&trace).unwrap();
         let parsed = tsdtw_obs::Json::parse(&text).unwrap();
-        assert!(parsed.get("traceEvents").is_some());
-        if tsdtw_obs::spans_enabled() {
-            assert!(
-                !parsed["traceEvents"].as_array().unwrap().is_empty(),
-                "obs build records span events"
-            );
-        }
+        assert!(
+            !parsed["traceEvents"].as_array().unwrap().is_empty(),
+            "the recorder arms the span probes"
+        );
     }
 
     #[test]
@@ -290,6 +291,7 @@ mod tests {
 
     #[test]
     fn profile_flag_prints_table_and_writes_collapsed_stacks() {
+        let _serial = crate::stats::tests::profiler_lock();
         let (a, b) = setup("tsdtw-dist-profile-test");
         let collapsed = std::env::temp_dir()
             .join("tsdtw-dist-profile-test")
@@ -313,9 +315,6 @@ mod tests {
         // file may be empty — but it must be well-formed).
         let text = std::fs::read_to_string(&collapsed).unwrap();
         tsdtw_obs::profile::parse_collapsed(&text).unwrap();
-        if !tsdtw_obs::spans_enabled() {
-            assert!(out.contains("without --features obs"), "{out}");
-        }
         // Bare --profile: table only, no file note.
         let out = run(&raw(&[
             "--a",

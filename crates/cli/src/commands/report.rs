@@ -100,8 +100,8 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
 fn attribution_block(baseline: &Json, current: &Json, n: usize) -> String {
     let suspects = snapshot::attribute(baseline, current);
     if suspects.is_empty() {
-        "top suspect spans: none (no span grew; build with --features obs \
-         and pass --profile to repro for richer evidence)\n"
+        "top suspect spans: none (no span grew; pass --trace or --profile \
+         to repro for richer evidence)\n"
             .to_string()
     } else {
         format!(
@@ -372,7 +372,7 @@ fn run_show(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
 
     if let Some(kernels) = snap["kernels"].as_object() {
         if kernels.is_empty() {
-            out.push_str("\n-- kernels: no span data (build with --features obs) --\n");
+            out.push_str("\n-- kernels: no span data (run repro with --trace or --profile) --\n");
         } else {
             out.push_str("\n-- kernels (timings vary with hardware) --\n");
             out.push_str(&format!(

@@ -23,7 +23,7 @@ tsdtw search --haystack FILE --query FILE [--w PCT] [--top K] [--threads N]
   --stats        print DP-cell / lower-bound / prune counters for the search
   --stats-json   also dump the counters as JSON to FILE (implies --stats)
   --trace        record a flight-recorder trace of the search to FILE
-                 (Chrome Trace Format; needs a build with --features obs)
+                 (Chrome Trace Format; open in Perfetto)
   --metrics      write the run's work counters and request latency to FILE
                  in the Prometheus text exposition format
   --explain      print the EXPLAIN prune-funnel table: per cascade stage,
@@ -31,8 +31,8 @@ tsdtw search --haystack FILE --query FILE [--w PCT] [--top K] [--threads N]
                  prune-rate-per-cost ranking; bitwise identical at every
                  --threads. --explain=FILE also dumps the funnel JSON
   --profile      arm the sampling profiler and print the per-span
-                 self-vs-total table (needs --features obs to catch frames).
-                 --profile=FILE also writes the collapsed stacks to FILE
+                 self-vs-total table. --profile=FILE also writes the
+                 collapsed stacks to FILE
                  (flamegraph.pl compatible; render with `tsdtw report flame`)";
 
 /// Runs the command, returning the printable result.
@@ -72,6 +72,7 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     let want_profile = args.has(stats::PROFILE_FLAG) || profile_path.is_some();
     let want_stats = args.has(stats::STATS_SWITCH) || json_path.is_some();
     let mut meter = WorkMeter::new();
+    let _spans = stats::spans_start(want_stats);
     stats::trace_start(trace_path);
     let profiler = stats::profile_start(want_profile);
     let t0 = std::time::Instant::now();

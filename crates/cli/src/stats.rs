@@ -2,11 +2,14 @@
 //! its [`WorkMeter`] through here for the human-readable counter block and
 //! the optional `--stats-json FILE` dump. The `--trace FILE` flag shares
 //! this module too: it arms the flight recorder before the command's work
-//! and exports the resulting Chrome-trace file afterwards.
+//! and exports the resulting Chrome-trace file afterwards. Each of
+//! `--stats`, `--trace` and `--profile` arms the span probes for the
+//! command; without them the probes stay idle.
 
 use std::path::Path;
 use tsdtw_obs::{
-    recorder_start, recorder_stop, take_spans, AllocDelta, WorkMeter, DEFAULT_TRACE_CAPACITY,
+    recorder_start, recorder_stop, take_spans, AllocDelta, SpansArmed, WorkMeter,
+    DEFAULT_TRACE_CAPACITY,
 };
 
 /// Flag names shared by all `--stats`-capable commands.
@@ -51,6 +54,14 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     }
 }
 
+/// Arms the span probes for `--stats`; hold the token until [`render`]
+/// has drained the `-- spans --` table. Spans this thread recorded
+/// earlier are dropped, so the table covers the command alone.
+pub fn spans_start(want_stats: bool) -> Option<SpansArmed> {
+    let _ = take_spans();
+    want_stats.then(tsdtw_obs::arm_spans)
+}
+
 /// Arms the flight recorder if the command was given `--trace FILE`.
 /// Call before the command's real work; pair with [`trace_finish`].
 pub fn trace_start(trace_path: Option<&str>) {
@@ -77,9 +88,6 @@ pub fn trace_finish(
         "trace written to {path} (open in Perfetto / chrome://tracing)\n"
     ));
     out.push_str(&trace.summary_table());
-    if !tsdtw_obs::spans_enabled() {
-        out.push_str("note: built without --features obs; the trace has no span events\n");
-    }
     Ok(())
 }
 
@@ -104,9 +112,6 @@ pub fn profile_finish(
     let report = profiler.stop();
     out.push_str("-- profile --\n");
     out.push_str(&report.table());
-    if !tsdtw_obs::spans_enabled() {
-        out.push_str("note: built without --features obs; no live stacks were published\n");
-    }
     if let Some(path) = collapsed_path {
         write_atomic(Path::new(path), &report.collapsed())?;
         out.push_str(&format!(
@@ -118,9 +123,10 @@ pub fn profile_finish(
 
 /// Appends the meter's counter summary to `out` and, when `json_path` is
 /// given, writes the meter's `work` JSON there (atomically). Timing spans
-/// (collected only under the `obs` feature) are drained and appended with
-/// their latency profile when present. A heap delta measured around the
-/// command's work (see [`AllocScope`](tsdtw_obs::AllocScope)) renders as
+/// (recorded while [`spans_start`]'s token is held) are drained and
+/// appended with their latency profile when present. A heap delta
+/// measured around the command's work (see
+/// [`AllocScope`](tsdtw_obs::AllocScope)) renders as
 /// one memory line and a `memory` section in the JSON dump; it reads all
 /// zero unless the build armed `--features alloc-telemetry`.
 pub fn render(
@@ -290,8 +296,17 @@ pub fn run_invariant_view(out: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes the tests that start the sampling profiler: its
+    /// live-stack flag is process-wide, so one test's stop would blind
+    /// another's spans.
+    pub(crate) fn profiler_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn renders_summary_and_writes_json() {
@@ -458,7 +473,13 @@ mod tests {
         assert!(out.contains("trace written"), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
         let parsed = tsdtw_obs::Json::parse(&text).unwrap();
-        assert!(parsed.get("traceEvents").is_some());
+        let spans = parsed["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e["ph"].as_str() != Some("C"))
+            .count();
+        assert_eq!(spans, 2, "the recorder armed the span: {text}");
         let _ = take_spans();
     }
 
@@ -475,6 +496,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("profile.txt");
         let path_str = path.to_str().unwrap().to_string();
+        let _serial = profiler_lock();
         let profiler = profile_start(true);
         assert!(profiler.is_some());
         {
@@ -489,12 +511,13 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         // The file round-trips through the parser `report flame` uses.
         let folded = tsdtw_obs::profile::parse_collapsed(&text).unwrap();
-        if tsdtw_obs::spans_enabled() {
-            assert!(out.contains("self%"), "{out}");
-        } else {
-            assert!(out.contains("without --features obs"), "{out}");
-            assert!(folded.is_empty(), "{folded:?}");
-        }
+        assert!(out.contains("self%"), "{out}");
+        assert!(
+            folded
+                .iter()
+                .any(|(s, _)| s.contains("cli_stats_profile_test")),
+            "{folded:?}"
+        );
     }
 
     #[test]

@@ -346,7 +346,16 @@ fn dist_trace_flag_emits_chrome_trace_json() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = std::fs::read_to_string(&trace).unwrap();
-    assert!(text.contains("\"traceEvents\""), "{text}");
+    let parsed = tsdtw_obs::Json::parse(&text).unwrap();
+    // The recorder arms the span probes in every build, so FastDTW's
+    // spans reach the file.
+    let events = parsed["traceEvents"].as_array().expect("traceEvents");
+    assert!(
+        events
+            .iter()
+            .any(|e| e["name"] == "fastdtw" && e["ph"] == "B"),
+        "{text}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -90,6 +90,16 @@ mod tests {
     const Y: [f64; 8] = [0.0, 0.0, 1.0, 3.0, 2.0, 0.0, -1.0, 0.0];
 
     #[test]
+    fn plain_calls_leave_the_span_table_empty() {
+        // No test in this crate arms the span probes, so every kernel's
+        // span stays idle: nothing reaches the thread's table.
+        dtw(&X, &Y).unwrap();
+        cdtw(&X, &Y, 25.0).unwrap();
+        fastdtw(&X, &Y, 1).unwrap();
+        assert!(tsdtw_obs::take_spans().is_empty());
+    }
+
+    #[test]
     fn cdtw_at_zero_percent_is_sq_euclidean() {
         let a = cdtw(&X, &Y, 0.0).unwrap();
         let b = sq_euclidean(&X, &Y).unwrap();

@@ -1,50 +1,46 @@
 //! Unconstrained ("Full") DTW — `cDTW_100` in the paper's notation.
 //!
-//! The distance-only kernel here is a hand-tightened two-row DP without any
-//! window bookkeeping; the paper's Fig. 6 crossover experiment compares
-//! exactly this kernel against FastDTW. The path variant delegates to the
-//! windowed kernel with a full window.
+//! Both variants run the windowed kernel over the full window. The
+//! distance takes [`Kernel::Auto`]'s route like every other windowed
+//! call, so once the shorter series is [`WAVEFRONT_MIN_WIDTH`] points
+//! long the paper's Fig. 6 crossover experiment times the wavefront
+//! against FastDTW; below that it runs the row sweep.
+//!
+//! [`WAVEFRONT_MIN_WIDTH`]: super::kernel::WAVEFRONT_MIN_WIDTH
 
 use crate::cost::CostFn;
 use crate::error::{check_finite, check_nonempty, Result};
 use crate::path::WarpingPath;
 use crate::window::SearchWindow;
+use tsdtw_obs::NoMeter;
 
-use super::sweep;
+use super::kernel::Kernel;
+use super::windowed::{windowed_distance_metered_kernel, DtwBuffer};
 
 /// Exact unconstrained DTW distance between `x` and `y`.
 ///
-/// Time `O(n·m)`, memory `O(min(n, m))` (the shorter series indexes the
-/// columns). The full matrix is the window `lo = 0, hi = m - 1` on every
-/// row, so the row sweep's interior is the whole row except column 0 —
-/// the entire DP runs branch-free.
+/// Time `O(n·m)`, memory `O(n + m)`: the window's row bounds plus the
+/// kernel's rolling rows (or diagonals), which hold `min(n, m)` cells
+/// because the longer series indexes the rows. With a symmetric local
+/// cost (every built-in one) that transposition cannot change the
+/// result's bits, since the cell minimum is exact.
 pub fn dtw_distance<C: CostFn>(x: &[f64], y: &[f64], cost: C) -> Result<f64> {
     check_nonempty("x", x)?;
     check_nonempty("y", y)?;
     check_finite("x", x)?;
     check_finite("y", y)?;
     let _span = tsdtw_obs::span("dtw_full");
-    // Put the shorter series on the columns so the rolling rows are minimal.
     let (rows, cols) = if x.len() >= y.len() { (x, y) } else { (y, x) };
-    let m = cols.len();
-
-    let mut prev = vec![f64::INFINITY; m];
-    let mut cur = vec![f64::INFINITY; m];
-
-    // Row 0 is a prefix sum of costs against rows[0].
-    let r0 = rows[0];
-    let mut acc = 0.0;
-    for (j, &cj) in cols.iter().enumerate() {
-        acc += cost.cost(r0, cj);
-        prev[j] = acc;
-    }
-
-    for &ri in rows.iter().skip(1) {
-        sweep::distance_row(ri, cols, 0, m - 1, 0, m - 1, &prev, &mut cur, cost);
-        std::mem::swap(&mut prev, &mut cur);
-    }
-
-    Ok(cost.finish(prev[m - 1]))
+    let window = SearchWindow::full(rows.len(), cols.len());
+    windowed_distance_metered_kernel(
+        rows,
+        cols,
+        &window,
+        cost,
+        &mut DtwBuffer::new(),
+        &mut NoMeter,
+        Kernel::Auto,
+    )
 }
 
 /// Exact unconstrained DTW distance *and* an optimal warping path.

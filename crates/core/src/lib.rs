@@ -26,8 +26,10 @@
 //! invocations, cascade prune tallies, early-abandon row counts, and
 //! peak DP-buffer bytes. The meter is a monomorphized generic whose
 //! no-op default ([`obs::NoMeter`], what the plain entry points pass)
-//! compiles to the uninstrumented code. Enable the `obs` cargo feature
-//! to additionally wrap kernels in timing spans.
+//! compiles to the uninstrumented code. Kernels also open timing spans
+//! ([`obs::span`]), which record only while a consumer arms them (a
+//! flight recorder, the sampling profiler, or [`obs::arm_spans`]);
+//! disarmed, each costs one atomic load.
 //!
 //! ## Conventions
 //!

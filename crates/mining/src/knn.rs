@@ -12,7 +12,6 @@
 use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::banded::{cdtw_distance_metered_with_buf, percent_to_band};
 use tsdtw_core::dtw::batch::{cdtw_batch_distances_metered, BatchBuffer, LANES};
-use tsdtw_core::dtw::full::dtw_distance;
 use tsdtw_core::dtw::windowed::DtwBuffer;
 use tsdtw_core::error::{Error, Result};
 use tsdtw_core::fastdtw::{fastdtw_distance_metered, fastdtw_ref_metered};
@@ -171,10 +170,8 @@ impl DistanceSpec {
     /// Like [`eval`](Self::eval), recording DP work into `meter`.
     ///
     /// Squared Euclidean runs no DP, so it records nothing. Full DTW is
-    /// routed through the banded kernel with a matrix-covering band when a
-    /// recording meter is attached, so its cells land in the same counters
-    /// as every other spec; with [`NoMeter`] it keeps the tight two-row
-    /// kernel.
+    /// routed through the banded kernel with a matrix-covering band, so
+    /// its cells land in the same counters as every other spec.
     pub fn eval_metered<M: Meter>(&self, x: &[f64], y: &[f64], meter: &mut M) -> Result<f64> {
         let mut buf = DtwBuffer::new();
         self.eval_metered_buf(x, y, meter, &mut buf)
@@ -205,18 +202,7 @@ impl DistanceSpec {
                 cdtw_distance_metered_with_buf(x, y, band, SquaredCost, buf, meter)
             }
             DistanceSpec::FullDtw => {
-                if meter.enabled() {
-                    cdtw_distance_metered_with_buf(
-                        x,
-                        y,
-                        x.len().max(y.len()),
-                        SquaredCost,
-                        buf,
-                        meter,
-                    )
-                } else {
-                    dtw_distance(x, y, SquaredCost)
-                }
+                cdtw_distance_metered_with_buf(x, y, x.len().max(y.len()), SquaredCost, buf, meter)
             }
             DistanceSpec::FastDtw(r) => fastdtw_distance_metered(x, y, r, SquaredCost, meter),
             DistanceSpec::FastDtwRef(r) => {

@@ -884,17 +884,14 @@ mod tests {
         })
         .unwrap();
         let trace = tsdtw_obs::recorder_stop().expect("recorder was armed");
+        let _ = tsdtw_obs::take_spans();
         assert_eq!(out.len(), 12);
-        if tsdtw_obs::spans_enabled() {
-            // Every worker item produced a begin/end pair, absorbed onto
-            // per-worker tracks; ids stay pairable after the merge.
-            assert_eq!(trace.events.len(), 24, "{:?}", trace.events);
-            assert!(trace.events.iter().all(|e| e.track >= 1));
-            let rows = trace.summary();
-            assert_eq!(rows.len(), 1);
-            assert_eq!(rows[0].count, 12);
-        } else {
-            assert!(trace.events.is_empty());
-        }
+        // Every worker item produced a begin/end pair, absorbed onto
+        // per-worker tracks; ids stay pairable after the merge.
+        assert_eq!(trace.events.len(), 24, "{:?}", trace.events);
+        assert!(trace.events.iter().all(|e| e.track >= 1));
+        let rows = trace.summary();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].count, 12);
     }
 }

@@ -19,13 +19,14 @@
 //!   dump. Insertion order is preserved so reports diff cleanly.
 //!   [`Json::parse`] reads documents back in for the perf-trajectory
 //!   diff tooling.
-//! * [`span`] — feature-gated timing probes (`--features spans`).
-//!   Disabled, a span is a unit struct and the probe vanishes; enabled,
-//!   per-label call counts, wall time, and a latency histogram
+//! * [`span`] — timing probes armed at runtime. Disarmed (no
+//!   [`arm_spans`] token alive), a probe is one relaxed atomic load;
+//!   armed, per-label call counts, wall time, and a latency histogram
 //!   accumulate in a thread-local table drained by [`take_spans`].
 //! * [`recorder_start`] / [`recorder_stop`] — the flight recorder: a
 //!   fixed-capacity ring of structured begin/end span events with
-//!   nesting intact, exportable as a Chrome Trace Format file
+//!   nesting intact (a running recorder arms the spans), exportable as a
+//!   Chrome Trace Format file
 //!   ([`Trace::chrome_json`], openable in Perfetto) or a compact
 //!   per-span summary table.
 //! * [`Profiler`] / [`ProfileReport`](mod@profile) — the wall-clock
@@ -81,6 +82,6 @@ pub use recorder::{
     TraceEvent, TracePhase, TraceSummaryRow, DEFAULT_TRACE_CAPACITY,
 };
 pub use span::{
-    absorb_raw_spans, drain_raw_spans, span, spans_enabled, take_spans, RawSpans, SpanGuard,
-    SpanStat,
+    absorb_raw_spans, arm_spans, drain_raw_spans, span, take_spans, RawSpans, SpanGuard, SpanStat,
+    SpansArmed,
 };

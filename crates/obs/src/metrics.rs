@@ -657,6 +657,7 @@ mod tests {
         // Global state: use names unique to this test; other tests may
         // add their own globals concurrently, which is fine — we only
         // assert on ours.
+        let _serial = crate::span::tests::arm_lock(); // the recorder arms spans
         counter_add("tsdtw_sampler_test_ticks", "Sampler test counter.", 9);
         recorder_start(1 << 10);
         let sampler = MetricsSampler::start(Duration::from_millis(5));

@@ -25,9 +25,11 @@
 //!
 //! ## The live-stack contract
 //!
-//! * Pushes happen only while the profiler is **armed** (a relaxed
-//!   atomic load is the entire disarmed cost), so a disarmed build pays
-//!   nothing measurable on the span hot path.
+//! * Pushes happen only while the profiler is **armed**. A running
+//!   profiler holds a [`SpansArmed`](crate::SpansArmed) token, so the
+//!   span probes record while it samples; its own flag gates the
+//!   live-stack publication, so spans armed by a recorder alone never
+//!   touch a slot.
 //! * Each [`SpanGuard`](crate::SpanGuard) remembers whether *it* pushed
 //!   and pops only its own frame, so arming or disarming mid-span never
 //!   unbalances a stack — at worst the first samples after arming are
@@ -120,7 +122,6 @@ thread_local! {
 /// frame was actually pushed; the caller (the span guard) must pop iff
 /// this returned `true`. No-op (and `false`) when no sampler is armed
 /// or the thread is already tearing down its locals.
-#[cfg_attr(not(feature = "spans"), allow(dead_code))] // hooked from span.rs's enabled path
 pub(crate) fn live_push(label: &'static str) -> bool {
     if !ARMED.load(Ordering::Relaxed) {
         return false;
@@ -133,7 +134,6 @@ pub(crate) fn live_push(label: &'static str) -> bool {
 /// Pops the frame a prior successful [`live_push`] published. Tolerates
 /// thread teardown (the slot is already gone) and an externally cleared
 /// stack (the pop saturates at empty).
-#[cfg_attr(not(feature = "spans"), allow(dead_code))] // hooked from span.rs's enabled path
 pub(crate) fn live_pop() {
     let _ = LOCAL.try_with(|l| {
         relock(&l.slot.stack).pop();
@@ -175,12 +175,13 @@ pub struct Profiler {
     handle: std::thread::JoinHandle<(u64, HashMap<String, u64>)>,
     rate_hz: f64,
     started: Instant,
+    _spans: crate::SpansArmed,
 }
 
 impl Profiler {
-    /// Arms the live-stack hooks and spawns the sampler thread at
-    /// `rate_hz` samples per second (non-finite or non-positive rates
-    /// fall back to [`DEFAULT_SAMPLE_HZ`]).
+    /// Arms the span probes and the live-stack hooks, and spawns the
+    /// sampler thread at `rate_hz` samples per second (non-finite or
+    /// non-positive rates fall back to [`DEFAULT_SAMPLE_HZ`]).
     pub fn start(rate_hz: f64) -> Profiler {
         let rate = if rate_hz.is_finite() && rate_hz > 0.0 {
             rate_hz
@@ -188,6 +189,7 @@ impl Profiler {
             DEFAULT_SAMPLE_HZ
         };
         let period = Duration::from_secs_f64(1.0 / rate);
+        let spans = crate::arm_spans();
         ARMED.store(true, Ordering::SeqCst);
         let shared = Arc::new((Mutex::new(false), Condvar::new()));
         let thread_shared = Arc::clone(&shared);
@@ -218,12 +220,13 @@ impl Profiler {
             handle,
             rate_hz: rate,
             started: Instant::now(),
+            _spans: spans,
         }
     }
 
-    /// Disarms the hooks, joins the sampler, and returns its report.
-    /// Panic-safe: a sampler that died mid-run yields an empty report
-    /// rather than propagating.
+    /// Disarms the hooks and the span probes, joins the sampler, and
+    /// returns its report. Panic-safe: a sampler that died mid-run
+    /// yields an empty report rather than propagating.
     pub fn stop(self) -> ProfileReport {
         ARMED.store(false, Ordering::SeqCst);
         {
@@ -511,13 +514,7 @@ pub fn flame_ascii(folded: &[(String, u64)], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Arming is process-wide; tests that start a profiler serialize on
-    /// this so a concurrently disarming test cannot blind them.
-    fn arm_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        relock(&LOCK)
-    }
+    use crate::span::tests::arm_lock;
 
     fn folded(pairs: &[(&str, u64)]) -> Vec<(String, u64)> {
         pairs.iter().map(|(s, n)| (s.to_string(), *n)).collect()
@@ -600,31 +597,28 @@ mod tests {
     fn armed_sampler_catches_spans_and_stop_disarms() {
         let _serial = arm_lock();
         let p = Profiler::start(5000.0);
-        if crate::spans_enabled() {
-            let _g = crate::span("profile_unit_test_span");
-            std::thread::sleep(Duration::from_millis(25));
-            drop(_g);
-        } else {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let g = crate::span("profile_unit_test_span");
+        std::thread::sleep(Duration::from_millis(25));
+        drop(g);
         let report = p.stop();
-        let _ = crate::take_spans();
         assert!(report.ticks > 0);
         assert!(!ARMED.load(Ordering::SeqCst), "stop disarms");
-        if crate::spans_enabled() {
-            assert!(
-                report
-                    .folded
-                    .iter()
-                    .any(|(s, _)| s.contains("profile_unit_test_span")),
-                "{:?}",
-                report.folded
-            );
-            // Advisory JSON is well-formed even on live data.
-            let j = report.to_json();
-            assert!(j["samples"].as_u64().unwrap() >= 1);
-        }
-        // Disarmed again: pushes are refused.
+        assert!(
+            report
+                .folded
+                .iter()
+                .any(|(s, _)| s.contains("profile_unit_test_span")),
+            "{:?}",
+            report.folded
+        );
+        // Advisory JSON is well-formed even on live data.
+        let j = report.to_json();
+        assert!(j["samples"].as_u64().unwrap() >= 1);
+        // The span recorded while armed; after stop the probes are idle
+        // and pushes are refused.
+        assert_eq!(crate::take_spans().len(), 1);
+        drop(crate::span("profile_after_stop"));
+        assert!(crate::take_spans().is_empty(), "stop releases the span arm");
         assert!(!live_push("after_stop"));
     }
 

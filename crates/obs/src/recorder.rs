@@ -24,11 +24,9 @@
 //! * [`Trace::summary_table`] — a compact per-label table (count,
 //!   total, p50/p99/max from a [`LatencyHist`]) for terminal output.
 //!
-//! Recording is wired through the feature-gated span probes: with the
-//! `spans` cargo feature off, spans compile to nothing, no events are
-//! ever produced, and [`recorder_stop`] returns an empty (but valid)
-//! trace. The [`Recorder`]/[`Trace`] types themselves are always
-//! available, so exporters and tests are feature-independent.
+//! Recording is wired through the span probes: a running recorder holds
+//! a [`SpansArmed`] token, so the probes record exactly while some
+//! recorder (or another consumer) is active.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -36,6 +34,7 @@ use std::time::Instant;
 
 use crate::hist::LatencyHist;
 use crate::json::Json;
+use crate::span::SpansArmed;
 
 /// Default ring capacity used by CLI `--trace` (events, not spans; one
 /// span is two events).
@@ -334,7 +333,6 @@ impl Trace {
                 "source" => "tsdtw flight recorder",
                 "capacity" => self.capacity,
                 "dropped_events" => self.dropped,
-                "spans_feature" => crate::spans_enabled(),
             },
         }
     }
@@ -436,21 +434,30 @@ pub struct TraceSummaryRow {
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    /// This thread's recorder and the token that arms spans for it.
+    static ACTIVE: RefCell<Option<(Recorder, SpansArmed)>> = const { RefCell::new(None) };
+}
+
+/// Installs `recorder` on this thread. A restart replaces the old
+/// recorder and its token, so a thread holds one arm at most.
+fn activate(recorder: Recorder) {
+    let armed = crate::arm_spans();
+    ACTIVE.with(|a| *a.borrow_mut() = Some((recorder, armed)));
 }
 
 /// Starts (or restarts) the flight recorder on this thread with the
-/// given ring capacity. Span guards opened after this call record
-/// begin/end events until [`recorder_stop`].
+/// given ring capacity, arming the span probes. Span guards opened after
+/// this call record begin/end events until [`recorder_stop`].
 pub fn recorder_start(capacity: usize) {
-    ACTIVE.with(|a| *a.borrow_mut() = Some(Recorder::new(capacity)));
+    activate(Recorder::new(capacity));
 }
 
-/// Stops this thread's recorder and returns its trace; `None` when no
-/// recorder was active. Without the `spans` cargo feature the trace is
-/// empty (the probes compile away) but still exports as a valid file.
+/// Stops this thread's recorder, releases its arm token, and returns its
+/// trace; `None` when no recorder was active.
 pub fn recorder_stop() -> Option<Trace> {
-    ACTIVE.with(|a| a.borrow_mut().take()).map(Recorder::finish)
+    ACTIVE
+        .with(|a| a.borrow_mut().take())
+        .map(|(r, _)| r.finish())
 }
 
 /// Whether a recorder is active on this thread.
@@ -483,7 +490,7 @@ impl RecorderHandoff {
 /// nothing, at zero cost).
 pub fn recorder_handoff() -> Option<RecorderHandoff> {
     ACTIVE.with(|a| {
-        a.borrow().as_ref().map(|r| RecorderHandoff {
+        a.borrow().as_ref().map(|(r, _)| RecorderHandoff {
             capacity: r.capacity,
             epoch: r.epoch,
         })
@@ -491,10 +498,11 @@ pub fn recorder_handoff() -> Option<RecorderHandoff> {
 }
 
 /// Starts a shard recorder on a worker thread from a parent's
-/// [`RecorderHandoff`]. Stop it with [`recorder_stop`] and feed the
-/// returned trace to [`recorder_absorb`] on the parent thread.
+/// [`RecorderHandoff`]; it arms the span probes like any recorder. Stop
+/// it with [`recorder_stop`] and feed the returned trace to
+/// [`recorder_absorb`] on the parent thread.
 pub fn recorder_start_shard(handoff: RecorderHandoff) {
-    ACTIVE.with(|a| *a.borrow_mut() = Some(Recorder::with_epoch(handoff.capacity, handoff.epoch)));
+    activate(Recorder::with_epoch(handoff.capacity, handoff.epoch));
 }
 
 /// Appends counter-track samples to this thread's active recorder;
@@ -504,7 +512,7 @@ pub fn recorder_start_shard(handoff: RecorderHandoff) {
 pub fn recorder_counter_samples(samples: Vec<CounterSample>) -> usize {
     ACTIVE.with(|a| {
         let mut borrow = a.borrow_mut();
-        let Some(r) = borrow.as_mut() else {
+        let Some((r, _)) = borrow.as_mut() else {
             return 0;
         };
         let n = samples.len();
@@ -519,24 +527,22 @@ pub fn recorder_counter_samples(samples: Vec<CounterSample>) -> usize {
 /// (see [`Recorder::absorb`]); a no-op when no recorder is active.
 pub fn recorder_absorb(shard: Trace) {
     ACTIVE.with(|a| {
-        if let Some(r) = a.borrow_mut().as_mut() {
+        if let Some((r, _)) = a.borrow_mut().as_mut() {
             r.absorb(shard);
         }
     });
 }
 
 /// Span-guard hook: begin event if a recorder is active.
-#[cfg_attr(not(feature = "spans"), allow(dead_code))]
 pub(crate) fn recorder_begin(label: &'static str) -> Option<u64> {
-    ACTIVE.with(|a| a.borrow_mut().as_mut().map(|r| r.begin(label)))
+    ACTIVE.with(|a| a.borrow_mut().as_mut().map(|(r, _)| r.begin(label)))
 }
 
 /// Span-guard hook: end event matching `recorder_begin`.
-#[cfg_attr(not(feature = "spans"), allow(dead_code))]
 pub(crate) fn recorder_end(label: &'static str, span_id: Option<u64>, alloc_bytes: u64) {
     if let Some(id) = span_id {
         ACTIVE.with(|a| {
-            if let Some(r) = a.borrow_mut().as_mut() {
+            if let Some((r, _)) = a.borrow_mut().as_mut() {
                 r.end_with_alloc(label, id, alloc_bytes);
             }
         });
@@ -726,6 +732,7 @@ mod tests {
 
     #[test]
     fn thread_local_recorder_roundtrip() {
+        let _serial = crate::span::tests::arm_lock();
         assert!(!recorder_active());
         assert!(recorder_stop().is_none());
         recorder_start(16);
@@ -737,5 +744,33 @@ mod tests {
         assert!(!recorder_active());
         assert_eq!(t.capacity, 16);
         assert_eq!(t.events.len(), 2);
+    }
+
+    #[test]
+    fn a_shard_recorder_arms_and_disarms_with_its_shard() {
+        let _serial = crate::span::tests::arm_lock();
+        let probe = || crate::span("shard_probe");
+        recorder_start(16);
+        let handoff = recorder_handoff().expect("recorder active");
+        let shard = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    recorder_start_shard(handoff);
+                    drop(probe());
+                    let t = recorder_stop().expect("shard active");
+                    let _ = crate::take_spans();
+                    t
+                })
+                .join()
+                .expect("worker")
+        });
+        recorder_absorb(shard);
+        let t = recorder_stop().expect("parent active");
+        let _ = crate::take_spans();
+        assert_eq!(t.events.len(), 2, "the shard's span lands on the parent");
+        assert!(t.events.iter().all(|e| e.track == 1));
+        // Every token went with its recorder: spans are idle again.
+        drop(probe());
+        assert!(crate::take_spans().is_empty());
     }
 }

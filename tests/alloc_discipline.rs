@@ -9,12 +9,10 @@
 //!
 //! Measurement only happens with `--features alloc-telemetry`; without it
 //! every probe reads zero and the tests degrade to functional smoke tests
-//! of the same loops. The strict zero assertions additionally require the
-//! `obs` spans layer to be quiet: each armed span appends a latency sample
-//! to thread-local storage whose amortized `Vec` growth is real allocator
-//! traffic, but not traffic of the algorithm under test. The CI memory
-//! gate therefore runs this suite with `alloc-telemetry` and *without*
-//! `obs` — the configuration in which the zero claims are provable.
+//! of the same loops. Nothing here arms the span probes: an armed span
+//! appends a latency sample to thread-local storage whose amortized `Vec`
+//! growth is real allocator traffic, but not traffic of the algorithm
+//! under test.
 
 use tsdtw::core::cost::SquaredCost;
 use tsdtw::core::dtw::banded::{cdtw_distance_metered_with_buf, BandedDtw};
@@ -30,13 +28,7 @@ use tsdtw::datasets::ecg::beats;
 use tsdtw::datasets::random_walk::random_walks;
 use tsdtw::mining::search::subsequence_search_par;
 use tsdtw::mining::{DistanceSpec, LabeledView, ParConfig};
-use tsdtw_obs::{heap_telemetry_enabled, spans_enabled, AllocScope, NoMeter, WorkMeter};
-
-/// Whether the zero-allocation assertions are provable in this build:
-/// allocator armed, spans quiet (see module docs).
-fn strict() -> bool {
-    heap_telemetry_enabled() && !spans_enabled()
-}
+use tsdtw_obs::{heap_telemetry_enabled, AllocScope, NoMeter, WorkMeter};
 
 /// Scratch bytes a fresh buffer holds after one wavefront call on a
 /// window `width` cells wide with an `m`-point `y`: three diagonals of
@@ -114,7 +106,7 @@ fn warmed_banded_evaluator_never_allocates() {
                 .expect("valid inputs");
             probe.end().allocs
         };
-        if strict() {
+        if heap_telemetry_enabled() {
             let (taken, other) = if wide {
                 (Kernel::Wavefront, Kernel::Segmented)
             } else {
@@ -143,7 +135,7 @@ fn warmed_banded_evaluator_never_allocates() {
 
         assert_eq!(acc, (pool.len() * pool.len()) as u64);
         assert_eq!(d0.to_bits(), d1.to_bits(), "warm call changed the result");
-        if strict() {
+        if heap_telemetry_enabled() {
             assert!(
                 warm.is_zero(),
                 "warmed BandedDtw loop (band {band}) touched the heap: {warm:?}"
@@ -190,7 +182,7 @@ fn warmed_buffered_cdtw_never_allocates() {
             warmed_capacity,
             "steady-state calls must not grow the scratch"
         );
-        if strict() {
+        if heap_telemetry_enabled() {
             assert!(
                 warm.is_zero(),
                 "warmed buffered cDTW loop (band {band}) touched the heap: {warm:?}"
@@ -241,7 +233,7 @@ fn wavefront_scratch_is_bounded_by_window_width() {
     }
     let warm = probe.end();
     assert_eq!(buf.capacity_bytes(), warmed);
-    if strict() {
+    if heap_telemetry_enabled() {
         assert!(
             warm.is_zero(),
             "warmed wavefront calls touched the heap: {warm:?}"
@@ -283,7 +275,7 @@ fn warmed_knn_scan_body_never_allocates() {
 
     assert!(best.is_finite());
     assert!(best_idx != usize::MAX);
-    if strict() {
+    if heap_telemetry_enabled() {
         assert!(
             warm.is_zero(),
             "warmed 1-NN scan body touched the heap: {warm:?}"
@@ -397,7 +389,7 @@ fn warmed_subsequence_candidate_loop_never_allocates() {
         abandoned >= 1,
         "no candidate abandoned — threshold plumbing broken?"
     );
-    if strict() {
+    if heap_telemetry_enabled() {
         assert!(
             warm.is_zero(),
             "warmed subsequence candidate loop touched the heap: {warm:?}"
@@ -422,7 +414,7 @@ fn warmed_subsequence_candidate_loop_never_allocates() {
         short_dp >= 1 && long_dp > short_dp,
         "{short_dp} vs {long_dp} DP entrants"
     );
-    if strict() {
+    if heap_telemetry_enabled() {
         assert_eq!(
             (short_heap.allocs, short_heap.reallocs),
             (long_heap.allocs, long_heap.reallocs),
@@ -450,7 +442,7 @@ fn prepared_cascade_clone_never_allocates() {
         clones.push(cascade.clone());
     }
     let cloning = probe.end();
-    if strict() {
+    if heap_telemetry_enabled() {
         assert!(
             cloning.is_zero(),
             "cloning a prepared cascade touched the heap: {cloning:?}"

@@ -638,6 +638,15 @@ fn auto_matches_the_oracle_around_the_wavefront_crossover() {
                 on_wavefront,
                 "{family}: a user cost must take Auto's routes"
             );
+            if family == "full n>m" {
+                // dtw_distance keeps the longer series on the rows, so
+                // both argument orders reach this window's route.
+                let naive = bits(naive_windowed(&x, &y, w, SquaredCost));
+                let d = dtw_distance(&x, &y, SquaredCost).unwrap();
+                assert_eq!(bits(d), naive, "dtw_distance n > m at width {width}");
+                let d = dtw_distance(&y, &x, SquaredCost).unwrap();
+                assert_eq!(bits(d), naive, "dtw_distance n < m at width {width}");
+            }
         }
         assert_eq!(seen, [true; 3], "{family} must cover widths {targets:?}");
     }
