@@ -8,7 +8,9 @@ use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::banded::{cdtw_distance, percent_to_band};
 use tsdtw_datasets::ucr_format::load_ucr_file;
 use tsdtw_mining::cluster::{agglomerative, Linkage};
-use tsdtw_mining::pairwise::pairwise_matrix;
+use tsdtw_mining::pairwise::pairwise_matrix_par;
+use tsdtw_mining::ParConfig;
+use tsdtw_obs::NoMeter;
 
 pub const HELP: &str = "\
 tsdtw cluster --file FILE --k K [--w PCT] [--linkage single|complete|average]
@@ -19,13 +21,13 @@ tsdtw cluster --file FILE --k K [--w PCT] [--linkage single|complete|average]
 /// Runs the command, returning the printable result.
 pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     let args = Args::parse(raw, &["file", "k", "w", "linkage", "threads"], &[])?;
+    let par = ParConfig::new(args.get_or("threads", 2)?)?;
     let data = load_ucr_file(Path::new(args.required("file")?))?;
     let k: usize = args.get_or("k", 2)?;
     let w: f64 = args.get_or("w", 10.0)?;
-    let threads: usize = args.get_or("threads", 2)?;
     let band = percent_to_band(data.series_len(), w)?;
 
-    let matrix = pairwise_matrix(&data.series, threads, |a, b| {
+    let matrix = pairwise_matrix_par(&data.series, &par, &mut NoMeter, |a, b, _| {
         cdtw_distance(a, b, band, SquaredCost)
     })?;
 
@@ -100,6 +102,13 @@ mod tests {
         .unwrap();
         assert!(out.contains("purity"), "{out}");
         assert!(out.contains("assignment"), "{out}");
+    }
+
+    #[test]
+    fn zero_threads_is_a_clean_error() {
+        let p = setup();
+        let e = run(&raw(&["--file", p.to_str().unwrap(), "--threads", "0"])).unwrap_err();
+        assert!(e.to_string().contains("n_threads"), "{e}");
     }
 
     #[test]

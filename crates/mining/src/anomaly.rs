@@ -6,7 +6,7 @@
 //! measures — the running theme of the paper) keeps it tractable.
 //! Included as an extension used by the power-demand example.
 
-use crate::par::{par_fold_argmin, ParConfig};
+use crate::par::{par_fold_argmin, ParConfig, CONTINUOUS};
 use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::early_abandon::{cdtw_distance_ea, EaOutcome};
 use tsdtw_core::error::{Error, Result};
@@ -24,55 +24,10 @@ pub struct Discord {
 
 /// Finds the top discord of window length `m` under z-normalized
 /// `cDTW_band`, with full (non-self-matching) exclusion of overlapping
-/// windows.
+/// windows: [`top_discord_par`] at one worker, the discord score
+/// tightened after every position.
 pub fn top_discord(series: &[f64], m: usize, band: usize) -> Result<Discord> {
-    let _span = tsdtw_obs::span("anomaly");
-    if m == 0 {
-        return Err(Error::EmptyInput { which: "m" });
-    }
-    if series.len() < 2 * m {
-        return Err(Error::InvalidParameter {
-            name: "series",
-            reason: format!(
-                "need at least two non-overlapping windows: len {} < 2×{m}",
-                series.len()
-            ),
-        });
-    }
-    let n_windows = series.len() - m + 1;
-    let windows: Vec<Vec<f64>> = (0..n_windows)
-        .map(|p| znorm(&series[p..p + m]))
-        .collect::<Result<_>>()?;
-
-    let mut best = Discord {
-        position: 0,
-        nn_distance: -1.0,
-    };
-    for p in 0..n_windows {
-        // Nearest non-overlapping neighbor of window p, with early abandon
-        // once it drops below the best discord score so far (a candidate
-        // whose NN is already closer than `best.nn_distance` cannot win).
-        let mut nn = f64::INFINITY;
-        for q in 0..n_windows {
-            if q.abs_diff(p) < m {
-                continue; // overlapping: trivial match exclusion
-            }
-            match cdtw_distance_ea(&windows[p], &windows[q], band, nn, None, SquaredCost)? {
-                EaOutcome::Exact(d) => nn = nn.min(d),
-                EaOutcome::Abandoned { .. } => {}
-            }
-            if nn <= best.nn_distance {
-                break; // cannot be the discord anymore
-            }
-        }
-        if nn > best.nn_distance && nn.is_finite() {
-            best = Discord {
-                position: p,
-                nn_distance: nn,
-            };
-        }
-    }
-    Ok(best)
+    top_discord_par(series, m, band, &CONTINUOUS)
 }
 
 /// [`top_discord`] on the deterministic parallel executor.
@@ -84,9 +39,9 @@ pub fn top_discord(series: &[f64], m: usize, band: usize) -> Result<Discord> {
 /// inner loop's "cannot win anymore" cutoff), and a completed candidate's
 /// NN distance never depends on that cutoff — a weaker frozen score only
 /// makes losing candidates finish their scans instead of breaking early.
-/// The winner and its distance are therefore identical to [`top_discord`]
-/// at any `(n_threads, chunk)`; strict comparisons in position order keep
-/// the earlier position on exact ties, exactly like the serial scan.
+/// The winner and its distance are therefore identical at any
+/// `(n_threads, chunk)`; strict comparisons in position order keep the
+/// earlier position on exact ties.
 pub fn top_discord_par(series: &[f64], m: usize, band: usize, cfg: &ParConfig) -> Result<Discord> {
     let _span = tsdtw_obs::span("anomaly");
     if m == 0 {
@@ -107,9 +62,9 @@ pub fn top_discord_par(series: &[f64], m: usize, band: usize, cfg: &ParConfig) -
         .collect::<Result<_>>()?;
     let positions: Vec<usize> = (0..n_windows).collect();
 
-    // init = 1.0 is the negation of the serial `-1.0` floor, so a
+    // init = 1.0 negates the `-1.0` floor of "no discord yet", so a
     // candidate only scores once its NN distance strictly exceeds it.
-    let (winner, outcomes) = par_fold_argmin(
+    let winner = par_fold_argmin(
         cfg,
         &positions,
         &mut NoMeter,
@@ -132,24 +87,20 @@ pub fn top_discord_par(series: &[f64], m: usize, band: usize, cfg: &ParConfig) -
             }
             Ok(nn)
         },
-        |&nn: &f64| if nn.is_finite() { Some(-nn) } else { None },
+        |nn: f64| nn.is_finite().then_some(-nn),
     )?;
-
-    match winner {
-        Some((p, _)) => Ok(Discord {
-            position: p,
-            nn_distance: outcomes[p],
-        }),
-        None => Ok(Discord {
-            position: 0,
-            nn_distance: -1.0,
-        }),
-    }
+    let (position, neg_nn) = winner.unwrap_or((0, 1.0));
+    Ok(Discord {
+        position,
+        nn_distance: -neg_nn,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsdtw_core::dtw::banded::cdtw_distance;
+    use tsdtw_datasets::random_walk::random_walks;
 
     /// A periodic signal with one corrupted cycle.
     fn signal_with_anomaly(n_cycles: usize, cycle: usize, bad: usize) -> Vec<f64> {
@@ -207,20 +158,54 @@ mod tests {
         assert!(top_discord_par(&[0.0; 10], 0, 1, &cfg).is_err());
     }
 
+    /// Brute force: for each position the minimum full `cDTW` over every
+    /// non-overlapping z-normalized window, then the first strict maximum.
+    fn brute_force_discord(series: &[f64], m: usize, band: usize) -> Discord {
+        let windows: Vec<Vec<f64>> = (0..=series.len() - m)
+            .map(|p| znorm(&series[p..p + m]).unwrap())
+            .collect();
+        let mut best = Discord {
+            position: 0,
+            nn_distance: -1.0,
+        };
+        for p in 0..windows.len() {
+            let nn = (0..windows.len())
+                .filter(|q| q.abs_diff(p) >= m)
+                .map(|q| cdtw_distance(&windows[p], &windows[q], band, SquaredCost).unwrap())
+                .fold(f64::INFINITY, f64::min);
+            if nn > best.nn_distance {
+                best = Discord {
+                    position: p,
+                    nn_distance: nn,
+                };
+            }
+        }
+        best
+    }
+
     #[test]
-    fn par_discord_is_bitwise_serial_at_any_thread_count() {
+    fn par_discord_is_bitwise_brute_force_at_any_thread_count() {
+        // Random walks: overlapping windows are near neighbors, so a scan
+        // that let them count as neighbors would score every position low.
         let cycle = 28;
-        let s = signal_with_anomaly(7, cycle, 4);
-        let serial = top_discord(&s, cycle, 3).unwrap();
-        for threads in [1usize, 2, 3, 7] {
-            let cfg = ParConfig::with_chunk(threads, 8).unwrap();
-            let par = top_discord_par(&s, cycle, 3, &cfg).unwrap();
-            assert_eq!(par.position, serial.position, "{threads} threads");
-            assert_eq!(
-                par.nn_distance.to_bits(),
-                serial.nn_distance.to_bits(),
-                "{threads} threads"
-            );
+        let periodic = signal_with_anomaly(7, cycle, 4);
+        let walk = random_walks(1, 220, 5).unwrap().remove(0);
+        for (name, s, m) in [("walk", &walk, 16), ("periodic", &periodic, cycle)] {
+            let expect = brute_force_discord(s, m, 3);
+            assert_eq!(top_discord(s, m, 3).unwrap(), expect, "{name}");
+            for threads in [1usize, 2, 3, 7] {
+                for chunk in [1usize, 8] {
+                    let cfg = ParConfig::with_chunk(threads, chunk).unwrap();
+                    let got = top_discord_par(s, m, 3, &cfg).unwrap();
+                    let at = format!("{name}, {threads} threads, chunk {chunk}");
+                    assert_eq!(got.position, expect.position, "{at}");
+                    assert_eq!(
+                        got.nn_distance.to_bits(),
+                        expect.nn_distance.to_bits(),
+                        "{at}"
+                    );
+                }
+            }
         }
     }
 }

@@ -1,13 +1,19 @@
 //! 1-nearest-neighbor classification — the task behind the paper's Fig. 1,
 //! Fig. 2 and Appendix B.
 //!
-//! Two execution paths are provided for the exact constrained measure:
+//! Each scan exists once, for the exact constrained measure in two kinds:
 //!
 //! * **brute force** under any [`DistanceSpec`] — the apples-to-apples
-//!   head-to-head the paper's figures use;
-//! * the **cascaded** path (LB_Kim → LB_Keogh ×2 → early-abandoning DTW)
+//!   head-to-head the paper's figures use. One query's scan is serial (on
+//!   the batched struct-of-lanes kernel where the spec allows);
+//!   [`evaluate_split_par`] and [`loocv_error_cdtw_fast_par`] parallelize
+//!   across queries instead, and the serial names run them at one worker;
+//! * the **cascaded** scan (LB_Kim → LB_Keogh ×2 → early-abandoning DTW)
 //!   that only exact `cDTW` admits — the "further two to five orders of
-//!   magnitude" of §3.4. Both return identical predictions; tests pin that.
+//!   magnitude" of §3.4. It is a best-so-far fold on the executor
+//!   ([`nn_cascade_par`]); [`nn_cascade`] runs it at one worker with the
+//!   bound refreshed after every candidate. Both kinds return identical
+//!   predictions; tests pin that.
 
 use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::banded::{cdtw_distance_metered_with_buf, percent_to_band};
@@ -19,7 +25,7 @@ use tsdtw_core::lower_bounds::Cascade;
 use tsdtw_obs::{Meter, MeterShard, NoMeter};
 
 use crate::dataset_views::LabeledView;
-use crate::par::{par_fold_argmin, par_map, ParConfig};
+use crate::par::{par_fold_argmin, par_map, ParConfig, CONTINUOUS};
 
 /// Training-set indices that survive the leave-one-out `skip`, in order.
 fn candidate_indices(train: &LabeledView<'_>, skip: usize) -> Vec<usize> {
@@ -97,49 +103,6 @@ pub(crate) fn scan_distances_metered<M: Meter>(
         }
     }
     Ok(out)
-}
-
-/// [`scan_distances_metered`] on the deterministic parallel executor:
-/// the *group* is the unit of parallelism on the batched route (same
-/// consecutive index-order groups as the serial scan, one fresh
-/// [`BatchBuffer`] per group), the candidate on the scalar route.
-/// Shards merge in group/candidate order either way, so results and
-/// counters are bitwise identical to the serial scan at any
-/// `n_threads`.
-pub(crate) fn scan_distances_par<M: MeterShard>(
-    series: &[Vec<f64>],
-    query: &[f64],
-    spec: DistanceSpec,
-    idxs: &[usize],
-    cfg: &ParConfig,
-    meter: &mut M,
-) -> Result<Vec<f64>> {
-    if let Some(band) = batched_band(spec, query, series, idxs) {
-        let groups: Vec<&[usize]> = idxs.chunks(LANES).collect();
-        let nested = par_map(cfg, &groups, meter, |_, group, m| {
-            let mut bbuf = BatchBuffer::new();
-            let mut ys: [&[f64]; LANES] = [query; LANES];
-            for (l, &i) in group.iter().enumerate() {
-                ys[l] = &series[i];
-            }
-            let mut out = [0.0f64; LANES];
-            cdtw_batch_distances_metered(
-                query,
-                &ys[..group.len()],
-                band,
-                SquaredCost,
-                &mut out[..group.len()],
-                &mut bbuf,
-                m,
-            )?;
-            Ok(out[..group.len()].to_vec())
-        })?;
-        Ok(nested.into_iter().flatten().collect())
-    } else {
-        par_map(cfg, idxs, meter, |_, &i, m| {
-            spec.eval_metered(query, &series[i], m)
-        })
-    }
 }
 
 /// Which distance a classifier should use.
@@ -261,9 +224,8 @@ pub fn nn_brute_force_metered<M: Meter>(
     })
 }
 
-/// Index-order argmin with strict `<` (first winner kept on ties) —
-/// shared by the serial and parallel 1-NN paths so both resolve ties
-/// identically. `idxs` must be nonempty.
+/// Index-order argmin with strict `<` (first winner kept on ties).
+/// `idxs` must be nonempty.
 fn argmin_first(idxs: &[usize], distances: &[f64]) -> (usize, f64) {
     let mut best: Option<(usize, f64)> = None;
     for (&i, &d) in idxs.iter().zip(distances) {
@@ -272,35 +234,6 @@ fn argmin_first(idxs: &[usize], distances: &[f64]) -> (usize, f64) {
         }
     }
     best.expect("nonempty candidate set")
-}
-
-/// [`nn_brute_force`] on the deterministic parallel executor: every
-/// candidate is evaluated (no pruning, so the work is bound-independent)
-/// and the minimum is taken in index order with strict `<`. The scan
-/// body is `scan_distances_par`, which takes the same batched route
-/// (and the same lane grouping) as the serial scan, so results and
-/// merged counters are bitwise identical to the serial path at any
-/// `n_threads`.
-pub fn nn_brute_force_par<M: MeterShard>(
-    train: &LabeledView<'_>,
-    query: &[f64],
-    spec: DistanceSpec,
-    skip: usize,
-    cfg: &ParConfig,
-    meter: &mut M,
-) -> Result<NnResult> {
-    let _span = tsdtw_obs::span("knn");
-    let idxs = candidate_indices(train, skip);
-    if idxs.is_empty() {
-        return Err(Error::EmptyInput { which: "train" });
-    }
-    let distances = scan_distances_par(train.series, query, spec, &idxs, cfg, meter)?;
-    let (index, distance) = argmin_first(&idxs, &distances);
-    Ok(NnResult {
-        index,
-        distance,
-        label: train.labels[index],
-    })
 }
 
 /// Cascaded exact 1-NN under `cDTW_band` — identical output to
@@ -315,51 +248,27 @@ pub fn nn_cascade(
     nn_cascade_metered(train, query, band, skip, &mut NoMeter)
 }
 
-/// [`nn_cascade`] with a [`Meter`] accumulating the lower-bound
-/// invocations, per-stage prune tallies and (abandoned) DP work of the
-/// whole query.
-pub fn nn_cascade_metered<M: Meter>(
+/// [`nn_cascade`] with a meter accumulating the lower-bound invocations,
+/// per-stage prune tallies and (abandoned) DP work of the whole query:
+/// [`nn_cascade_par`] at one worker, the bound refreshed after every
+/// candidate.
+pub fn nn_cascade_metered<M: MeterShard>(
     train: &LabeledView<'_>,
     query: &[f64],
     band: usize,
     skip: usize,
     meter: &mut M,
 ) -> Result<NnResult> {
-    let _span = tsdtw_obs::span("knn");
-    let mut cascade = Cascade::new(query, band)?;
-    let mut best = NnResult {
-        index: usize::MAX,
-        distance: f64::INFINITY,
-        label: 0,
-    };
-    for (i, s) in train.series.iter().enumerate() {
-        if i == skip {
-            continue;
-        }
-        let out = cascade.evaluate_metered(s, best.distance, meter)?;
-        if let Some(d) = out.exact_distance() {
-            if d < best.distance {
-                best = NnResult {
-                    index: i,
-                    distance: d,
-                    label: train.labels[i],
-                };
-            }
-        }
-    }
-    if best.index == usize::MAX {
-        return Err(Error::EmptyInput { which: "train" });
-    }
-    Ok(best)
+    nn_cascade_par(train, query, band, skip, &CONTINUOUS, meter)
 }
 
 /// [`nn_cascade`] on the deterministic parallel executor: candidates are
 /// evaluated in chunk-synchronous rounds against the best-so-far frozen
 /// at each chunk boundary (each worker clones the prepared cascade), and
-/// the bound advances in index order with strict `<`. The result is
-/// bitwise identical to the serial cascade at any `n_threads`; the
-/// merged counters are a pure function of `cfg.chunk` (with `chunk = 1`
-/// they equal the continuous-best-so-far serial counters exactly).
+/// the bound advances in index order with strict `<`. The winner is
+/// bitwise identical at any `(n_threads, chunk)`; the merged counters
+/// are a pure function of `cfg.chunk` (with `chunk = 1` they are those
+/// of the continuous-best-so-far scan [`nn_cascade_metered`] runs).
 pub fn nn_cascade_par<M: MeterShard>(
     train: &LabeledView<'_>,
     query: &[f64],
@@ -369,16 +278,13 @@ pub fn nn_cascade_par<M: MeterShard>(
     meter: &mut M,
 ) -> Result<NnResult> {
     let _span = tsdtw_obs::span("knn");
-    let idxs = candidate_indices(train, skip);
-    if idxs.is_empty() {
-        return Err(Error::EmptyInput { which: "train" });
-    }
     // The O(n log n) query preparation (envelope + magnitude sort order)
     // runs once, here; each worker context is a clone sharing it behind
     // an `Arc`, so per-round worker setup never touches the heap
     // (`alloc_discipline` pins this).
     let prepared = Cascade::new(query, band)?;
-    let (best, _) = par_fold_argmin(
+    let idxs = candidate_indices(train, skip);
+    let best = par_fold_argmin(
         cfg,
         &idxs,
         meter,
@@ -447,49 +353,6 @@ pub fn knn_brute_force_metered<M: Meter>(
     Ok(all)
 }
 
-/// [`knn_brute_force`] on the deterministic parallel executor. All
-/// candidate distances are computed in parallel, then sorted with the
-/// same stable comparison as the serial path — bitwise-identical
-/// neighbors and counters at any `n_threads`.
-pub fn knn_brute_force_par<M: MeterShard>(
-    train: &LabeledView<'_>,
-    query: &[f64],
-    spec: DistanceSpec,
-    k: usize,
-    skip: usize,
-    cfg: &ParConfig,
-    meter: &mut M,
-) -> Result<Vec<NnResult>> {
-    let _span = tsdtw_obs::span("knn");
-    if k == 0 {
-        return Err(Error::InvalidParameter {
-            name: "k",
-            reason: "k must be at least 1".into(),
-        });
-    }
-    let idxs = candidate_indices(train, skip);
-    if idxs.is_empty() {
-        return Err(Error::EmptyInput { which: "train" });
-    }
-    let distances = scan_distances_par(train.series, query, spec, &idxs, cfg, meter)?;
-    let mut all: Vec<NnResult> = idxs
-        .iter()
-        .zip(&distances)
-        .map(|(&i, &d)| NnResult {
-            index: i,
-            distance: d,
-            label: train.labels[i],
-        })
-        .collect();
-    all.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite distances")
-    });
-    all.truncate(k);
-    Ok(all)
-}
-
 /// Majority vote over the k nearest neighbors; ties break toward the
 /// nearer neighbor's label (the standard convention).
 pub fn classify_knn(
@@ -498,39 +361,11 @@ pub fn classify_knn(
     spec: DistanceSpec,
     k: usize,
 ) -> Result<usize> {
-    classify_knn_metered(train, query, spec, k, &mut NoMeter)
-}
-
-/// [`classify_knn`] with a [`Meter`] accumulating the DP work of the
-/// query's comparisons against the training set.
-pub fn classify_knn_metered<M: Meter>(
-    train: &LabeledView<'_>,
-    query: &[f64],
-    spec: DistanceSpec,
-    k: usize,
-    meter: &mut M,
-) -> Result<usize> {
-    let neighbors = knn_brute_force_metered(train, query, spec, k, usize::MAX, meter)?;
-    // Nearest neighbor whose label achieves the max count wins ties.
+    let neighbors = knn_brute_force(train, query, spec, k, usize::MAX)?;
     Ok(majority_vote(&neighbors))
 }
 
-/// [`classify_knn`] on the deterministic parallel executor (the
-/// distances parallelize; the vote is unchanged).
-pub fn classify_knn_par<M: MeterShard>(
-    train: &LabeledView<'_>,
-    query: &[f64],
-    spec: DistanceSpec,
-    k: usize,
-    cfg: &ParConfig,
-    meter: &mut M,
-) -> Result<usize> {
-    let neighbors = knn_brute_force_par(train, query, spec, k, usize::MAX, cfg, meter)?;
-    Ok(majority_vote(&neighbors))
-}
-
-/// Majority vote with ties broken toward the nearer neighbor's label —
-/// shared by the serial and parallel classify paths.
+/// Majority vote with ties broken toward the nearer neighbor's label.
 fn majority_vote(neighbors: &[NnResult]) -> usize {
     let mut counts: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
     for n in neighbors {
@@ -545,41 +380,21 @@ fn majority_vote(neighbors: &[NnResult]) -> usize {
 }
 
 /// Classifies every test series by brute-force 1-NN against the training
-/// set; returns the error rate in `[0, 1]`.
+/// set; returns the error rate in `[0, 1]`. [`evaluate_split_par`] at
+/// one worker.
 pub fn evaluate_split(
     train: &LabeledView<'_>,
     test: &LabeledView<'_>,
     spec: DistanceSpec,
 ) -> Result<f64> {
-    evaluate_split_metered(train, test, spec, &mut NoMeter)
+    evaluate_split_par(train, test, spec, &ParConfig::serial(), &mut NoMeter)
 }
 
-/// [`evaluate_split`] with a [`Meter`] accumulating the DP work of every
-/// test-versus-train comparison.
-pub fn evaluate_split_metered<M: Meter>(
-    train: &LabeledView<'_>,
-    test: &LabeledView<'_>,
-    spec: DistanceSpec,
-    meter: &mut M,
-) -> Result<f64> {
-    if test.series.is_empty() {
-        return Err(Error::EmptyInput { which: "test" });
-    }
-    let mut errors = 0usize;
-    for (q, &truth) in test.series.iter().zip(test.labels) {
-        let nn = nn_brute_force_metered(train, q, spec, usize::MAX, meter)?;
-        if nn.label != truth {
-            errors += 1;
-        }
-    }
-    Ok(errors as f64 / test.series.len() as f64)
-}
-
-/// [`evaluate_split`] on the deterministic parallel executor: test
-/// queries are independent, so each runs its (serial) 1-NN scan on a
-/// worker with a private meter shard; shards merge in test order.
-/// Error rate and counters are bitwise identical to the serial path at
-/// any `n_threads`.
+/// [`evaluate_split`] on the deterministic parallel executor, with a
+/// meter accumulating the DP work of every test-versus-train comparison:
+/// test queries are independent, so each runs its (serial) 1-NN scan on
+/// a worker with a private meter shard; shards merge in test order.
+/// Error rate and counters are bitwise identical at any `n_threads`.
 pub fn evaluate_split_par<M: MeterShard>(
     train: &LabeledView<'_>,
     test: &LabeledView<'_>,
@@ -619,46 +434,16 @@ pub fn loocv_error(view: &LabeledView<'_>, spec: DistanceSpec) -> Result<f64> {
     Ok(errors as f64 / view.series.len() as f64)
 }
 
-/// [`loocv_error`] on the deterministic parallel executor: each
-/// held-out query runs its (serial) 1-NN scan on a worker. Identical
-/// error rate at any `n_threads`.
-pub fn loocv_error_par(view: &LabeledView<'_>, spec: DistanceSpec, cfg: &ParConfig) -> Result<f64> {
-    if view.series.len() < 2 {
-        return Err(Error::InvalidParameter {
-            name: "view",
-            reason: "LOOCV needs at least two series".into(),
-        });
-    }
-    let queries: Vec<usize> = (0..view.series.len()).collect();
-    let misses = par_map(cfg, &queries, &mut NoMeter, |_, &i, _| {
-        let nn = nn_brute_force(view, &view.series[i], spec, i)?;
-        Ok(u64::from(nn.label != view.labels[i]))
-    })?;
-    Ok(misses.iter().sum::<u64>() as f64 / view.series.len() as f64)
-}
-
-/// LOOCV error under exact `cDTW_band`, via the cascade (fast path).
+/// LOOCV error under exact `cDTW_band`, via the cascade (fast path):
+/// [`loocv_error_cdtw_fast_par`] at one worker.
 pub fn loocv_error_cdtw_fast(view: &LabeledView<'_>, band: usize) -> Result<f64> {
-    if view.series.len() < 2 {
-        return Err(Error::InvalidParameter {
-            name: "view",
-            reason: "LOOCV needs at least two series".into(),
-        });
-    }
-    let mut errors = 0usize;
-    for i in 0..view.series.len() {
-        let nn = nn_cascade(view, &view.series[i], band, i)?;
-        if nn.label != view.labels[i] {
-            errors += 1;
-        }
-    }
-    Ok(errors as f64 / view.series.len() as f64)
+    loocv_error_cdtw_fast_par(view, band, &ParConfig::serial())
 }
 
 /// [`loocv_error_cdtw_fast`] on the deterministic parallel executor:
-/// each held-out query runs its own (serial, continuously-pruned)
-/// cascade on a worker, so per-query work is exactly the serial work and
-/// the error rate is bitwise identical at any `n_threads`.
+/// each held-out query runs its own continuously-pruned cascade
+/// ([`nn_cascade`]) on a worker, so the error rate is bitwise identical
+/// at any `n_threads`.
 pub fn loocv_error_cdtw_fast_par(
     view: &LabeledView<'_>,
     band: usize,
@@ -903,29 +688,44 @@ mod tests {
         };
         // Skipping the only element leaves nothing.
         assert!(nn_brute_force(&view, &series[0], DistanceSpec::Euclidean, 0).is_err());
+        assert!(nn_cascade(&view, &series[0], 2, 0).is_err());
         let cfg = ParConfig::new(2).unwrap();
-        assert!(nn_brute_force_par(
-            &view,
-            &series[0],
-            DistanceSpec::Euclidean,
-            0,
-            &cfg,
-            &mut NoMeter
-        )
-        .is_err());
         assert!(nn_cascade_par(&view, &series[0], 2, 0, &cfg, &mut NoMeter).is_err());
     }
 
     #[test]
-    fn par_cascade_chunk_one_equals_serial_metered_exactly() {
+    fn par_cascade_chunk_one_equals_the_continuous_loop_exactly() {
         use tsdtw_obs::WorkMeter;
         let (series, labels) = two_class();
         let view = LabeledView {
             series: &series,
             labels: &labels,
         };
+        // Reference: the plain serial cascade, its bound tightened after
+        // every candidate.
         let mut serial_meter = WorkMeter::new();
-        let serial = nn_cascade_metered(&view, &series[3], 4, 3, &mut serial_meter).unwrap();
+        let mut cascade = Cascade::new(&series[3], 4).unwrap();
+        let mut serial = NnResult {
+            index: usize::MAX,
+            distance: f64::INFINITY,
+            label: 0,
+        };
+        for (i, s) in series.iter().enumerate().filter(|&(i, _)| i != 3) {
+            let out = cascade
+                .evaluate_metered(s, serial.distance, &mut serial_meter)
+                .unwrap();
+            if let Some(d) = out.exact_distance().filter(|&d| d < serial.distance) {
+                serial = NnResult {
+                    index: i,
+                    distance: d,
+                    label: labels[i],
+                };
+            }
+        }
+        let mut meter = WorkMeter::new();
+        let metered = nn_cascade_metered(&view, &series[3], 4, 3, &mut meter).unwrap();
+        assert_eq!(metered, serial);
+        assert_eq!(meter, serial_meter);
         for threads in [1usize, 2, 3, 7] {
             let cfg = ParConfig::with_chunk(threads, 1).unwrap();
             let mut meter = WorkMeter::new();
@@ -957,35 +757,6 @@ mod tests {
             let (nn, m) = run(threads);
             assert_eq!(nn, nn1, "{threads} threads");
             assert_eq!(m, m1, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn par_brute_knn_and_classify_are_bitwise_serial() {
-        use tsdtw_obs::WorkMeter;
-        let (series, labels) = two_class();
-        let view = LabeledView {
-            series: &series,
-            labels: &labels,
-        };
-        let spec = DistanceSpec::CdtwBand(4);
-        let mut serial_meter = WorkMeter::new();
-        let serial_nn =
-            nn_brute_force_metered(&view, &series[5], spec, 5, &mut serial_meter).unwrap();
-        let serial_knn = knn_brute_force(&view, &series[5], spec, 3, 5).unwrap();
-        let serial_label = classify_knn(&view, &series[5], spec, 3).unwrap();
-        for threads in [1usize, 3, 7] {
-            // Independent items: counters equal serial at ANY chunk.
-            let cfg = ParConfig::with_chunk(threads, 4).unwrap();
-            let mut meter = WorkMeter::new();
-            let nn = nn_brute_force_par(&view, &series[5], spec, 5, &cfg, &mut meter).unwrap();
-            assert_eq!(nn, serial_nn, "{threads} threads");
-            assert_eq!(meter, serial_meter, "{threads} threads");
-            let knn =
-                knn_brute_force_par(&view, &series[5], spec, 3, 5, &cfg, &mut NoMeter).unwrap();
-            assert_eq!(knn, serial_knn, "{threads} threads");
-            let label = classify_knn_par(&view, &series[5], spec, 3, &cfg, &mut NoMeter).unwrap();
-            assert_eq!(label, serial_label, "{threads} threads");
         }
     }
 
@@ -1097,31 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_par_scan_counters_are_thread_count_invariant() {
-        use tsdtw_obs::WorkMeter;
-        let (series, labels) = two_class();
-        let view = LabeledView {
-            series: &series,
-            labels: &labels,
-        };
-        let idxs = candidate_indices(&view, 1);
-        let q = &series[1];
-        let spec = DistanceSpec::CdtwBand(5);
-        let mut serial_meter = WorkMeter::new();
-        let serial = scan_distances_metered(&series, q, spec, &idxs, &mut serial_meter).unwrap();
-        assert!(serial_meter.batch_groups > 0, "batched route must engage");
-        for threads in [1usize, 2, 4, 7] {
-            let cfg = ParConfig::with_chunk(threads, 2).unwrap();
-            let mut meter = WorkMeter::new();
-            let par = scan_distances_par(&series, q, spec, &idxs, &cfg, &mut meter).unwrap();
-            for (p, s) in par.iter().zip(&serial) {
-                assert_eq!(p.to_bits(), s.to_bits(), "{threads} threads");
-            }
-            assert_eq!(meter, serial_meter, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn par_split_and_loocv_are_bitwise_serial() {
         let (series, labels) = two_class();
         let train = LabeledView {
@@ -1137,17 +883,26 @@ mod tests {
             labels: &labels,
         };
         let spec = DistanceSpec::CdtwBand(4);
-        let serial_split = evaluate_split(&train, &test, spec).unwrap();
+        // References: a plain loop of per-query scans, and the brute-force
+        // LOOCV (the cascade returns the same neighbors).
+        let misses = test
+            .series
+            .iter()
+            .zip(test.labels)
+            .filter(|&(q, &truth)| {
+                nn_brute_force(&train, q, spec, usize::MAX).unwrap().label != truth
+            })
+            .count();
+        let serial_split = misses as f64 / test.series.len() as f64;
         let serial_loocv = loocv_error(&view, spec).unwrap();
-        let serial_fast = loocv_error_cdtw_fast(&view, 4).unwrap();
+        assert_eq!(evaluate_split(&train, &test, spec).unwrap(), serial_split);
+        assert_eq!(loocv_error_cdtw_fast(&view, 4).unwrap(), serial_loocv);
         for threads in [1usize, 2, 7] {
             let cfg = ParConfig::with_chunk(threads, 2).unwrap();
             let split = evaluate_split_par(&train, &test, spec, &cfg, &mut NoMeter).unwrap();
             assert_eq!(split.to_bits(), serial_split.to_bits(), "{threads} threads");
-            let loocv = loocv_error_par(&view, spec, &cfg).unwrap();
-            assert_eq!(loocv.to_bits(), serial_loocv.to_bits(), "{threads} threads");
             let fast = loocv_error_cdtw_fast_par(&view, 4, &cfg).unwrap();
-            assert_eq!(fast.to_bits(), serial_fast.to_bits(), "{threads} threads");
+            assert_eq!(fast.to_bits(), serial_loocv.to_bits(), "{threads} threads");
         }
     }
 }

@@ -14,7 +14,16 @@
 //! * [`pairwise`] — parallel all-pairs distance matrices (Fig. 1, Fig. 4);
 //! * [`cluster`] — hierarchical dendrograms (Fig. 7);
 //! * [`anomaly`] — discord discovery (extension);
-//! * [`motif`] — motif (closest-pair) discovery (extension).
+//! * [`motif`] — motif (closest-pair) discovery (extension);
+//! * [`par`] — the deterministic executor every scan above runs on.
+//!
+//! Each task is written once, as its `*_par` form on the executor, which
+//! takes a [`ParConfig`]. The serial name runs that same code at one
+//! worker, inline on the caller's thread: the independent-item tasks at
+//! [`ParConfig::serial`], the best-so-far-pruned scans (1-NN cascade,
+//! subsequence search, motif, discord) with the bound refreshed after
+//! every item. Answers and work counters are bitwise identical at every
+//! thread count.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -32,14 +41,10 @@ pub mod wselect;
 
 pub use dataset_views::LabeledView;
 pub use knn::{
-    classify_knn, classify_knn_par, evaluate_split, evaluate_split_par, knn_brute_force,
-    knn_brute_force_par, loocv_error, loocv_error_cdtw_fast, loocv_error_cdtw_fast_par,
-    loocv_error_par, DistanceSpec, NnResult,
+    classify_knn, evaluate_split, evaluate_split_par, knn_brute_force, loocv_error,
+    loocv_error_cdtw_fast, loocv_error_cdtw_fast_par, DistanceSpec, NnResult,
 };
-pub use pairwise::{
-    pair_count, pairwise_matrix, pairwise_matrix_par, pairwise_matrix_spec,
-    pairwise_matrix_spec_par, DistanceMatrix,
-};
+pub use pairwise::{pair_count, pairwise_matrix, pairwise_matrix_par, DistanceMatrix};
 pub use par::{par_fold_argmin, par_map, ParConfig, DEFAULT_CHUNK};
 pub use search::{
     distance_profile, distance_profile_par, subsequence_search, subsequence_search_par,

@@ -7,7 +7,7 @@
 //! early-abandons against the best-so-far pair — once more, an
 //! acceleration only the exact measure admits.
 
-use crate::par::{par_fold_argmin, ParConfig};
+use crate::par::{par_fold_argmin, ParConfig, CONTINUOUS};
 use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::early_abandon::{cdtw_distance_ea, EaOutcome};
 use tsdtw_core::error::{Error, Result};
@@ -26,55 +26,11 @@ pub struct Motif {
 }
 
 /// Finds the top motif of window length `m` under z-normalized
-/// `cDTW_band`, requiring the two windows not to overlap.
+/// `cDTW_band`, requiring the two windows not to overlap:
+/// [`top_motif_par`] at one worker, the best distance tightened after
+/// every row.
 pub fn top_motif(series: &[f64], m: usize, band: usize) -> Result<Motif> {
-    let _span = tsdtw_obs::span("motif");
-    if m == 0 {
-        return Err(Error::EmptyInput { which: "m" });
-    }
-    if series.len() < 2 * m {
-        return Err(Error::InvalidParameter {
-            name: "series",
-            reason: format!(
-                "need at least two non-overlapping windows: len {} < 2×{m}",
-                series.len()
-            ),
-        });
-    }
-    let n_windows = series.len() - m + 1;
-    let windows: Vec<Vec<f64>> = (0..n_windows)
-        .map(|p| znorm(&series[p..p + m]))
-        .collect::<Result<_>>()?;
-
-    let mut best = Motif {
-        first: 0,
-        second: m,
-        distance: f64::INFINITY,
-    };
-    for i in 0..n_windows {
-        for j in (i + m)..n_windows {
-            match cdtw_distance_ea(
-                &windows[i],
-                &windows[j],
-                band,
-                best.distance,
-                None,
-                SquaredCost,
-            )? {
-                EaOutcome::Exact(d) => {
-                    if d < best.distance {
-                        best = Motif {
-                            first: i,
-                            second: j,
-                            distance: d,
-                        };
-                    }
-                }
-                EaOutcome::Abandoned { .. } => {}
-            }
-        }
-    }
-    Ok(best)
+    top_motif_par(series, m, band, &CONTINUOUS)
 }
 
 /// [`top_motif`] on the deterministic parallel executor.
@@ -85,9 +41,9 @@ pub fn top_motif(series: &[f64], m: usize, band: usize) -> Result<Motif> {
 /// best-so-far for its own early abandoning, and the global bound
 /// advances at the merge in row order with strict `<`. Completed `cDTW`
 /// values never depend on the abandoning bound, so the winning pair and
-/// its distance are identical to [`top_motif`] at any
-/// `(n_threads, chunk)` — a weaker frozen bound only makes some losing
-/// pairs complete instead of abandon.
+/// its distance are identical at any `(n_threads, chunk)` — a weaker
+/// frozen bound only makes some losing pairs complete instead of
+/// abandon. Ties keep the first pair in row-major order.
 pub fn top_motif_par(series: &[f64], m: usize, band: usize, cfg: &ParConfig) -> Result<Motif> {
     let _span = tsdtw_obs::span("motif");
     if m == 0 {
@@ -108,7 +64,12 @@ pub fn top_motif_par(series: &[f64], m: usize, band: usize, cfg: &ParConfig) -> 
         .collect::<Result<_>>()?;
     let rows: Vec<usize> = (0..n_windows).collect();
 
-    let (winner, outcomes) = par_fold_argmin(
+    let mut best = Motif {
+        first: 0,
+        second: m,
+        distance: f64::INFINITY,
+    };
+    par_fold_argmin(
         cfg,
         &rows,
         &mut NoMeter,
@@ -134,22 +95,23 @@ pub fn top_motif_par(series: &[f64], m: usize, band: usize, cfg: &ParConfig) -> 
             }
             Ok(row_best)
         },
-        |e: &Option<Motif>| e.as_ref().map(|mo| mo.distance),
+        |row: Option<Motif>| {
+            // The fold's own rule, so `best` is the row it crowns.
+            let row = row?;
+            if row.distance < best.distance {
+                best = row;
+            }
+            Some(row.distance)
+        },
     )?;
-
-    match winner {
-        Some((row, _)) => Ok(outcomes[row].expect("scoring row carries its motif")),
-        None => Ok(Motif {
-            first: 0,
-            second: m,
-            distance: f64::INFINITY,
-        }),
-    }
+    Ok(best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsdtw_core::dtw::banded::cdtw_distance;
+    use tsdtw_datasets::random_walk::random_walks;
 
     /// Noise with two planted copies of the same pattern.
     fn with_planted_pair(n: usize, m: usize, at1: usize, at2: usize) -> Vec<f64> {
@@ -200,21 +162,58 @@ mod tests {
         assert!(top_motif_par(&[0.0; 10], 0, 1, &cfg).is_err());
     }
 
+    /// Brute force: full `cDTW` over every non-overlapping pair of
+    /// z-normalized windows, the first strict minimum in row-major order.
+    fn brute_force_motif(series: &[f64], m: usize, band: usize) -> Motif {
+        let windows: Vec<Vec<f64>> = (0..=series.len() - m)
+            .map(|p| znorm(&series[p..p + m]).unwrap())
+            .collect();
+        let mut best = Motif {
+            first: 0,
+            second: m,
+            distance: f64::INFINITY,
+        };
+        for i in 0..windows.len() {
+            for j in (i + m)..windows.len() {
+                let d = cdtw_distance(&windows[i], &windows[j], band, SquaredCost).unwrap();
+                if d < best.distance {
+                    best = Motif {
+                        first: i,
+                        second: j,
+                        distance: d,
+                    };
+                }
+            }
+        }
+        best
+    }
+
     #[test]
-    fn par_motif_is_bitwise_serial_at_any_thread_count() {
+    fn par_motif_is_bitwise_brute_force_at_any_thread_count() {
+        // Random walks: overlapping windows are near neighbors, so a scan
+        // that let them pair would find a different motif.
         let m = 20;
-        let s = with_planted_pair(260, m, 40, 180);
-        let serial = top_motif(&s, m, 2).unwrap();
-        for threads in [1usize, 2, 3, 7] {
-            let cfg = ParConfig::with_chunk(threads, 8).unwrap();
-            let par = top_motif_par(&s, m, 2, &cfg).unwrap();
-            assert_eq!(par.first, serial.first, "{threads} threads");
-            assert_eq!(par.second, serial.second, "{threads} threads");
-            assert_eq!(
-                par.distance.to_bits(),
-                serial.distance.to_bits(),
-                "{threads} threads"
-            );
+        for (seed, planted) in [(3u64, None), (4, Some((40, 180)))] {
+            let mut s = random_walks(1, 260, seed).unwrap().remove(0);
+            if let Some((a, b)) = planted {
+                let copy: Vec<f64> = s[a..a + m].iter().map(|v| v * 2.0 - 1.0).collect();
+                s[b..b + m].copy_from_slice(&copy);
+            }
+            let expect = brute_force_motif(&s, m, 2);
+            assert_eq!(top_motif(&s, m, 2).unwrap(), expect, "seed {seed}");
+            for threads in [1usize, 2, 3, 7] {
+                for chunk in [1usize, 8] {
+                    let cfg = ParConfig::with_chunk(threads, chunk).unwrap();
+                    let got = top_motif_par(&s, m, 2, &cfg).unwrap();
+                    let at = format!("seed {seed}, {threads} threads, chunk {chunk}");
+                    assert_eq!(
+                        (got.first, got.second),
+                        (expect.first, expect.second),
+                        "{at}"
+                    );
+                    assert_eq!(got.distance.to_bits(), expect.distance.to_bits(), "{at}");
+                }
+            }
         }
     }
 }

@@ -9,7 +9,6 @@
 //! preserved, and the per-pair meter shards merge in pair order, so the
 //! work counters are identical at any thread count.
 
-use crate::knn::{scan_distances_metered, DistanceSpec};
 use crate::par::{par_map, ParConfig};
 use tsdtw_core::error::{Error, Result};
 use tsdtw_obs::{MeterShard, NoMeter};
@@ -69,17 +68,13 @@ pub fn pair_count(n: usize) -> usize {
 /// Computes all pairwise distances with `n_threads` workers.
 ///
 /// The distance closure must be pure; it receives `(series[i], series[j])`
-/// for every `i < j`. Errors from any pair abort the whole computation.
-/// `n_threads = 0` is clamped to 1 (kept for backward compatibility;
-/// [`pairwise_matrix_par`] rejects it instead).
+/// for every `i < j`. Errors from any pair abort the whole computation,
+/// and `n_threads = 0` is rejected as [`ParConfig::new`] rejects it.
 pub fn pairwise_matrix<F>(series: &[Vec<f64>], n_threads: usize, dist: F) -> Result<DistanceMatrix>
 where
     F: Fn(&[f64], &[f64]) -> Result<f64> + Sync,
 {
-    let cfg = ParConfig {
-        n_threads: n_threads.max(1),
-        chunk: crate::par::DEFAULT_CHUNK,
-    };
+    let cfg = ParConfig::new(n_threads)?;
     pairwise_matrix_par(series, &cfg, &mut NoMeter, |a, b, _: &mut NoMeter| {
         dist(a, b)
     })
@@ -114,57 +109,6 @@ where
     let mut out = DistanceMatrix::zeros(n);
     for (&(i, j), d) in pairs.iter().zip(distances) {
         out.set_sym(i, j, d);
-    }
-    Ok(out)
-}
-
-/// All pairwise distances under a [`DistanceSpec`] — the spec-aware
-/// sibling of [`pairwise_matrix`].
-///
-/// Where the closure API evaluates one opaque pair at a time, this form
-/// hands each matrix *row suffix* (`series[i]` against `series[i+1..]`)
-/// to the shared k-NN scan body, so under the default `Auto` kernel a
-/// banded spec over equal-length series runs on the struct-of-lanes
-/// batch kernel. Distances are bitwise identical to the closure form;
-/// only wall-clock time and the `batch.*` counters change.
-pub fn pairwise_matrix_spec(
-    series: &[Vec<f64>],
-    spec: DistanceSpec,
-    n_threads: usize,
-) -> Result<DistanceMatrix> {
-    let cfg = ParConfig {
-        n_threads: n_threads.max(1),
-        chunk: crate::par::DEFAULT_CHUNK,
-    };
-    pairwise_matrix_spec_par(series, spec, &cfg, &mut NoMeter)
-}
-
-/// [`pairwise_matrix_spec`] on an explicit [`ParConfig`] with a meter.
-///
-/// The *row* is the unit of parallelism: each worker runs the serial
-/// scan of its row suffix (same lane grouping at any thread count) into
-/// a private shard, and shards merge in row order. Matrix and merged
-/// counters are bitwise identical at any `n_threads`.
-pub fn pairwise_matrix_spec_par<M: MeterShard>(
-    series: &[Vec<f64>],
-    spec: DistanceSpec,
-    cfg: &ParConfig,
-    meter: &mut M,
-) -> Result<DistanceMatrix> {
-    let n = series.len();
-    if n == 0 {
-        return Err(Error::EmptyInput { which: "series" });
-    }
-    let rows: Vec<usize> = (0..n).collect();
-    let row_dists = par_map(cfg, &rows, meter, |_, &i, m| {
-        let idxs: Vec<usize> = ((i + 1)..n).collect();
-        scan_distances_metered(series, &series[i], spec, &idxs, m)
-    })?;
-    let mut out = DistanceMatrix::zeros(n);
-    for (i, dists) in row_dists.iter().enumerate() {
-        for (off, &d) in dists.iter().enumerate() {
-            out.set_sym(i, i + 1 + off, d);
-        }
     }
     Ok(out)
 }
@@ -231,6 +175,12 @@ mod tests {
     }
 
     #[test]
+    fn rejects_zero_threads() {
+        let e = pairwise_matrix(&toy_series(3, 8), 0, sq_euclidean).unwrap_err();
+        assert!(e.to_string().contains("n_threads"), "{e}");
+    }
+
+    #[test]
     fn singleton_gives_trivial_matrix() {
         let s = toy_series(1, 10);
         let m = pairwise_matrix(&s, 2, sq_euclidean).unwrap();
@@ -260,53 +210,6 @@ mod tests {
         let (m1, meter1) = run(1);
         assert!(meter1.cells > 0);
         for threads in [2usize, 3, 7] {
-            let (m, meter) = run(threads);
-            assert_eq!(m, m1, "{threads} threads");
-            assert_eq!(meter, meter1, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn spec_matrix_is_bitwise_equal_to_the_closure_matrix() {
-        // The closure form evaluates scalar pair-at-a-time; the spec form
-        // takes the batched scan route under the default Auto kernel. The
-        // matrices must agree bitwise.
-        let s = toy_series(11, 48);
-        let closure = pairwise_matrix(&s, 1, |a, b| {
-            tsdtw_core::dtw::banded::cdtw_distance(a, b, 5, tsdtw_core::cost::SquaredCost)
-        })
-        .unwrap();
-        let spec = pairwise_matrix_spec(&s, DistanceSpec::CdtwBand(5), 3).unwrap();
-        assert_eq!(spec.len(), closure.len());
-        for i in 0..s.len() {
-            for j in 0..s.len() {
-                assert_eq!(
-                    spec.get(i, j).to_bits(),
-                    closure.get(i, j).to_bits(),
-                    "({i},{j})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn spec_matrix_batches_and_is_thread_count_invariant() {
-        use tsdtw_obs::WorkMeter;
-        let s = toy_series(13, 40);
-        let run = |threads: usize| {
-            let cfg = ParConfig::with_chunk(threads, 2).unwrap();
-            let mut meter = WorkMeter::new();
-            let m =
-                pairwise_matrix_spec_par(&s, DistanceSpec::CdtwBand(4), &cfg, &mut meter).unwrap();
-            (m, meter)
-        };
-        let (m1, meter1) = run(1);
-        // Every row suffix scans batched: 13 rows with suffix lengths
-        // 12..=0 produce ceil(len/8) groups each and one lane per pair.
-        let expect_groups: u64 = (0..13u64).map(|i| (12 - i).div_ceil(8)).sum();
-        assert_eq!(meter1.batch_groups, expect_groups);
-        assert_eq!(meter1.batch_lanes, pair_count(13) as u64);
-        for threads in [2usize, 4, 7] {
             let (m, meter) = run(threads);
             assert_eq!(m, m1, "{threads} threads");
             assert_eq!(meter, meter1, "{threads} threads");

@@ -1,18 +1,20 @@
 //! The deterministic chunked parallel executor.
 //!
-//! Every parallel entry point in this crate (`*_par`) runs on one of the
-//! two primitives here, and both share one contract: **the result — and
-//! every merged [`WorkMeter`](tsdtw_obs::WorkMeter) counter — is bitwise
-//! identical at any `n_threads` for a fixed [`ParConfig::chunk`]**. That
-//! is what lets the PR 2 perf gate keep hard-failing on work-counter
-//! drift no matter how many threads a run used.
+//! Every mining scan in this crate runs on one of the two primitives
+//! here, and both share one contract: **the result — and every merged
+//! [`WorkMeter`](tsdtw_obs::WorkMeter) counter — is bitwise identical at
+//! any `n_threads` for a fixed [`ParConfig::chunk`]**. That is what lets
+//! the perf gate keep hard-failing on work-counter drift no matter how
+//! many threads a run used. Each task exists once, as its `*_par` form;
+//! the serial names call it at one worker.
 //!
 //! * [`par_map`] — independent items (all-pairs distances, per-query
 //!   classification, DBA alignments). Each item is evaluated with a
 //!   private meter shard ([`MeterShard::fresh`]) and the shards are
 //!   absorbed into the caller's meter **in item-index order**, so the
 //!   merged meter equals the serial one exactly — including the
-//!   order-sensitive FastDTW per-level list.
+//!   order-sensitive FastDTW per-level list. The serial names run it at
+//!   [`ParConfig::serial`].
 //! * [`par_fold_argmin`] — best-so-far-pruned scans (the 1-NN cascade,
 //!   subsequence search, motif/discord rows). Items are processed in
 //!   *chunk-synchronous* rounds: within a chunk every item is evaluated
@@ -22,8 +24,9 @@
 //!   Pruning decisions therefore depend only on (item index, chunk-start
 //!   bound) — never on thread interleaving — which makes the work
 //!   counters a pure function of the chunk size. With `chunk = 1` the
-//!   frozen bound refreshes after every item, reproducing the
-//!   continuous-best-so-far serial path byte for byte.
+//!   frozen bound refreshes after every item: the continuous best-so-far
+//!   of a plain serial loop, which is how the serial names run it (one
+//!   worker, `chunk = 1`).
 //!
 //! With `n_threads == 1` neither primitive spawns: the loop runs inline
 //! on the caller's thread, writing straight into the caller's meter.
@@ -114,6 +117,15 @@ impl ParConfig {
         Ok(())
     }
 }
+
+/// One worker with the bound refreshed after every item: the continuous
+/// best-so-far of a plain serial scan, which the serial names of the
+/// pruned scans (`nn_cascade`, `subsequence_search`, `top_motif`,
+/// `top_discord`) run [`par_fold_argmin`] at.
+pub(crate) const CONTINUOUS: ParConfig = ParConfig {
+    n_threads: 1,
+    chunk: 1,
+};
 
 /// The winner of a [`par_fold_argmin`] run: the `(item_index, value)`
 /// pair achieving the minimum, or `None` when nothing scored below the
@@ -281,37 +293,45 @@ where
 ///   chunk (e.g. a cloned pruning cascade); contexts never cross threads.
 /// * `eval` receives `(ctx, item_index, &item, frozen_bound, &mut shard)`
 ///   and its metered work must depend only on the item and the bound.
-/// * `score` projects an outcome to the value competing for the minimum
-///   (`None` does not compete).
+/// * `take` receives every outcome, in item order and on the calling
+///   thread, and returns the value it puts up for the minimum (`None`
+///   does not compete). The caller tallies outcomes or keeps what it
+///   needs of the winner there; the fold stores nothing per item past
+///   its chunk.
 ///
-/// Returns the winning `(item_index, value)` — `None` when nothing
-/// scored below `init` — and every outcome in item order. With
-/// `chunk = 1` the bound refreshes after every item, i.e. exactly the
-/// continuous best-so-far loop of the serial implementations.
-pub fn par_fold_argmin<T, C, E, M, FC, F, S>(
+/// Returns the winning `(item_index, value)`, `None` when nothing scored
+/// below `init`. With `chunk = 1` the bound refreshes after every item,
+/// i.e. exactly the continuous best-so-far loop of a plain serial scan.
+pub fn par_fold_argmin<T, C, E, M, FC, F, K>(
     cfg: &ParConfig,
     items: &[T],
     meter: &mut M,
     init: f64,
     make_ctx: FC,
     eval: F,
-    score: S,
-) -> Result<(Argmin, Vec<E>)>
+    mut take: K,
+) -> Result<Argmin>
 where
     T: Sync,
     E: Send,
     M: MeterShard,
     FC: Fn() -> Result<C> + Sync,
     F: Fn(&mut C, usize, &T, f64, &mut M) -> Result<E> + Sync,
-    S: Fn(&E) -> Option<f64>,
+    K: FnMut(E) -> Option<f64>,
 {
     cfg.validate()?;
-    let mut best: Argmin = None;
-    let mut bound = init;
-    let mut outcomes = Vec::with_capacity(items.len());
     if items.is_empty() {
-        return Ok((None, outcomes));
+        return Ok(None);
     }
+    let bound = |best: Argmin| best.map_or(init, |(_, v)| v);
+    let mut best: Argmin = None;
+    let mut merge = |best: &mut Argmin, i: usize, e: E| {
+        if let Some(v) = take(e) {
+            if v < bound(*best) {
+                *best = Some((i, v));
+            }
+        }
+    };
 
     if cfg.n_threads == 1 {
         // Inline, but with the same chunk-frozen bound semantics as the
@@ -319,47 +339,29 @@ where
         // Context construction sits outside the item probes in both
         // paths, so it is machinery the region erases.
         let mut region = AllocRegion::begin();
-        let mut ctx = match make_ctx() {
-            Ok(c) => c,
-            Err(e) => {
-                region.finish();
-                return Err(e);
-            }
-        };
-        let mut frozen = bound;
-        for (i, item) in items.iter().enumerate() {
-            if i % cfg.chunk == 0 {
-                frozen = bound;
-            }
-            let probe = AllocScope::begin();
-            let r = eval(&mut ctx, i, item, frozen, meter);
-            region.credit(&probe.end());
-            let e = match r {
-                Ok(e) => e,
-                Err(err) => {
-                    region.finish();
-                    return Err(err);
-                }
-            };
-            if let Some(v) = score(&e) {
-                if v < bound {
-                    bound = v;
-                    best = Some((i, v));
+        let run = (|| -> Result<()> {
+            let mut ctx = make_ctx()?;
+            for (c, chunk) in items.chunks(cfg.chunk).enumerate() {
+                let frozen = bound(best);
+                for (k, item) in chunk.iter().enumerate() {
+                    let i = c * cfg.chunk + k;
+                    let probe = AllocScope::begin();
+                    let r = eval(&mut ctx, i, item, frozen, meter);
+                    region.credit(&probe.end());
+                    merge(&mut best, i, r?);
                 }
             }
-            outcomes.push(e);
-        }
+            Ok(())
+        })();
         region.finish();
-        return Ok((best, outcomes));
+        return run.map(|()| best);
     }
 
     let mut region = AllocRegion::begin();
     let mut fold_err: Option<Error> = None;
-    let mut start = 0usize;
-    'rounds: while start < items.len() {
-        let end = (start + cfg.chunk).min(items.len());
-        let slice = &items[start..end];
-        let frozen = bound;
+    'rounds: for (c, slice) in items.chunks(cfg.chunk).enumerate() {
+        let start = c * cfg.chunk;
+        let frozen = bound(best);
         let workers = cfg.n_threads.min(slice.len());
         let handoff = tsdtw_obs::recorder_handoff();
 
@@ -444,28 +446,20 @@ where
             let (r, shard, heap) = slot.expect("every slice item was evaluated");
             meter.absorb(shard);
             region.credit(&heap);
-            let e = match r {
-                Ok(e) => e,
+            match r {
+                Ok(e) => merge(&mut best, start + k, e),
                 Err(err) => {
                     fold_err = Some(err);
                     break 'rounds;
                 }
-            };
-            if let Some(v) = score(&e) {
-                if v < bound {
-                    bound = v;
-                    best = Some((start + k, v));
-                }
             }
-            outcomes.push(e);
         }
-        start = end;
     }
     region.finish();
-    if let Some(e) = fold_err {
-        return Err(e);
+    match fold_err {
+        Some(e) => Err(e),
+        None => Ok(best),
     }
-    Ok((best, outcomes))
 }
 
 #[cfg(test)]
@@ -538,18 +532,22 @@ mod tests {
         assert!(par_map(&cfg, &data, &mut NoMeter, |_, v, _| Ok(*v))
             .unwrap()
             .is_empty());
-        let (best, outcomes) = par_fold_argmin(
+        let mut seen = 0;
+        let best = par_fold_argmin(
             &cfg,
             &data,
             &mut NoMeter,
             f64::INFINITY,
             || Ok(()),
             |_, _, v, _, _| Ok(*v),
-            |v| Some(*v),
+            |v| {
+                seen += 1;
+                Some(v)
+            },
         )
         .unwrap();
         assert!(best.is_none());
-        assert!(outcomes.is_empty());
+        assert_eq!(seen, 0);
     }
 
     #[test]
@@ -645,70 +643,81 @@ mod tests {
         }
     }
 
+    /// A pruning-shaped item: cheap ("pruned", no value) when the bound
+    /// already beats it, expensive ("evaluated") otherwise, so the metered
+    /// work records which bound every item saw.
+    fn prune_against(v: f64, bound: f64, m: &mut WorkMeter) -> f64 {
+        if v >= bound {
+            m.cells(1);
+            f64::INFINITY
+        } else {
+            m.cells(10);
+            v
+        }
+    }
+
     #[test]
     fn fold_matches_continuous_serial_with_chunk_one() {
-        // Reference: the classic continuous best-so-far loop.
+        // Reference: the classic continuous best-so-far loop, whose bound
+        // tightens after every item.
         let data = items(63);
         let mut bsf = f64::INFINITY;
         let mut best = None;
-        let mut evals = 0u64;
+        let mut expect_meter = WorkMeter::new();
+        let mut expect_seen = Vec::new();
         for (i, &v) in data.iter().enumerate() {
-            evals += 1; // a continuous-bsf loop "touches" every item
-            if v < bsf {
-                bsf = v;
-                best = Some((i, v));
+            let out = prune_against(v, bsf, &mut expect_meter);
+            expect_seen.push(out);
+            if out < bsf {
+                bsf = out;
+                best = Some((i, out));
             }
         }
         for threads in [1usize, 3] {
             let cfg = ParConfig::with_chunk(threads, 1).unwrap();
             let mut m = WorkMeter::new();
-            let (got, outcomes) = par_fold_argmin(
+            let mut seen = Vec::new();
+            let got = par_fold_argmin(
                 &cfg,
                 &data,
                 &mut m,
                 f64::INFINITY,
                 || Ok(()),
-                |_, _, v, _, mm| {
-                    mm.cells(1);
-                    Ok(*v)
+                |_, _, &v, bound, mm: &mut WorkMeter| Ok(prune_against(v, bound, mm)),
+                |out: f64| {
+                    seen.push(out);
+                    out.is_finite().then_some(out)
                 },
-                |v| Some(*v),
             )
             .unwrap();
             assert_eq!(got, best, "{threads} threads");
-            assert_eq!(outcomes, data);
-            assert_eq!(m.cells, evals);
+            assert_eq!(
+                seen, expect_seen,
+                "outcomes in item order, {threads} threads"
+            );
+            assert_eq!(m, expect_meter, "{threads} threads");
         }
     }
 
     #[test]
     fn fold_is_thread_count_invariant_for_fixed_chunk() {
-        // Make the metered work depend on the frozen bound, the way a
-        // pruning cascade does: cheap when the bound already beats the
-        // item, expensive otherwise.
+        // The metered work depends on the frozen bound, the way a
+        // pruning cascade's does.
         let data = items(97);
         let run = |threads: usize| {
             let cfg = ParConfig::with_chunk(threads, 8).unwrap();
             let mut m = WorkMeter::new();
-            let r = par_fold_argmin(
+            let best = par_fold_argmin(
                 &cfg,
                 &data,
                 &mut m,
                 f64::INFINITY,
                 || Ok(()),
-                |_, _, v, bound, mm: &mut WorkMeter| {
-                    if *v >= bound {
-                        mm.cells(1); // "pruned"
-                        Ok(f64::INFINITY)
-                    } else {
-                        mm.cells(10); // "full evaluation"
-                        Ok(*v)
-                    }
-                },
-                |v| if v.is_finite() { Some(*v) } else { None },
+                |_, _, &v, bound, mm: &mut WorkMeter| Ok(prune_against(v, bound, mm)),
+                |out: f64| out.is_finite().then_some(out),
             )
             .unwrap();
-            (r.0, m)
+            (best, m)
         };
         let (best1, m1) = run(1);
         for threads in [2usize, 3, 7] {
@@ -724,14 +733,14 @@ mod tests {
         let data = vec![5.0, 3.0, 3.0, 4.0, 3.0];
         for threads in [1usize, 2, 4] {
             let cfg = ParConfig::with_chunk(threads, 8).unwrap();
-            let (best, _) = par_fold_argmin(
+            let best = par_fold_argmin(
                 &cfg,
                 &data,
                 &mut NoMeter,
                 f64::INFINITY,
                 || Ok(()),
                 |_, _, v, _, _| Ok(*v),
-                |v| Some(*v),
+                Some,
             )
             .unwrap();
             assert_eq!(best, Some((1, 3.0)), "{threads} threads");
@@ -742,7 +751,7 @@ mod tests {
     fn fold_context_errors_propagate() {
         let data = items(8);
         let cfg = ParConfig::new(3).unwrap();
-        let r: Result<(Argmin, Vec<f64>)> = par_fold_argmin(
+        let r: Result<Argmin> = par_fold_argmin(
             &cfg,
             &data,
             &mut NoMeter,
@@ -754,7 +763,7 @@ mod tests {
                 })
             },
             |_, _, v, _, _| Ok(*v),
-            |v| Some(*v),
+            Some,
         );
         assert!(r.unwrap_err().to_string().contains("no context today"));
     }
@@ -806,17 +815,17 @@ mod tests {
             let run = |threads: usize| {
                 let cfg = ParConfig::with_chunk(threads, 8).unwrap();
                 let observer = AllocScope::begin();
-                let r = par_fold_argmin(
+                let best = par_fold_argmin(
                     &cfg,
                     &data,
                     &mut NoMeter,
                     f64::INFINITY,
                     || Ok(()),
                     |_, i, v, _, _| Ok(*v + item_work(i)),
-                    |v| Some(*v),
+                    Some,
                 )
                 .unwrap();
-                (r.0, observer.end())
+                (best, observer.end())
             };
             let (best1, d1) = run(1);
             assert!(d1.allocs >= 41);

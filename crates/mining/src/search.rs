@@ -17,8 +17,8 @@
 //!    window whenever the sum of squares falls below 2⁻²⁰ of its peak since
 //!    the last re-sum, so a spike that leaves the window takes its
 //!    cancellation error with it. A window whose sum of squares overflows
-//!    is rejected. The serial search, the executor search and the distance
-//!    profiles share this routine, so their windows agree bit for bit.
+//!    is rejected. The search and the distance profile share this
+//!    routine, so their windows agree bit for bit.
 //! 2. **Score each window** in the UCR suite's order. LB_Kim reads the six
 //!    corners of the window, z-normalized as they are read. The reordered,
 //!    early-abandoning LB_Keogh normalizes each point it visits and records
@@ -30,7 +30,7 @@
 //!    finite haystack and a finite sum of squares, every normalized value
 //!    is finite.
 
-use crate::par::{par_fold_argmin, par_map, ParConfig};
+use crate::par::{par_fold_argmin, par_map, ParConfig, CONTINUOUS};
 use tsdtw_core::cost::SquaredCost;
 use tsdtw_core::dtw::early_abandon::{cdtw_distance_ea_metered_buf_kernel, EaOutcome};
 use tsdtw_core::dtw::windowed::DtwBuffer;
@@ -331,40 +331,21 @@ pub fn subsequence_search(haystack: &[f64], query: &[f64], band: usize) -> Resul
     subsequence_search_metered(haystack, query, band, &mut NoMeter)
 }
 
-/// [`subsequence_search`] with a [`Meter`] accumulating lower-bound
+/// [`subsequence_search`] with a meter accumulating lower-bound
 /// invocations, per-stage prune tallies and the (early-abandoning) DP work
 /// across all candidate positions. The [`SearchStats`] counters and the
 /// meter's prune tallies agree by construction; tests pin it. Each window
 /// counts one LB_Kim call, and one LB_Keogh call if it gets past LB_Kim.
 ///
-/// This is the plain serial fold (the best-so-far tightens after every
-/// window), the reference the executor's [`subsequence_search_par`]
-/// reproduces at `chunk = 1`.
-pub fn subsequence_search_metered<M: Meter>(
+/// This is [`subsequence_search_par`] at one worker with the best-so-far
+/// tightened after every window: the plain serial UCR-suite scan.
+pub fn subsequence_search_metered<M: MeterShard>(
     haystack: &[f64],
     query: &[f64],
     band: usize,
     meter: &mut M,
 ) -> Result<SearchResult> {
-    let _span = tsdtw_obs::span("subsequence_search");
-    let scan = Scan::new(haystack, query, band, meter)?;
-    let mut scratch = scan.scratch();
-    let mut best = SearchResult {
-        position: 0,
-        distance: f64::INFINITY,
-        stats: SearchStats::default(),
-    };
-    for pos in 0..scan.norms.len() {
-        let disposition = scan.score(pos, best.distance, &mut scratch, meter)?;
-        best.stats.count(&disposition);
-        if let Some(d) = disposition.distance() {
-            if d < best.distance {
-                best.distance = d;
-                best.position = pos;
-            }
-        }
-    }
-    Ok(best)
+    subsequence_search_par(haystack, query, band, &CONTINUOUS, meter)
 }
 
 /// [`subsequence_search`] on the deterministic parallel executor.
@@ -374,11 +355,11 @@ pub fn subsequence_search_metered<M: Meter>(
 /// at the chunk's start, and the bound advances at the merge in position
 /// order. Because completed `cDTW` values are independent of the bound
 /// (early abandoning only ever discards provably-worse candidates), the
-/// winning position and distance are bitwise identical to the serial
-/// search at any `(n_threads, chunk)`; the [`SearchStats`] and meter
-/// counters are a pure function of `chunk` — with `chunk = 1` they equal
-/// the serial ones exactly, and for any fixed `chunk` they are identical
-/// at every thread count.
+/// winning position and distance are bitwise identical at any
+/// `(n_threads, chunk)`; the [`SearchStats`] and meter counters are a
+/// pure function of `chunk` — with `chunk = 1` they are the serial
+/// scan's ([`subsequence_search_metered`]), and for any fixed `chunk`
+/// they are identical at every thread count.
 pub fn subsequence_search_par<M: MeterShard>(
     haystack: &[f64],
     query: &[f64],
@@ -388,19 +369,19 @@ pub fn subsequence_search_par<M: MeterShard>(
 ) -> Result<SearchResult> {
     let _span = tsdtw_obs::span("subsequence_search");
     let scan = Scan::new(haystack, query, band, meter)?;
-    let (best, outcomes) = par_fold_argmin(
+    let mut stats = SearchStats::default();
+    let best = par_fold_argmin(
         cfg,
         &scan.norms,
         meter,
         f64::INFINITY,
         || Ok(scan.scratch()),
         |scratch, pos, _, bsf, mm| scan.score(pos, bsf, scratch, mm),
-        Disposition::distance,
+        |d| {
+            stats.count(&d);
+            d.distance()
+        },
     )?;
-    let mut stats = SearchStats::default();
-    for d in &outcomes {
-        stats.count(d);
-    }
     let (position, distance) = best.unwrap_or((0, f64::INFINITY));
     Ok(SearchResult {
         position,
@@ -456,35 +437,14 @@ pub fn subsequence_search_brute(
 /// for bit (one normalization routine), so the profile's first strict
 /// minimum is the search's result, position and distance bits alike.
 pub fn distance_profile(haystack: &[f64], query: &[f64], band: usize) -> Result<Vec<f64>> {
-    distance_profile_metered(haystack, query, band, &mut NoMeter)
+    distance_profile_par(haystack, query, band, &ParConfig::serial(), &mut NoMeter)
 }
 
-/// [`distance_profile`] with a [`Meter`] accumulating the DP work of every
-/// window evaluation (no pruning here, so `cells == window_cells`).
-pub fn distance_profile_metered<M: Meter>(
-    haystack: &[f64],
-    query: &[f64],
-    band: usize,
-    meter: &mut M,
-) -> Result<Vec<f64>> {
-    let _span = tsdtw_obs::span("subsequence_search");
-    let m = query.len();
-    let (q, norms) = prepare(haystack, query)?;
-    let mut window = vec![0.0; m];
-    norms
-        .iter()
-        .enumerate()
-        .map(|(pos, &norm)| {
-            normalize_into(&mut window, &haystack[pos..pos + m], norm);
-            tsdtw_core::dtw::banded::cdtw_distance_metered(&q, &window, band, SquaredCost, meter)
-        })
-        .collect()
-}
-
-/// [`distance_profile`] on the deterministic parallel executor: every
-/// window evaluation is an independent item, so the profile *and* the
-/// merged meter counters are bitwise identical to the serial ones at any
-/// `(n_threads, chunk)`.
+/// [`distance_profile`] on the deterministic parallel executor, with a
+/// meter accumulating the DP work of every window evaluation (no pruning
+/// here, so `cells == window_cells`): every window is an independent
+/// item, so the profile *and* the merged meter counters are bitwise
+/// identical at any `(n_threads, chunk)`.
 pub fn distance_profile_par<M: MeterShard>(
     haystack: &[f64],
     query: &[f64],
@@ -523,32 +483,21 @@ pub fn top_k_matches(
     k: usize,
     exclusion: usize,
 ) -> Result<Vec<Match>> {
-    top_k_matches_metered(haystack, query, band, k, exclusion, &mut NoMeter)
+    top_k_matches_par(
+        haystack,
+        query,
+        band,
+        k,
+        exclusion,
+        &ParConfig::serial(),
+        &mut NoMeter,
+    )
 }
 
-/// [`top_k_matches`] with a [`Meter`] accumulating the full profile's DP
-/// work.
-pub fn top_k_matches_metered<M: Meter>(
-    haystack: &[f64],
-    query: &[f64],
-    band: usize,
-    k: usize,
-    exclusion: usize,
-    meter: &mut M,
-) -> Result<Vec<Match>> {
-    if k == 0 {
-        return Err(Error::InvalidParameter {
-            name: "k",
-            reason: "k must be at least 1".into(),
-        });
-    }
-    let profile = distance_profile_metered(haystack, query, band, meter)?;
-    Ok(greedy_top_k(&profile, k, exclusion))
-}
-
-/// [`top_k_matches`] on the deterministic parallel executor: the profile
-/// is computed via [`distance_profile_par`], then the greedy selection
-/// (a cheap, inherently serial scan) runs exactly as in the serial path.
+/// [`top_k_matches`] on the deterministic parallel executor, with a meter
+/// accumulating the full profile's DP work: the profile is computed via
+/// [`distance_profile_par`], then the greedy selection (a cheap,
+/// inherently serial scan) runs on the calling thread.
 pub fn top_k_matches_par<M: MeterShard>(
     haystack: &[f64],
     query: &[f64],
@@ -568,9 +517,9 @@ pub fn top_k_matches_par<M: MeterShard>(
     Ok(greedy_top_k(&profile, k, exclusion))
 }
 
-/// Greedy non-overlapping selection from a distance profile, shared by
-/// the serial and parallel top-k entry points. Stable sort and strict
-/// index order make the selection deterministic under exact ties.
+/// Greedy non-overlapping selection from a distance profile. Stable sort
+/// and strict index order make the selection deterministic under exact
+/// ties.
 fn greedy_top_k(profile: &[f64], k: usize, exclusion: usize) -> Vec<Match> {
     let mut order: Vec<usize> = (0..profile.len()).collect();
     order.sort_by(|&a, &b| {
@@ -833,11 +782,33 @@ mod tests {
     }
 
     #[test]
-    fn par_search_chunk_one_equals_serial_metered_exactly() {
+    fn par_search_chunk_one_equals_the_continuous_loop_exactly() {
         use tsdtw_obs::WorkMeter;
         let (hay, query) = planted(9, 700, 40, 250);
+        // Reference: the plain serial fold, its best-so-far tightened
+        // after every window.
         let mut serial_meter = WorkMeter::new();
-        let serial = subsequence_search_metered(&hay, &query, 4, &mut serial_meter).unwrap();
+        let scan = Scan::new(&hay, &query, 4, &mut serial_meter).unwrap();
+        let mut scratch = scan.scratch();
+        let mut serial = SearchResult {
+            position: 0,
+            distance: f64::INFINITY,
+            stats: SearchStats::default(),
+        };
+        for pos in 0..scan.norms.len() {
+            let disposition = scan
+                .score(pos, serial.distance, &mut scratch, &mut serial_meter)
+                .unwrap();
+            serial.stats.count(&disposition);
+            if let Some(d) = disposition.distance().filter(|&d| d < serial.distance) {
+                serial.distance = d;
+                serial.position = pos;
+            }
+        }
+        let mut meter = WorkMeter::new();
+        let metered = subsequence_search_metered(&hay, &query, 4, &mut meter).unwrap();
+        assert_eq!(metered, serial);
+        assert_eq!(meter, serial_meter);
         for threads in [1usize, 2, 3, 7] {
             let cfg = ParConfig::with_chunk(threads, 1).unwrap();
             let mut meter = WorkMeter::new();
@@ -875,17 +846,36 @@ mod tests {
     fn par_profile_and_top_k_are_bitwise_serial() {
         use tsdtw_obs::WorkMeter;
         let (hay, query) = planted(21, 500, 32, 321);
+        // Reference: one plain loop over the normalized windows.
         let mut serial_meter = WorkMeter::new();
-        let serial = distance_profile_metered(&hay, &query, 3, &mut serial_meter).unwrap();
-        for threads in [2usize, 5] {
+        let (q, norms) = prepare(&hay, &query).unwrap();
+        let mut window = vec![0.0; query.len()];
+        let serial: Vec<f64> = norms
+            .iter()
+            .enumerate()
+            .map(|(pos, &norm)| {
+                normalize_into(&mut window, &hay[pos..pos + query.len()], norm);
+                tsdtw_core::dtw::banded::cdtw_distance_metered(
+                    &q,
+                    &window,
+                    3,
+                    SquaredCost,
+                    &mut serial_meter,
+                )
+                .unwrap()
+            })
+            .collect();
+        assert_eq!(distance_profile(&hay, &query, 3).unwrap(), serial);
+        let top = greedy_top_k(&serial, 3, query.len());
+        assert_eq!(top_k_matches(&hay, &query, 3, 3, query.len()).unwrap(), top);
+        for threads in [1usize, 2, 5] {
             let cfg = ParConfig::with_chunk(threads, 8).unwrap();
             let mut meter = WorkMeter::new();
             let profile = distance_profile_par(&hay, &query, 3, &cfg, &mut meter).unwrap();
             assert_eq!(profile, serial, "{threads} threads");
             assert_eq!(meter, serial_meter, "{threads} threads");
-            let a = top_k_matches(&hay, &query, 3, 3, query.len()).unwrap();
             let b = top_k_matches_par(&hay, &query, 3, 3, query.len(), &cfg, &mut NoMeter).unwrap();
-            assert_eq!(a, b, "{threads} threads");
+            assert_eq!(b, top, "{threads} threads");
         }
     }
 

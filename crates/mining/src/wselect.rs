@@ -11,7 +11,7 @@ use tsdtw_core::dtw::banded::percent_to_band;
 use tsdtw_core::error::{Error, Result};
 
 use crate::dataset_views::LabeledView;
-use crate::knn::{loocv_error_cdtw_fast, loocv_error_cdtw_fast_par};
+use crate::knn::loocv_error_cdtw_fast_par;
 use crate::par::ParConfig;
 
 /// Outcome of an optimal-window search.
@@ -26,40 +26,20 @@ pub struct WindowSearch {
 }
 
 /// Evaluates LOOCV 1-NN error at every window of `w_grid` (percent) and
-/// returns the best (ties → smaller w, the archive convention).
+/// returns the best (ties → smaller w, the archive convention):
+/// [`optimal_window_par`] at one worker.
 pub fn optimal_window(view: &LabeledView<'_>, w_grid: &[f64]) -> Result<WindowSearch> {
-    if w_grid.is_empty() {
-        return Err(Error::EmptyInput { which: "w_grid" });
-    }
-    let n = view.series[0].len();
-    let mut profile = Vec::with_capacity(w_grid.len());
-    let mut best_w = f64::NAN;
-    let mut best_err = f64::INFINITY;
-    for &w in w_grid {
-        let band = percent_to_band(n, w)?;
-        let err = loocv_error_cdtw_fast(view, band)?;
-        profile.push((w, err));
-        // Strict improvement only: ties keep the earlier (smaller) window.
-        if err < best_err {
-            best_err = err;
-            best_w = w;
-        }
-    }
-    Ok(WindowSearch {
-        best_w_percent: best_w,
-        best_error: best_err,
-        profile,
-    })
+    optimal_window_par(view, w_grid, &ParConfig::serial())
 }
 
 /// [`optimal_window`] on the deterministic parallel executor.
 ///
 /// The grid is walked serially (each point's LOOCV is the expensive part)
 /// and each grid point's leave-one-out queries fan out across workers via
-/// [`loocv_error_cdtw_fast_par`]. Every per-query cascade is serial and
+/// [`loocv_error_cdtw_fast_par`]. Every per-query cascade is
 /// self-contained, so each grid point's error — and therefore the winner
-/// and the full profile — is bitwise identical to [`optimal_window`] at
-/// any `(n_threads, chunk)`.
+/// and the full profile — is bitwise identical at any
+/// `(n_threads, chunk)`.
 pub fn optimal_window_par(
     view: &LabeledView<'_>,
     w_grid: &[f64],
@@ -179,6 +159,13 @@ mod tests {
         let view = LabeledView::new(&series, &labels).unwrap();
         let grid = integer_grid(12);
         let serial = optimal_window(&view, &grid).unwrap();
+        // Reference profile: the brute-force LOOCV loop at every window
+        // (the cascade returns the same neighbors).
+        for &(w, err) in &serial.profile {
+            let band = percent_to_band(series[0].len(), w).unwrap();
+            let brute = crate::knn::loocv_error(&view, crate::knn::DistanceSpec::CdtwBand(band));
+            assert_eq!(err.to_bits(), brute.unwrap().to_bits(), "w = {w}");
+        }
         for threads in [1usize, 3, 7] {
             let cfg = ParConfig::with_chunk(threads, 4).unwrap();
             let par = optimal_window_par(&view, &grid, &cfg).unwrap();

@@ -82,6 +82,6 @@ pub use recorder::{
     TraceEvent, TracePhase, TraceSummaryRow, DEFAULT_TRACE_CAPACITY,
 };
 pub use span::{
-    absorb_raw_spans, arm_spans, drain_raw_spans, span, take_spans, RawSpans, SpanGuard, SpanStat,
-    SpansArmed,
+    absorb_raw_spans, arm_spans, drain_raw_spans, span, spans_armed, take_spans, RawSpans,
+    SpanGuard, SpanStat, SpansArmed,
 };

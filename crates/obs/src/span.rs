@@ -88,6 +88,14 @@ impl Drop for SpansArmed {
     }
 }
 
+/// Whether any arm token is alive, i.e. whether [`span`] records now.
+/// Armed spans allocate by design (their sinks grow as they record), so
+/// a zero-allocation probe holds only while this reads `false`.
+#[inline]
+pub fn spans_armed() -> bool {
+    ARMED.load(Ordering::Relaxed) != 0
+}
+
 struct Entry {
     label: &'static str,
     count: u64,
@@ -122,7 +130,7 @@ struct OpenSpan {
 /// atomic load and the guard's drop does nothing.
 #[inline]
 pub fn span(label: &'static str) -> SpanGuard {
-    if ARMED.load(Ordering::Relaxed) == 0 {
+    if !spans_armed() {
         return SpanGuard(None);
     }
     SpanGuard(Some(open(label)))
@@ -280,9 +288,11 @@ pub(crate) mod tests {
         let _ = take_spans();
         let outer = arm_spans();
         drop(arm_spans());
+        assert!(spans_armed(), "the outer token still arms");
         let open_across = span("nested_arm");
         drop(outer);
         assert_eq!(armed(), 0);
+        assert!(!spans_armed());
         {
             let g = span("nested_arm");
             assert!(g.0.is_none());

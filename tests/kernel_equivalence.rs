@@ -740,42 +740,50 @@ fn lane_remainder_grid_is_bitwise_equal_across_group_occupancies() {
     }
 }
 
-/// The mining k-NN scan routes same-length candidate sets through the
-/// batched kernel; the neighbor list and the whole `WorkMeter` —
-/// including the `batch.*` group accounting — must be identical at
-/// every worker count.
+/// The mining 1-NN scan routes same-length candidate sets through the
+/// batched kernel, and `evaluate_split_par` runs one such scan per query
+/// on the executor; the error rate and the whole `WorkMeter` — including
+/// the `batch.*` group accounting — must equal a plain loop of the scans
+/// at every worker count.
 #[test]
 fn mining_batched_scan_meters_are_thread_count_invariant() {
-    use tsdtw::mining::knn::knn_brute_force_metered;
-    use tsdtw::mining::{knn_brute_force_par, DistanceSpec, LabeledView, ParConfig};
-    let series: Vec<Vec<f64>> = (0..21)
-        .map(|s| {
-            (0..40)
-                .map(|i| ((i + 3 * s) as f64 * 0.17).sin() * 4.0)
-                .collect()
-        })
-        .collect();
+    use tsdtw::mining::knn::nn_brute_force_metered;
+    use tsdtw::mining::{evaluate_split_par, DistanceSpec, LabeledView, ParConfig};
+    let wave = |n: usize, k: usize| -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|s| {
+                (0..40)
+                    .map(|i| ((i + k * s) as f64 * 0.17).sin() * 4.0)
+                    .collect()
+            })
+            .collect()
+    };
+    let series = wave(21, 3);
     let labels: Vec<usize> = (0..21).map(|s| s % 3).collect();
-    let view = LabeledView::new(&series, &labels).unwrap();
-    let query: Vec<f64> = (0..40).map(|i| (i as f64 * 0.23).cos() * 4.0).collect();
+    let train = LabeledView::new(&series, &labels).unwrap();
+    let queries = wave(5, 7);
+    let truth: Vec<usize> = (0..5).map(|q| q % 3).collect();
+    let test = LabeledView::new(&queries, &truth).unwrap();
     let spec = DistanceSpec::CdtwBand(5);
     let mut serial = WorkMeter::new();
-    let base = knn_brute_force_metered(&view, &query, spec, 3, usize::MAX, &mut serial).unwrap();
+    let mut misses = 0usize;
+    for (q, &t) in queries.iter().zip(&truth) {
+        let nn = nn_brute_force_metered(&train, q, spec, usize::MAX, &mut serial).unwrap();
+        misses += usize::from(nn.label != t);
+    }
+    let base = misses as f64 / queries.len() as f64;
     assert_eq!(
         serial.batch_groups,
-        21u64.div_ceil(LANES as u64),
-        "the scan must take the batched route"
+        5 * 21u64.div_ceil(LANES as u64),
+        "every scan must take the batched route"
     );
-    assert_eq!(serial.batch_lanes, 21);
+    assert_eq!(serial.batch_lanes, 5 * 21);
     for threads in [1usize, 2, 4, 7] {
-        let cfg = ParConfig::new(threads).unwrap();
+        // One query per chunk, so every worker runs scans.
+        let cfg = ParConfig::with_chunk(threads, 1).unwrap();
         let mut par = WorkMeter::new();
-        let got = knn_brute_force_par(&view, &query, spec, 3, usize::MAX, &cfg, &mut par).unwrap();
+        let got = evaluate_split_par(&train, &test, spec, &cfg, &mut par).unwrap();
         assert_eq!(par, serial, "threads {threads}");
-        assert_eq!(got.len(), base.len());
-        for (a, b) in base.iter().zip(&got) {
-            assert_eq!(a.index, b.index, "threads {threads}");
-            assert_eq!(bits(a.distance), bits(b.distance), "threads {threads}");
-        }
+        assert_eq!(bits(got), bits(base), "threads {threads}");
     }
 }

@@ -1,28 +1,30 @@
 //! Differential test layer for the deterministic parallel executor.
 //!
-//! Every parallel entry point must be **bitwise** equal to its serial
-//! counterpart — same winners, same distances down to the bit, and the
-//! same merged work counters — at every thread count. These tests run
-//! randomized suites through the public facade and compare:
+//! Each mining task exists once, on the executor; its serial name runs it
+//! at one worker. Every task must give **bitwise** the same answer as an
+//! independent reference (brute force, or a plain loop of per-query
+//! scans) and the same merged work counters at every thread count. These
+//! tests run randomized suites through the public facade and compare:
 //!
 //! * results: `to_bits()` on distances, exact equality on indices/labels;
 //! * counters: full [`WorkMeter`] equality (`PartialEq` covers every
 //!   counter, the latency histograms, and the order-sensitive FastDTW
 //!   level list).
 //!
-//! The thread counts exercised default to `{1, 2, 3, 7}`; CI pins a
-//! single count per job with `TSDTW_TEST_THREADS=N` so the suite runs
-//! once serial and once genuinely parallel.
+//! The thread counts exercised default to `{1, 2, 3, 7}`, which is how
+//! `cargo test --workspace` runs the suite; `TSDTW_TEST_THREADS=N` pins a
+//! single count (CI's release step pins 4).
 //!
 //! Two equality regimes apply (see `tsdtw_mining::par`):
 //!
-//! * independent-item workloads (`par_map`: k-NN, split evaluation,
-//!   pairwise matrices) match the plain serial path exactly at any
+//! * independent-item workloads (`par_map`: split evaluation, pairwise
+//!   matrices) match the plain serial loop exactly at any
 //!   `(n_threads, chunk)`;
 //! * best-so-far-pruned scans (`par_fold_argmin`: the 1-NN cascade,
-//!   subsequence search) match the plain serial path exactly at
-//!   `chunk = 1`, and for any fixed chunk their counters are identical
-//!   at every thread count (winners are bitwise identical regardless).
+//!   subsequence search) find the brute-force winner at any chunk; at
+//!   `chunk = 1` their counters are those of the serial names (the
+//!   continuous best-so-far), and for any fixed chunk they are identical
+//!   at every thread count.
 
 mod common;
 
@@ -32,18 +34,19 @@ use proptest::strategy::Just;
 use tsdtw::core::cost::SquaredCost;
 use tsdtw::core::dtw::banded::cdtw_distance_metered;
 use tsdtw::mining::knn::{
-    evaluate_split_par, knn_brute_force_metered, knn_brute_force_par, nn_cascade_metered,
-    nn_cascade_par,
+    evaluate_split_par, nn_brute_force, nn_brute_force_metered, nn_cascade_metered, nn_cascade_par,
 };
-use tsdtw::mining::search::{subsequence_search_metered, subsequence_search_par};
+use tsdtw::mining::search::{
+    distance_profile, subsequence_search_brute, subsequence_search_metered, subsequence_search_par,
+};
 use tsdtw::mining::{
     evaluate_split, pairwise_matrix, pairwise_matrix_par, DistanceSpec, LabeledView, ParConfig,
 };
 use tsdtw_obs::{FunnelStage, WorkMeter};
 
-/// Thread counts to test. `TSDTW_TEST_THREADS=N` pins the parallel count
-/// (CI runs the suite once with 1 and once with 4); unset, a spread of
-/// small counts including a prime that never divides the chunk evenly.
+/// Thread counts to test. `TSDTW_TEST_THREADS=N` pins one count (CI's
+/// release step pins 4); unset, a spread of small counts including a
+/// prime that never divides the chunk evenly.
 fn thread_counts() -> Vec<usize> {
     match std::env::var("TSDTW_TEST_THREADS") {
         Ok(v) => {
@@ -79,8 +82,9 @@ fn bits(x: f64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// 1-NN cascade, chunk = 1: winner, distance and *every* counter
-    /// equal the continuous-best-so-far serial scan byte for byte.
+    /// 1-NN cascade, chunk = 1: the winner is the brute-force scan's,
+    /// index and distance bits, and *every* counter equals the serial
+    /// name's (the continuous best-so-far) at every thread count.
     #[test]
     fn cascade_chunk_one_is_bitwise_serial(
         (series, labels) in labeled_suite(10, 48),
@@ -88,15 +92,16 @@ proptest! {
         band in 0usize..5,
     ) {
         let view = LabeledView::new(&series, &labels).unwrap();
+        let brute = nn_brute_force(&view, &query, DistanceSpec::CdtwBand(band), usize::MAX).unwrap();
         let mut serial_meter = WorkMeter::new();
-        let serial = nn_cascade_metered(&view, &query, band, usize::MAX, &mut serial_meter).unwrap();
+        nn_cascade_metered(&view, &query, band, usize::MAX, &mut serial_meter).unwrap();
         for n in thread_counts() {
             let cfg = ParConfig::with_chunk(n, 1).unwrap();
             let mut par_meter = WorkMeter::new();
             let par = nn_cascade_par(&view, &query, band, usize::MAX, &cfg, &mut par_meter).unwrap();
-            prop_assert_eq!(par.index, serial.index, "n_threads={}", n);
-            prop_assert_eq!(par.label, serial.label, "n_threads={}", n);
-            prop_assert_eq!(bits(par.distance), bits(serial.distance), "n_threads={}", n);
+            prop_assert_eq!(par.index, brute.index, "n_threads={}", n);
+            prop_assert_eq!(par.label, brute.label, "n_threads={}", n);
+            prop_assert_eq!(bits(par.distance), bits(brute.distance), "n_threads={}", n);
             prop_assert_eq!(&par_meter, &serial_meter, "n_threads={}", n);
         }
     }
@@ -201,56 +206,71 @@ proptest! {
         }
     }
 
-    /// Brute-force k-NN is an independent-item workload: neighbors and
-    /// counters equal the plain serial path at any thread count, on
-    /// ordinary and on adversarial series (±1e155, subnormals, ±0.0),
-    /// through the batched lanes the equal-length scan takes.
+    /// Brute-force 1-NN across queries (`evaluate_split_par`, the
+    /// `tsdtw classify` core) is an independent-item workload: the error
+    /// rate and counters equal a plain loop of per-query scans at any
+    /// thread count, on ordinary and on adversarial series (±1e155,
+    /// subnormals, ±0.0), through the batched lanes the equal-length scan
+    /// takes.
     #[test]
     fn knn_brute_force_is_bitwise_serial(
         (series, labels) in labeled_suite(10, 32),
-        query in prop::collection::vec(-10.0f64..10.0, 32..=32),
+        queries in prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 32..=32), 2..6),
         adv_series in prop::collection::vec(adversarial(32..33), 3..10),
-        adv_query in adversarial(32..33),
-        k in 1usize..4,
+        adv_queries in prop::collection::vec(adversarial(32..33), 2..6),
         band in 0usize..4,
     ) {
         let adv_labels: Vec<usize> = (0..adv_series.len()).map(|i| i % 3).collect();
         let spec = DistanceSpec::CdtwBand(band);
-        for (series, labels, query) in [
-            (&series, &labels, &query),
-            (&adv_series, &adv_labels, &adv_query),
+        for (series, labels, queries) in [
+            (&series, &labels, &queries),
+            (&adv_series, &adv_labels, &adv_queries),
         ] {
-            let view = LabeledView::new(series, labels).unwrap();
+            let train = LabeledView::new(series, labels).unwrap();
+            let truth: Vec<usize> = (0..queries.len()).map(|q| q % 3).collect();
+            let test = LabeledView::new(queries, &truth).unwrap();
             let mut serial_meter = WorkMeter::new();
-            let serial =
-                knn_brute_force_metered(&view, query, spec, k, usize::MAX, &mut serial_meter)
+            let mut misses = 0usize;
+            for (q, &t) in queries.iter().zip(&truth) {
+                let nn = nn_brute_force_metered(&train, q, spec, usize::MAX, &mut serial_meter)
                     .unwrap();
+                misses += usize::from(nn.label != t);
+            }
+            let serial = misses as f64 / queries.len() as f64;
             prop_assert!(serial_meter.batch_groups > 0, "the scan takes the batched lanes");
             for n in thread_counts() {
-                let cfg = ParConfig::new(n).unwrap();
+                // One query per chunk, so every worker runs scans.
+                let cfg = ParConfig::with_chunk(n, 1).unwrap();
                 let mut par_meter = WorkMeter::new();
-                let par =
-                    knn_brute_force_par(&view, query, spec, k, usize::MAX, &cfg, &mut par_meter)
-                        .unwrap();
-                prop_assert_eq!(par.len(), serial.len());
-                for (p, s) in par.iter().zip(&serial) {
-                    prop_assert_eq!(p.index, s.index, "n_threads={}", n);
-                    prop_assert_eq!(p.label, s.label, "n_threads={}", n);
-                    prop_assert_eq!(bits(p.distance), bits(s.distance), "n_threads={}", n);
-                }
+                let par = evaluate_split_par(&train, &test, spec, &cfg, &mut par_meter).unwrap();
+                prop_assert_eq!(bits(par), bits(serial), "n_threads={}", n);
                 prop_assert_eq!(&par_meter, &serial_meter, "n_threads={}", n);
             }
         }
     }
 
-    /// Subsequence search, chunk = 1: position, distance, pruning stats
-    /// and counters all equal the serial UCR-style scan.
+    /// Subsequence search, chunk = 1: the position is the brute-force
+    /// scan's, the distance bits are the unpruned distance profile's
+    /// minimum, and the pruning stats and counters equal the serial
+    /// name's (the continuous best-so-far) at every thread count.
+    ///
+    /// The brute-force scan z-normalizes each window directly, so its
+    /// distance may differ from the search's rolling normalization in the
+    /// last bit; the profile shares the search's windows and prunes
+    /// nothing.
     #[test]
     fn subsequence_search_chunk_one_is_bitwise_serial(
         haystack in prop::collection::vec(-10.0f64..10.0, 80..200),
         query in prop::collection::vec(-10.0f64..10.0, 16..=16),
         band in 0usize..4,
     ) {
+        let brute = subsequence_search_brute(&haystack, &query, band).unwrap();
+        let (lowest, lowest_d) = distance_profile(&haystack, &query, band)
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .fold((0, f64::INFINITY), |acc, (p, d)| if d < acc.1 { (p, d) } else { acc });
+        prop_assert_eq!(lowest, brute.position);
         let mut serial_meter = WorkMeter::new();
         let serial =
             subsequence_search_metered(&haystack, &query, band, &mut serial_meter).unwrap();
@@ -258,8 +278,8 @@ proptest! {
             let cfg = ParConfig::with_chunk(n, 1).unwrap();
             let mut par_meter = WorkMeter::new();
             let par = subsequence_search_par(&haystack, &query, band, &cfg, &mut par_meter).unwrap();
-            prop_assert_eq!(par.position, serial.position, "n_threads={}", n);
-            prop_assert_eq!(bits(par.distance), bits(serial.distance), "n_threads={}", n);
+            prop_assert_eq!(par.position, brute.position, "n_threads={}", n);
+            prop_assert_eq!(bits(par.distance), bits(lowest_d), "n_threads={}", n);
             prop_assert_eq!(par.stats, serial.stats, "n_threads={}", n);
             prop_assert_eq!(&par_meter, &serial_meter, "n_threads={}", n);
         }
