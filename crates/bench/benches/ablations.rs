@@ -8,10 +8,9 @@
 //!   same cascaded 1-NN scan (the funnel's < 5 % overhead budget);
 //! * FastDTW's multilevel recursion vs a single windowed DP over its own
 //!   final window (isolating the recursion overhead);
-//! * the flight recorder armed vs spans-only vs no probes at all (the
-//!   observability layer's < 5 % overhead budget on the banded kernel);
-//! * the sampling profiler armed at its default rate vs disarmed spans
-//!   on the same banded kernel (the profiler's < 5 % arming budget);
+//! * the flight recorder armed vs the span table alone vs no probes at
+//!   all (the observability layer's < 5 % overhead budget on the banded
+//!   kernel; the span table alone is also the whole cost of `--profile`);
 //! * the DP routes: the row sweep vs the wavefront on a 10 % band, with
 //!   auto on the same shape pinning zero route-resolution overhead, and a
 //!   batched-scan pair (mining dispatch route vs direct batch-kernel
@@ -20,8 +19,8 @@
 //!   cold construction (the heap-telemetry layer's < 5 % budget on the
 //!   windowed-DTW hot path);
 //! * the metrics registry: per-request `record_meter` + latency
-//!   observation vs the bare metered kernel, with and without the
-//!   background sampler (the same < 5 % observability budget).
+//!   observation vs the bare metered kernel (the same < 5 %
+//!   observability budget).
 //!
 //! [`AllocScope`]: tsdtw_obs::AllocScope
 
@@ -179,8 +178,9 @@ fn recorder_overhead(c: &mut Criterion) {
     // an armed recorder pays one ring push per begin/end plus a
     // histogram update on drop. Budget: < 5 % on the banded kernel. The
     // four states measured here are baseline (no extra probe), a
-    // disarmed span, an armed span without a recorder (aggregate table
-    // only), and a span with an armed recorder (table + ring).
+    // disarmed span, an armed span without a recorder (the span table
+    // only: everything `--stats` and `--profile` pay), and a span with
+    // an armed recorder (table + ring).
     use tsdtw_obs::{arm_spans, recorder_start, recorder_stop, span, take_spans};
     let x = random_walk(1024, 51).unwrap();
     let y = random_walk(1024, 52).unwrap();
@@ -212,54 +212,6 @@ fn recorder_overhead(c: &mut Criterion) {
             black_box(cdtw_distance(&x, &y, band, SquaredCost).unwrap())
         });
         let _ = recorder_stop();
-    });
-    let _ = take_spans();
-    g.finish();
-}
-
-fn profile_overhead(c: &mut Criterion) {
-    // The sampling profiler's budget: < 5 % on the banded kernel with
-    // the sampler armed at the default rate. The metered thread's whole
-    // cost is one thread-local push/pop pair per span (a mutex the
-    // sampler contends on for nanoseconds, ~997 times a second); the
-    // walking itself happens on the sampler thread. Three states:
-    //
-    // * `baseline` — armed spans without any live-stack publication
-    //   (profiler disarmed; the relaxed atomic check is its only cost);
-    // * `spans_only` — same workload, still without the profiler, fresh
-    //   group so the two unprofiled shapes bracket measurement noise;
-    // * `armed_sampler` — a running `Profiler` at `DEFAULT_SAMPLE_HZ`:
-    //   every span now publishes into its slot and the sampler walks
-    //   it. This leg against `baseline` is the < 5 % budget.
-    use tsdtw_obs::{arm_spans, span, take_spans, Profiler, DEFAULT_SAMPLE_HZ};
-    let x = random_walk(1024, 51).unwrap();
-    let y = random_walk(1024, 52).unwrap();
-    let band = 50;
-    let mut g = c.benchmark_group("ablation_profile");
-    g.sample_size(30);
-    let armed = arm_spans();
-    g.bench_function("baseline", |b| {
-        b.iter(|| {
-            let _s = span("bench_cdtw_prof");
-            black_box(cdtw_distance(&x, &y, band, SquaredCost).unwrap())
-        })
-    });
-    let _ = take_spans();
-    g.bench_function("spans_only", |b| {
-        b.iter(|| {
-            let _s = span("bench_cdtw_prof");
-            black_box(cdtw_distance(&x, &y, band, SquaredCost).unwrap())
-        })
-    });
-    drop(armed);
-    let _ = take_spans();
-    g.bench_function("armed_sampler", |b| {
-        let profiler = Profiler::start(DEFAULT_SAMPLE_HZ);
-        b.iter(|| {
-            let _s = span("bench_cdtw_prof");
-            black_box(cdtw_distance(&x, &y, band, SquaredCost).unwrap())
-        });
-        drop(profiler.stop());
     });
     let _ = take_spans();
     g.finish();
@@ -452,18 +404,15 @@ fn metrics_overhead(c: &mut Criterion) {
     // layers: < 5 % on a real workload. The registry is touched once
     // per *request* (one `record_meter` + one latency observation), not
     // per cell, so the price must vanish next to any non-trivial DP.
-    // Three states:
+    // Two states:
     //
     // * `baseline` — the metered banded kernel, registry untouched;
     // * `registry_per_call` — the full `--metrics` discipline per call:
-    //   fold the meter into a registry and record the request latency;
-    // * `registry_and_sampler` — the same with a background
-    //   [`MetricsSampler`] snapshotting the process-wide registry at a
-    //   10 ms cadence, the flight-recorder counter-track configuration.
+    //   fold the meter into a registry and record the request latency.
     use std::time::Instant;
     use tsdtw_core::dtw::banded::cdtw_distance_metered;
     use tsdtw_core::obs::WorkMeter;
-    use tsdtw_obs::{metrics, MetricsRegistry, MetricsSampler};
+    use tsdtw_obs::MetricsRegistry;
     let x = random_walk(1024, 81).unwrap();
     let y = random_walk(1024, 82).unwrap();
     let band = 50;
@@ -487,23 +436,6 @@ fn metrics_overhead(c: &mut Criterion) {
             );
             black_box(d)
         })
-    });
-    g.bench_function("registry_and_sampler", |b| {
-        let sampler = MetricsSampler::start(std::time::Duration::from_millis(10));
-        b.iter(|| {
-            let mut meter = WorkMeter::new();
-            let t0 = Instant::now();
-            let d = cdtw_distance_metered(&x, &y, band, SquaredCost, &mut meter).unwrap();
-            metrics::record_meter(&meter);
-            metrics::observe_s(
-                "tsdtw_request_seconds",
-                "Request latency.",
-                t0.elapsed().as_secs_f64(),
-            );
-            black_box(d)
-        });
-        let _ = sampler.stop();
-        metrics::reset();
     });
     g.finish();
 }
@@ -545,7 +477,6 @@ criterion_group!(
     kernel_tiers,
     meter_overhead,
     recorder_overhead,
-    profile_overhead,
     metrics_overhead,
     alloc_telemetry_overhead,
     constraint_shapes

@@ -14,12 +14,14 @@
 //!                diff cleanly against a serial baseline.
 //!   --out DIR    where to write <id>.json records (default: results/)
 //!   --list       list experiments and exit
-//!   --trace      arm the flight recorder per experiment and write
+//!   --trace      arm the flight recorder per experiment, write
 //!                TRACE_<id>.json (Chrome Trace Format; open in
-//!                Perfetto). The recorder arms the span probes, so the
-//!                snapshot's `kernels` table fills too.
-//!   --profile    arm the sampling profiler per experiment: write the
-//!                collapsed-stack export to <out>/PROFILE_<id>.txt
+//!                Perfetto) and print the span table. The recorder arms
+//!                the span probes, so the snapshot's `kernels` table
+//!                fills too.
+//!   --profile    arm the span probes per experiment and fold their
+//!                table by path: write each path's exact self time as
+//!                collapsed stacks to <out>/PROFILE_<id>.txt
 //!                (flamegraph.pl / inferno compatible; render in-tree
 //!                with `tsdtw report flame`), print the per-span
 //!                self-vs-total table, and fill the snapshot's
@@ -31,7 +33,9 @@
 //!
 //! Without `--trace` or `--profile` the span probes stay disarmed, so a
 //! timed experiment pays one atomic load per probe and its snapshot
-//! carries `spans_enabled: false` and an empty `kernels` table.
+//! carries `spans_enabled: false` and an empty `kernels` table. With
+//! either, one drain of the span table per experiment feeds the
+//! `kernels` table, the printed span table and the profile.
 //!
 //! Every run additionally emits one perf-trajectory snapshot per
 //! experiment (`BENCH_<id>.json`, see `tsdtw_bench::snapshot`) which
@@ -43,40 +47,19 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tsdtw_bench::experiments::{self, Runner};
-use tsdtw_bench::{history, snapshot, Scale};
+use tsdtw_bench::{history, snapshot, write_atomic, Scale};
 use tsdtw_mining::ParConfig;
-use tsdtw_obs::{recorder_start, recorder_stop, take_spans, DEFAULT_TRACE_CAPACITY};
+use tsdtw_obs::{
+    arm_spans, drain_raw_spans, recorder_start, recorder_stop, span_table, take_spans,
+    ProfileReport, DEFAULT_TRACE_CAPACITY,
+};
 
-/// Writes a trace export atomically next to the snapshots.
-fn write_trace(dir: &Path, id: &str, trace: &tsdtw_obs::Trace) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("TRACE_{id}.json"));
-    let tmp = dir.join(format!(".TRACE_{id}.json.tmp"));
-    std::fs::write(&tmp, trace.chrome_json().to_string_compact())?;
-    match std::fs::rename(&tmp, &path) {
-        Ok(()) => Ok(path),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
-/// Writes a collapsed-stack export atomically (temp file + rename,
-/// matching the snapshot and trace writers).
-fn write_collapsed(path: &Path, report: &tsdtw_obs::ProfileReport) -> std::io::Result<()> {
+/// Writes `contents` to `path` atomically, creating its directory.
+fn write_export(path: &Path, contents: &str) -> std::io::Result<()> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
     }
-    let tmp = path.with_extension("txt.tmp");
-    std::fs::write(&tmp, report.collapsed())?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
+    write_atomic(path, contents)
 }
 
 fn main() -> ExitCode {
@@ -84,7 +67,7 @@ fn main() -> ExitCode {
     let mut scale = Scale::Quick;
     let mut out = PathBuf::from("results");
     let mut want_trace = false;
-    // None: profiler off. Some(None): on, default per-experiment file.
+    // None: no profile. Some(None): on, default per-experiment file.
     // Some(Some(path)): on, collapsed export to that path.
     let mut profile: Option<Option<PathBuf>> = None;
     let mut threads = 1usize;
@@ -186,39 +169,37 @@ fn main() -> ExitCode {
         if want_trace {
             recorder_start(DEFAULT_TRACE_CAPACITY);
         }
+        // `--profile` holds the span probes armed; its profile is the
+        // same drain as the `kernels` table, folded by path.
+        let armed = profile.is_some().then(arm_spans);
         let t0 = std::time::Instant::now();
         // Probe the heap across the whole experiment; under
         // --features alloc-telemetry the delta lands in the snapshot's
         // `memory` section (the stub section marks telemetry off
         // otherwise, so diffs can tell "no data" from "zero traffic").
-        // The sampler brackets the heap probe (not vice versa) so its
-        // own bookkeeping allocations stay out of the deterministic
-        // `memory` counts when both probes are armed.
-        let sampler = profile
-            .as_ref()
-            .map(|_| tsdtw_obs::Profiler::start(tsdtw_obs::DEFAULT_SAMPLE_HZ));
         let heap_probe = tsdtw_obs::AllocScope::begin();
         let mut report = runner(&scale, &par);
         let heap = heap_probe.end();
-        let profile_report = sampler.map(tsdtw_obs::Profiler::stop);
         let wall_s = t0.elapsed().as_secs_f64();
+        drop(armed);
         print!("{}", report.render());
         println!("   ({id} in {wall_s:.1}s)\n");
         if let Err(e) = report.write_json(&out) {
             eprintln!("warning: could not write {id}.json: {e}");
         }
-        let spans = take_spans();
+        let drained = drain_raw_spans();
+        let spans = drained.stats();
         // Attached after the record is written, so `<id>.json` stays the
         // experiment's own; the snapshot takes every section from here.
         report.attach("memory", heap.report());
-        if let Some(r) = &profile_report {
+        if let Some(file) = &profile {
+            let r = ProfileReport::new(wall_s, &drained);
             print!("{}", r.table());
-            let path = match &profile {
-                Some(Some(file)) => file.clone(),
-                _ => out.join(format!("PROFILE_{id}.txt")),
-            };
-            match write_collapsed(&path, r) {
-                Ok(()) => println!("   profiler -> {}", path.display()),
+            let path = file
+                .clone()
+                .unwrap_or_else(|| out.join(format!("PROFILE_{id}.txt")));
+            match write_export(&path, &r.collapsed()) {
+                Ok(()) => println!("   profile -> {}", path.display()),
                 Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
             }
             report.attach("profile", r.to_json());
@@ -240,10 +221,17 @@ fn main() -> ExitCode {
         }
         if want_trace {
             if let Some(trace) = recorder_stop() {
-                match write_trace(&out, id, &trace) {
-                    Ok(path) => {
+                let path = out.join(format!("TRACE_{id}.json"));
+                match write_export(&path, &trace.chrome_json().to_string_compact()) {
+                    Ok(()) => {
                         println!("   flight recorder -> {}", path.display());
-                        print!("{}", trace.summary_table());
+                        if trace.dropped > 0 {
+                            println!(
+                                "   ({} older events dropped at ring capacity {})",
+                                trace.dropped, trace.capacity
+                            );
+                        }
+                        print!("{}", span_table(&spans));
                     }
                     Err(e) => eprintln!("warning: could not write TRACE_{id}.json: {e}"),
                 }

@@ -160,11 +160,9 @@ pub fn run(scale: &Scale, par: &ParConfig) -> Report {
         ));
     }
 
-    // Export the merged funnel to the metrics registry
-    // (`tsdtw_cascade_stage_*` families) and, when the flight recorder
-    // is armed (`repro --trace`), drop one sample per stage counter
-    // onto the trace's counter tracks.
-    tsdtw_obs::metrics::record_funnel(&total.funnel);
+    // When the flight recorder is armed (`repro --trace`), drop one
+    // sample per stage counter onto the trace's counter tracks, under
+    // the `--metrics` exposition's `tsdtw_cascade_stage_*` names.
     if recorder_active() {
         if let Some(handoff) = recorder_handoff() {
             let ts_us = handoff.elapsed_us();

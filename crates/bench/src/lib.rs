@@ -21,4 +21,4 @@ pub mod snapshot;
 pub mod timing;
 pub mod trend;
 
-pub use report::{Report, Scale};
+pub use report::{write_atomic, Report, Scale};

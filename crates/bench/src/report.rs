@@ -1,7 +1,28 @@
 //! Report plumbing shared by all experiments.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use tsdtw_obs::{Json, ToJson};
+
+/// Writes `contents` to `path` atomically: the bytes land in
+/// `.<name>.tmp` in the target's directory, which is then renamed over
+/// the target, so a concurrent reader — or a crash mid-write — never
+/// sees a torn file. The directory must exist.
+pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    let tmp = temp_path(path)?;
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// `.<name>.tmp` beside `path`: a bare file name keeps no directory, so
+/// its temp file lands in the working directory with it.
+fn temp_path(path: &Path) -> std::io::Result<PathBuf> {
+    let name = path
+        .file_name()
+        .ok_or_else(|| std::io::Error::other(format!("{} has no file name", path.display())))?;
+    Ok(path.with_file_name(format!(".{}.tmp", name.to_string_lossy())))
+}
 
 /// How much work an experiment run should do.
 ///
@@ -83,22 +104,12 @@ impl Report {
         out
     }
 
-    /// Writes the JSON record to `<dir>/<id>.json` atomically: the bytes
-    /// land in a temp file in the same directory which is then renamed
-    /// over the target, so a crashed or interrupted run can never leave a
-    /// half-written report behind.
+    /// Writes the JSON record to `<dir>/<id>.json` atomically (see
+    /// [`write_atomic`]), creating `dir` first.
     pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.id));
-        let tmp = dir.join(format!(".{}.json.tmp", self.id));
-        std::fs::write(&tmp, self.json.to_string_pretty())?;
-        match std::fs::rename(&tmp, &path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        write_atomic(&path, &self.json.to_string_pretty())
     }
 }
 
@@ -128,7 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn write_json_creates_file_and_leaves_no_temp() {
+    fn write_atomic_replaces_the_target_and_leaves_no_temp() {
         let dir = std::env::temp_dir().join("tsdtw-report-test");
         let _ = std::fs::remove_dir_all(&dir);
         #[derive(Debug)]
@@ -138,12 +149,28 @@ mod tests {
         tsdtw_obs::impl_to_json!(R { ok });
         let r = Report::new("wtest", "t", &R { ok: true });
         r.write_json(&dir).unwrap();
-        let content = std::fs::read_to_string(dir.join("wtest.json")).unwrap();
-        assert!(content.contains("ok"));
+        // Written over an existing file.
+        write_atomic(&dir.join("wtest.json"), "{\"ok\": 1}").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(dir.join("wtest.json")).unwrap(),
+            "{\"ok\": 1}"
+        );
         assert!(
             !dir.join(".wtest.json.tmp").exists(),
             "temp file must be renamed away"
         );
+        // The temp file sits beside its target; a bare file name keeps
+        // both in the working directory (checked by path, since changing
+        // directory would race the other tests of this process).
+        assert_eq!(
+            temp_path(&dir.join("wtest.json")).unwrap(),
+            dir.join(".wtest.json.tmp")
+        );
+        assert_eq!(
+            temp_path(Path::new("bare.json")).unwrap(),
+            Path::new(".bare.json.tmp")
+        );
+        assert!(write_atomic(Path::new("/"), "").is_err(), "no file name");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,9 +24,8 @@
 //!                             "speedup_vs_segmented": … }, … },
 //!   "memory": { "telemetry": true, "allocs": …, "frees": …,
 //!               "bytes_allocated": …, "peak_bytes": …, … },
-//!   "profile": { "sampler_hz": 997.0, "duration_s": …, "ticks": …,
-//!                "samples": …, "spans": { "cdtw": { "self_samples": …,
-//!                "total_samples": …, "self_share": … }, … } },
+//!   "profile": { "duration_s": …, "spans": { "cdtw": { "self_s": …,
+//!                "total_s": …, "self_share": … }, … } },
 //!   "kernels": { "cdtw": { "count": …, "total_s": …, "p50_s": …,
 //!                          "p99_s": …, "max_s": …, "alloc_bytes": … }, … }
 //! }
@@ -56,6 +55,7 @@
 //! it against a disarmed current run is a regression (its all-zero
 //! counters would otherwise pass vacuously).
 
+use crate::write_atomic;
 use std::io;
 use std::path::{Path, PathBuf};
 use tsdtw_obs::{json_obj, Json, SpanStat};
@@ -143,8 +143,8 @@ pub static SECTIONS: &[Section] = &[
         show: show_memory,
         absent: "run carried no heap probe",
     },
-    // Sampling-profiler output: sample counts depend on scheduler phase
-    // and machine load.
+    // Exact span self times, but wall-clock: they move with machine
+    // load.
     Section {
         name: "profile",
         gate: Gate::Advisory,
@@ -257,19 +257,12 @@ pub fn capture(
 }
 
 /// Writes a snapshot to `<dir>/BENCH_<experiment>.json` atomically
-/// (temp file + rename, the same discipline as `Report::write_json`).
+/// (see [`write_atomic`]), creating `dir` first.
 pub fn write(dir: &Path, experiment: &str, snapshot: &Json) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("BENCH_{experiment}.json"));
-    let tmp = dir.join(format!(".BENCH_{experiment}.json.tmp"));
-    std::fs::write(&tmp, snapshot.to_string_pretty())?;
-    match std::fs::rename(&tmp, &path) {
-        Ok(()) => Ok(path),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
+    write_atomic(&path, &snapshot.to_string_pretty())?;
+    Ok(path)
 }
 
 /// The outcome of comparing two snapshots.
@@ -532,6 +525,26 @@ pub fn diff(baseline: &Json, current: &Json, fail_pct: f64) -> Diff {
             }
         }
     }
+    // The profile's leaves are all floats, so the counter walk skips
+    // them; its self times ride here with the kernels'.
+    if let Some(base_p) = baseline["profile"]["spans"].as_object() {
+        for (label, base_span) in base_p {
+            let cur_span = &current["profile"]["spans"][label.as_str()];
+            if cur_span.is_null() {
+                d.lines.push(format!(
+                    "warn: profile.spans.{label} missing from current snapshot [advisory]"
+                ));
+                d.timing_warnings += 1;
+                continue;
+            }
+            advise(
+                &format!("profile.spans.{label}.self_s"),
+                base_span["self_s"].as_f64(),
+                cur_span["self_s"].as_f64(),
+                &mut d,
+            );
+        }
+    }
     d
 }
 
@@ -606,9 +619,9 @@ pub fn attribute(baseline: &Json, current: &Json) -> Vec<Attribution> {
         }
         let base_share = baseline["profile"]["spans"][label.as_str()]["self_share"].as_f64();
         let cur_share = current["profile"]["spans"][label.as_str()]["self_share"].as_f64();
-        // A span absent from one side's profile simply wasn't sampled
-        // there; treat the missing share as zero so a newly hot span
-        // still surfaces.
+        // A span absent from one side's profile never ran there (or
+        // that side was not profiled); treat the missing share as zero
+        // so a newly hot span still surfaces.
         let base_share = base_share.unwrap_or(0.0);
         let cur_share = cur_share.unwrap_or(0.0);
         let dpp = (cur_share - base_share) * 100.0;
@@ -771,26 +784,23 @@ fn show_memory(memory: &Json) -> String {
 
 fn show_profile(profile: &Json) -> String {
     let mut out = format!(
-        "\n-- profile (sampled shares are advisory; never gated) --\n  \
-         sampler: {} Hz nominal, {} tick(s), {} sample(s) in span, {:.3}s armed\n",
-        profile["sampler_hz"].as_f64().unwrap_or(0.0),
-        profile["ticks"].as_i64().unwrap_or(0),
-        profile["samples"].as_i64().unwrap_or(0),
+        "\n-- profile (span self times are advisory; never gated) --\n  \
+         {:.3}s run\n",
         profile["duration_s"].as_f64().unwrap_or(0.0),
     );
     match profile["spans"].as_object() {
-        Some(spans) if spans.is_empty() => out.push_str("  no samples caught an open span\n"),
+        Some(spans) if spans.is_empty() => out.push_str("  no span closed\n"),
         Some(spans) => {
             out.push_str(&format!(
-                "  {:<20} {:>8} {:>8} {:>8}\n",
+                "  {:<20} {:>12} {:>12} {:>8}\n",
                 "span", "self", "total", "self%"
             ));
             for (label, s) in spans {
                 out.push_str(&format!(
-                    "  {:<20} {:>8} {:>8} {:>7.1}%\n",
+                    "  {:<20} {:>11.6}s {:>11.6}s {:>7.1}%\n",
                     label,
-                    s["self_samples"].as_i64().unwrap_or(0),
-                    s["total_samples"].as_i64().unwrap_or(0),
+                    s["self_s"].as_f64().unwrap_or(0.0),
+                    s["total_s"].as_f64().unwrap_or(0.0),
                     s["self_share"].as_f64().unwrap_or(0.0) * 100.0,
                 ));
             }
@@ -851,17 +861,14 @@ mod tests {
                 },
             },
             "profile" => json_obj! {
-                "sampler_hz" => 997.0,
                 "duration_s" => wall,
-                "ticks" => 1000,
-                "samples" => 800,
                 "spans" => json_obj! {
                     "cdtw" => json_obj! {
-                        "self_samples" => 600, "total_samples" => 700,
+                        "self_s" => 0.6, "total_s" => 0.7,
                         "self_share" => 0.75,
                     },
                     "lb_keogh" => json_obj! {
-                        "self_samples" => 200, "total_samples" => 200,
+                        "self_s" => 0.2, "total_s" => 0.2,
                         "self_share" => 0.25,
                     },
                 },
@@ -1169,7 +1176,7 @@ mod tests {
         );
 
         // Advisory leaves only warn when missing: memory byte totals and
-        // a profile section that went null.
+        // the spans of a profile section that went null.
         let mut cur = snap(1000, 1.0);
         let memory = base["memory"].as_object().unwrap().clone();
         cur.set(
@@ -1191,7 +1198,8 @@ mod tests {
             d.render()
         );
         assert!(
-            d.render().contains("warn: counter profile.ticks missing"),
+            d.render()
+                .contains("warn: profile.spans.cdtw missing from current snapshot [advisory]"),
             "{}",
             d.render()
         );
@@ -1213,22 +1221,21 @@ mod tests {
 
     #[test]
     fn profile_drift_is_advisory_only() {
-        // Twice the samples, a hotter cdtw share — none of it may fail
-        // a zero-tolerance diff: sampling counts are load-dependent.
+        // Twice the time, a hotter cdtw share — none of it may fail a
+        // zero-tolerance diff: self times are wall-clock.
         let base = snap(1000, 1.0);
         let mut cur = snap(1000, 1.0);
         let hot = base["profile"]["spans"]["cdtw"]
             .clone()
-            .with("self_samples", 1800)
-            .with("total_samples", 1900)
+            .with("self_s", 1.8)
+            .with("total_s", 1.9)
             .with("self_share", 0.9);
         let spans = base["profile"]["spans"].clone().with("cdtw", hot);
         cur.set(
             "profile",
             base["profile"]
                 .clone()
-                .with("ticks", 2000)
-                .with("samples", 2000)
+                .with("duration_s", 2.0)
                 .with("spans", spans),
         );
         let d = diff(&base, &cur, 0.0);
@@ -1253,7 +1260,7 @@ mod tests {
         cur.set("kernels", base["kernels"].clone().with("lb_keogh", slowed));
         let hot = base["profile"]["spans"]["lb_keogh"]
             .clone()
-            .with("self_samples", 1400)
+            .with("self_s", 0.7)
             .with("self_share", 0.7);
         let cooled = base["profile"]["spans"]["cdtw"]
             .clone()
@@ -1296,7 +1303,7 @@ mod tests {
         let mut cur2 = cur.clone();
         let spans = base["profile"]["spans"].clone().with(
             "dtw_full",
-            json_obj! { "self_samples" => 100, "total_samples" => 100, "self_share" => 0.1 },
+            json_obj! { "self_s" => 0.1, "total_s" => 0.1, "self_share" => 0.1 },
         );
         cur2.set("profile", base["profile"].clone().with("spans", spans));
         let suspects2 = attribute(&base, &cur2);
@@ -1333,11 +1340,10 @@ mod tests {
             "wavefront" => json_obj! { "mismatch" => 0, "cells_per_s" => 5.0e8 },
         };
         let profile = json_obj! {
-            "sampler_hz" => 997.0, "duration_s" => 1.4, "ticks" => 1400,
-            "samples" => 900,
+            "duration_s" => 1.4,
             "spans" => json_obj! {
                 "cdtw" => json_obj! {
-                    "self_samples" => 900, "total_samples" => 900,
+                    "self_s" => 0.9, "total_s" => 0.9,
                     "self_share" => 1.0,
                 },
             },
@@ -1390,8 +1396,8 @@ mod tests {
         // v6: so does the tiers section…
         assert_eq!(s["tiers"]["wavefront"]["mismatch"], 0);
         // v7: and the profile section.
-        assert_eq!(s["profile"]["samples"], 900);
-        assert_eq!(s["profile"]["spans"]["cdtw"]["self_samples"], 900);
+        assert_eq!(s["profile"]["duration_s"], 1.4);
+        assert_eq!(s["profile"]["spans"]["cdtw"]["self_s"], 0.9);
         // …and sections the run did not produce are explicit nulls.
         let bare = capture(
             "cells",

@@ -1,19 +1,19 @@
-//! Exposition invariance: arming the sampling profiler must not change
-//! one byte of any deterministic snapshot section.
+//! Exposition invariance: arming the span probes for a profile must not
+//! change one byte of any deterministic snapshot section.
 //!
-//! The profiler is pure *exposition* — it watches span stacks from a
-//! separate thread and never touches a `WorkMeter`, a funnel ledger, or
-//! an experiment's data path. This test pins that contract the same way
+//! The profile is pure *exposition* — a fold of the span table, which
+//! never touches a `WorkMeter`, a funnel ledger, or an experiment's data
+//! path. This test pins that contract the same way
 //! `tests/parallel_equivalence.rs` pins thread-count invariance: run the
-//! `cells` experiment with the sampler armed and disarmed across several
+//! `cells` experiment with the spans armed and disarmed across several
 //! worker counts and require every section the snapshot gates (each
-//! non-advisory row of `snapshot::SECTIONS`) to render byte-identically. If a future change routes profiler state
-//! into a metered path (or makes sampling perturb a counter), the
+//! non-advisory row of `snapshot::SECTIONS`) to render byte-identically.
+//! If a future change routes span state into a metered path, the
 //! perf-gate baselines would silently fork between profiled and
 //! unprofiled CI runs — this test turns that fork into a local failure.
 //!
-//! A running profiler arms the span probes, so the armed runs also
-//! record spans into the aggregate table and publish live stacks; the
+//! The armed runs hold the probes armed as `repro --profile` does, so
+//! every span lands in the table, and fold the drain into a profile; the
 //! disarmed runs leave the probes idle. Neither may move a gated byte.
 
 use tsdtw_bench::experiments::cells;
@@ -26,13 +26,17 @@ use tsdtw_mining::ParConfig;
 /// appearing only when armed also fails the comparison).
 fn deterministic_sections(threads: usize, armed: bool) -> String {
     let par = ParConfig::new(threads).expect("positive thread count");
-    let profiler = armed.then(|| tsdtw_obs::Profiler::start(tsdtw_obs::DEFAULT_SAMPLE_HZ));
-    let rep = cells::run(&Scale::Quick, &par);
-    if let Some(p) = profiler {
-        drop(p.stop());
-    }
-    // Drain recorder state so runs don't leak spans into each other.
     let _ = tsdtw_obs::take_spans();
+    let token = armed.then(tsdtw_obs::arm_spans);
+    let rep = cells::run(&Scale::Quick, &par);
+    drop(token);
+    // One drain per run, so runs don't leak spans into each other.
+    let profile = tsdtw_obs::ProfileReport::new(0.0, &tsdtw_obs::drain_raw_spans());
+    assert_eq!(
+        profile.folded.is_empty(),
+        !armed,
+        "armed runs profile their spans, disarmed runs record none"
+    );
     let mut out = String::new();
     for section in SECTIONS.iter().filter(|s| s.gate != Gate::Advisory) {
         out.push_str(section.name);
@@ -60,7 +64,7 @@ fn deterministic_sections_are_byte_identical_armed_vs_disarmed() {
         let armed = deterministic_sections(threads, true);
         assert_eq!(
             armed, reference,
-            "armed sampler changed a deterministic section at {threads} \
+            "armed spans changed a deterministic section at {threads} \
              thread(s) — profiling must stay pure exposition"
         );
     }

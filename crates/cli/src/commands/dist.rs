@@ -23,14 +23,15 @@ tsdtw dist --a FILE --b FILE [--measure M] [--w PCT] [--radius R] [--znorm]
   --stats-json   also dump the counters as JSON to FILE (implies --stats)
   --trace        record a flight-recorder trace of the evaluation to FILE
                  (Chrome Trace Format; open in Perfetto)
+                 and print the per-span table
   --metrics      write the run's work counters and request latency to FILE
                  in the Prometheus text exposition format
   --explain      print the EXPLAIN prune-funnel table (a single-pair
                  distance runs no lower-bound cascade, so this reports an
                  explanatory note). --explain=FILE also dumps the funnel JSON
-  --profile      arm the sampling profiler and print the per-span
-                 self-vs-total table. --profile=FILE also writes the
-                 collapsed stacks to FILE
+  --profile      arm the span probes and print each span's exact self
+                 and total time. --profile=FILE also writes the
+                 collapsed stacks (self ns per path) to FILE
                  (flamegraph.pl compatible; render with `tsdtw report flame`)
   series files: one finite value per line, '#' comments allowed";
 
@@ -86,13 +87,11 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     let explain_path = args.optional(stats::EXPLAIN_FLAG);
     let want_explain = args.has(stats::EXPLAIN_FLAG) || explain_path.is_some();
     let profile_path = args.optional(stats::PROFILE_FLAG);
-    let want_profile = args.has(stats::PROFILE_FLAG) || profile_path.is_some();
+    let profile = (args.has(stats::PROFILE_FLAG) || profile_path.is_some()).then_some(profile_path);
     let want_stats = args.has(stats::STATS_SWITCH) || json_path.is_some();
     let want_meter = want_stats || metrics_path.is_some() || want_explain;
     let mut meter = WorkMeter::new();
-    let _spans = stats::spans_start(want_stats);
-    stats::trace_start(trace_path);
-    let profiler = stats::profile_start(want_profile);
+    let probes = stats::Probes::start(want_stats, trace_path, profile);
     let t0 = std::time::Instant::now();
     let (d, heap) = if want_stats {
         let probe = tsdtw_obs::AllocScope::begin();
@@ -105,15 +104,14 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     };
     let wall_s = t0.elapsed().as_secs_f64();
     let mut out = format!("{measure} distance: {d}\n");
-    stats::trace_finish(trace_path, &mut out)?;
-    stats::profile_finish(profiler, profile_path, &mut out)?;
+    let spans = probes.finish(wall_s, &mut out)?;
     if measure == "cdtw" {
         let w: f64 = args.get_or("w", 10.0)?;
         let band = percent_to_band(a.len().max(b.len()), w)?;
         out.push_str(&format!("(w = {w}% -> band of {band} cells)\n"));
     }
     if want_stats {
-        stats::render(&meter, heap.as_ref(), json_path, &mut out)?;
+        stats::render(&meter, heap.as_ref(), &spans, json_path, &mut out)?;
     }
     stats::explain_finish(want_explain, explain_path, &meter, &mut out)?;
     stats::metrics_finish(metrics_path, &meter, wall_s, &mut out)?;
@@ -291,7 +289,6 @@ mod tests {
 
     #[test]
     fn profile_flag_prints_table_and_writes_collapsed_stacks() {
-        let _serial = crate::stats::tests::profiler_lock();
         let (a, b) = setup("tsdtw-dist-profile-test");
         let collapsed = std::env::temp_dir()
             .join("tsdtw-dist-profile-test")
@@ -310,11 +307,14 @@ mod tests {
         .unwrap();
         assert!(out.contains("-- profile --"), "{out}");
         assert!(out.contains("collapsed stacks written"), "{out}");
-        // The export parses in the same format `report flame` consumes
-        // (tiny inputs may legitimately finish between samples, so the
-        // file may be empty — but it must be well-formed).
+        // The export parses in the same format `report flame` consumes,
+        // and holds the cdtw span: self times are exact, not sampled.
         let text = std::fs::read_to_string(&collapsed).unwrap();
-        tsdtw_obs::profile::parse_collapsed(&text).unwrap();
+        let folded = tsdtw_obs::profile::parse_collapsed(&text).unwrap();
+        assert!(
+            folded.iter().any(|(s, _)| s.starts_with("cdtw")),
+            "{folded:?}"
+        );
         // Bare --profile: table only, no file note.
         let out = run(&raw(&[
             "--a",

@@ -64,7 +64,7 @@ tsdtw report flame COLLAPSED [--width N]
     --attribute         for each drifting experiment, print the top-3
                         suspect spans (latest record vs the one before)
   show   pretty-print one snapshot (work counters, timings, memory,
-         profile sample shares)
+         profile self times)
   flame  render a collapsed-stack export (from --profile=FILE or
          `repro --profile`) as an ASCII flame view
     --width N           bar column width in characters (default 40)";
@@ -246,7 +246,7 @@ fn run_trend(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     }
     let dashboard = trend::render_dashboard(&trends, &cfg);
     let out_file = out_path.unwrap_or_else(|| root.join("TREND.md").to_string_lossy().into_owned());
-    crate::stats::write_atomic(Path::new(&out_file), &dashboard)?;
+    tsdtw_bench::write_atomic(Path::new(&out_file), &dashboard)?;
 
     let dirty: Vec<&trend::ExperimentTrend> = trends.iter().filter(|t| !t.is_clean()).collect();
     for t in &trends {
@@ -731,17 +731,14 @@ mod tests {
         s.set(
             "profile",
             json_obj! {
-                "sampler_hz" => 997.0,
                 "duration_s" => 1.5,
-                "ticks" => 1400,
-                "samples" => 1200,
                 "spans" => json_obj! {
                     "cdtw" => json_obj! {
-                        "self_samples" => 900, "total_samples" => 1100,
+                        "self_s" => 0.9, "total_s" => 1.1,
                         "self_share" => 0.75,
                     },
                     "lb_keogh" => json_obj! {
-                        "self_samples" => 300, "total_samples" => 300,
+                        "self_s" => 0.3, "total_s" => 0.3,
                         "self_share" => 0.25,
                     },
                 },
@@ -751,8 +748,11 @@ mod tests {
         let out = run(&raw(&["show", &path])).unwrap();
         assert!(out.contains("-- profile"), "{out}");
         assert!(out.contains("advisory"), "{out}");
-        assert!(out.contains("997 Hz nominal"), "{out}");
-        assert!(out.contains("1200 sample(s) in span"), "{out}");
+        assert!(out.contains("1.500s run"), "{out}");
+        assert!(
+            out.contains("0.900000s") && out.contains("1.100000s"),
+            "{out}"
+        );
         assert!(out.contains("cdtw") && out.contains("75.0%"), "{out}");
         assert!(!out.contains("no profile section"), "{out}");
     }

@@ -24,15 +24,16 @@ tsdtw search --haystack FILE --query FILE [--w PCT] [--top K] [--threads N]
   --stats-json   also dump the counters as JSON to FILE (implies --stats)
   --trace        record a flight-recorder trace of the search to FILE
                  (Chrome Trace Format; open in Perfetto)
+                 and print the per-span table
   --metrics      write the run's work counters and request latency to FILE
                  in the Prometheus text exposition format
   --explain      print the EXPLAIN prune-funnel table: per cascade stage,
                  candidates entered/pruned, cost units, cost share, and the
                  prune-rate-per-cost ranking; bitwise identical at every
                  --threads. --explain=FILE also dumps the funnel JSON
-  --profile      arm the sampling profiler and print the per-span
-                 self-vs-total table. --profile=FILE also writes the
-                 collapsed stacks to FILE
+  --profile      arm the span probes and print each span's exact self
+                 and total time. --profile=FILE also writes the
+                 collapsed stacks (self ns per path) to FILE
                  (flamegraph.pl compatible; render with `tsdtw report flame`)";
 
 /// Runs the command, returning the printable result.
@@ -69,12 +70,10 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     let explain_path = args.optional(stats::EXPLAIN_FLAG);
     let want_explain = args.has(stats::EXPLAIN_FLAG) || explain_path.is_some();
     let profile_path = args.optional(stats::PROFILE_FLAG);
-    let want_profile = args.has(stats::PROFILE_FLAG) || profile_path.is_some();
+    let profile = (args.has(stats::PROFILE_FLAG) || profile_path.is_some()).then_some(profile_path);
     let want_stats = args.has(stats::STATS_SWITCH) || json_path.is_some();
     let mut meter = WorkMeter::new();
-    let _spans = stats::spans_start(want_stats);
-    stats::trace_start(trace_path);
-    let profiler = stats::profile_start(want_profile);
+    let probes = stats::Probes::start(want_stats, trace_path, profile);
     let t0 = std::time::Instant::now();
     // Probes the whole scan (including its result formatting, which is
     // cheap next to the candidate loop); reads zero unless the build
@@ -114,10 +113,9 @@ pub fn run(raw: &[String]) -> Result<String, Box<dyn std::error::Error>> {
     }
     let wall_s = t0.elapsed().as_secs_f64();
     let heap = heap_probe.map(tsdtw_obs::AllocScope::end);
-    stats::trace_finish(trace_path, &mut out)?;
-    stats::profile_finish(profiler, profile_path, &mut out)?;
+    let spans = probes.finish(wall_s, &mut out)?;
     if want_stats {
-        stats::render(&meter, heap.as_ref(), json_path, &mut out)?;
+        stats::render(&meter, heap.as_ref(), &spans, json_path, &mut out)?;
     }
     stats::explain_finish(want_explain, explain_path, &meter, &mut out)?;
     stats::metrics_finish(metrics_path, &meter, wall_s, &mut out)?;

@@ -33,7 +33,7 @@ commands:
   generate  synthetic dataset generation
   report    perf-trajectory tooling: diff (pairwise regression gate),
             trend (noise-aware drift gate over results/history/), show,
-            flame (render collapsed profiler stacks)
+            flame (render collapsed profile stacks)
   help      this message, or per-command help";
 
 fn command_help(name: &str) -> Option<&'static str> {

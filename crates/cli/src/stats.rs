@@ -1,15 +1,18 @@
-//! Shared `--stats` rendering: every command that accepts the flag funnels
-//! its [`WorkMeter`] through here for the human-readable counter block and
-//! the optional `--stats-json FILE` dump. The `--trace FILE` flag shares
-//! this module too: it arms the flight recorder before the command's work
-//! and exports the resulting Chrome-trace file afterwards. Each of
+//! Shared `--stats`, `--trace`, `--profile` and `--metrics` plumbing:
+//! every command that accepts the flags funnels through here. Each of
 //! `--stats`, `--trace` and `--profile` arms the span probes for the
-//! command; without them the probes stay idle.
+//! command ([`Probes`]); without them the probes stay idle. After the
+//! command's work, one drain of the span table feeds all three: the
+//! per-label `-- spans --` table that `--stats` and `--trace` print
+//! (once, when both are given), and `--profile`'s exact per-path self
+//! times. `--stats` also prints the [`WorkMeter`] counter block and can
+//! dump it as JSON (`--stats-json FILE`).
 
 use std::path::Path;
+use tsdtw_bench::write_atomic;
 use tsdtw_obs::{
-    recorder_start, recorder_stop, take_spans, AllocDelta, SpansArmed, WorkMeter,
-    DEFAULT_TRACE_CAPACITY,
+    arm_spans, drain_raw_spans, recorder_start, recorder_stop, span_table, take_spans, AllocDelta,
+    MetricsRegistry, ProfileReport, SpanStat, SpansArmed, WorkMeter, DEFAULT_TRACE_CAPACITY,
 };
 
 /// Flag names shared by all `--stats`-capable commands.
@@ -25,106 +28,96 @@ pub const METRICS_FLAG: &str = "metrics";
 /// prints the table, `--explain=FILE` additionally dumps the funnel
 /// JSON to FILE).
 pub const EXPLAIN_FLAG: &str = "explain";
-/// Optional-valued flag arming the sampling profiler (declare in *both*
+/// Optional-valued flag requesting the span profile (declare in *both*
 /// the switch and value-flag lists: bare `--profile` prints the
 /// self-vs-total table, `--profile=FILE` additionally writes the
 /// collapsed-stack export — flamegraph.pl / inferno compatible, also
 /// renderable with `tsdtw report flame` — to FILE).
 pub const PROFILE_FLAG: &str = "profile";
 
-/// Writes `text` to `path` atomically: temp file in the same directory,
-/// then rename — the same discipline as `Report::write_json`, so a
-/// concurrent reader (or a crash mid-write) never observes a torn file.
-pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    let name = path
-        .file_name()
-        .ok_or_else(|| std::io::Error::other(format!("{} has no file name", path.display())))?;
-    let tmp = dir.join(format!(".{}.tmp", name.to_string_lossy()));
-    std::fs::write(&tmp, text)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
+/// The span probes one command arms for `--stats`, `--trace FILE` and
+/// `--profile[=FILE]`. [`start`](Probes::start) before the command's
+/// work, [`finish`](Probes::finish) after it.
+pub struct Probes<'a> {
+    stats: bool,
+    trace_path: Option<&'a str>,
+    /// `Some` under `--profile`, holding `--profile=FILE`'s path.
+    profile: Option<Option<&'a str>>,
+    _armed: Option<SpansArmed>,
+}
+
+impl<'a> Probes<'a> {
+    /// Drops spans this thread recorded earlier, so the drain covers the
+    /// command alone; starts the flight recorder for `--trace`; and arms
+    /// the probes when any of the three flags was given.
+    pub fn start(
+        stats: bool,
+        trace_path: Option<&'a str>,
+        profile: Option<Option<&'a str>>,
+    ) -> Probes<'a> {
+        let _ = take_spans();
+        if trace_path.is_some() {
+            recorder_start(DEFAULT_TRACE_CAPACITY);
+        }
+        let armed = (stats || trace_path.is_some() || profile.is_some()).then(arm_spans);
+        Probes {
+            stats,
+            trace_path,
+            profile,
+            _armed: armed,
         }
     }
-}
 
-/// Arms the span probes for `--stats`; hold the token until [`render`]
-/// has drained the `-- spans --` table. Spans this thread recorded
-/// earlier are dropped, so the table covers the command alone.
-pub fn spans_start(want_stats: bool) -> Option<SpansArmed> {
-    let _ = take_spans();
-    want_stats.then(tsdtw_obs::arm_spans)
-}
-
-/// Arms the flight recorder if the command was given `--trace FILE`.
-/// Call before the command's real work; pair with [`trace_finish`].
-pub fn trace_start(trace_path: Option<&str>) {
-    if trace_path.is_some() {
-        recorder_start(DEFAULT_TRACE_CAPACITY);
+    /// Writes the `--trace` file, then drains the span table once.
+    /// `--profile` prints its self-vs-total table from the drain (the
+    /// command ran for `wall_s`) and writes the collapsed stacks to
+    /// `--profile=FILE`. The per-label stats are returned for [`render`]
+    /// under `--stats`; without it, `--trace` prints them here.
+    pub fn finish(
+        self,
+        wall_s: f64,
+        out: &mut String,
+    ) -> Result<Vec<SpanStat>, Box<dyn std::error::Error>> {
+        if let Some(path) = self.trace_path {
+            if let Some(trace) = recorder_stop() {
+                write_atomic(Path::new(path), &trace.chrome_json().to_string_compact())?;
+                out.push_str(&format!(
+                    "trace written to {path} (open in Perfetto / chrome://tracing)\n"
+                ));
+                // The span table below counts every span; the ring kept
+                // only the newest events.
+                if trace.dropped > 0 {
+                    out.push_str(&format!(
+                        "({} older events dropped at ring capacity {})\n",
+                        trace.dropped, trace.capacity
+                    ));
+                }
+            }
+        }
+        let drained = drain_raw_spans();
+        let spans = drained.stats();
+        if self.trace_path.is_some() && !self.stats {
+            out.push_str(&span_table(&spans));
+        }
+        if let Some(collapsed_path) = self.profile {
+            let report = ProfileReport::new(wall_s, &drained);
+            out.push_str("-- profile --\n");
+            out.push_str(&report.table());
+            if let Some(path) = collapsed_path {
+                write_atomic(Path::new(path), &report.collapsed())?;
+                out.push_str(&format!(
+                    "collapsed stacks written to {path} (render with `tsdtw report flame {path}`)\n"
+                ));
+            }
+        }
+        Ok(spans)
     }
-}
-
-/// Stops the recorder and writes the Chrome-trace file named by
-/// `--trace FILE`, appending a note (and the per-span summary table) to
-/// `out`. A no-op when the flag was absent.
-pub fn trace_finish(
-    trace_path: Option<&str>,
-    out: &mut String,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = trace_path else {
-        return Ok(());
-    };
-    let Some(trace) = recorder_stop() else {
-        return Ok(());
-    };
-    write_atomic(Path::new(path), &trace.chrome_json().to_string_compact())?;
-    out.push_str(&format!(
-        "trace written to {path} (open in Perfetto / chrome://tracing)\n"
-    ));
-    out.push_str(&trace.summary_table());
-    Ok(())
-}
-
-/// Arms the sampling profiler when the command was given `--profile`
-/// (bare or valued). Call before the command's real work; pair with
-/// [`profile_finish`].
-pub fn profile_start(want: bool) -> Option<tsdtw_obs::Profiler> {
-    want.then(|| tsdtw_obs::Profiler::start(tsdtw_obs::DEFAULT_SAMPLE_HZ))
-}
-
-/// Stops the profiler, appends the per-span self-vs-total table to
-/// `out`, and writes the collapsed-stack export when `--profile=FILE`
-/// named one. A no-op when the flag was absent.
-pub fn profile_finish(
-    profiler: Option<tsdtw_obs::Profiler>,
-    collapsed_path: Option<&str>,
-    out: &mut String,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(profiler) = profiler else {
-        return Ok(());
-    };
-    let report = profiler.stop();
-    out.push_str("-- profile --\n");
-    out.push_str(&report.table());
-    if let Some(path) = collapsed_path {
-        write_atomic(Path::new(path), &report.collapsed())?;
-        out.push_str(&format!(
-            "collapsed stacks written to {path} (render with `tsdtw report flame {path}`)\n"
-        ));
-    }
-    Ok(())
 }
 
 /// Appends the meter's counter summary to `out` and, when `json_path` is
-/// given, writes the meter's `work` JSON there (atomically). Timing spans
-/// (recorded while [`spans_start`]'s token is held) are drained and
-/// appended with their latency profile when present. A heap delta
+/// given, writes the meter's `work` JSON there (atomically). The span
+/// stats [`Probes::finish`] drained are appended with their latency
+/// profile when present. A heap delta
 /// measured around the command's work (see
 /// [`AllocScope`](tsdtw_obs::AllocScope)) renders as
 /// one memory line and a `memory` section in the JSON dump; it reads all
@@ -132,6 +125,7 @@ pub fn profile_finish(
 pub fn render(
     meter: &WorkMeter,
     heap: Option<&AllocDelta>,
+    spans: &[SpanStat],
     json_path: Option<&str>,
     out: &mut String,
 ) -> Result<(), Box<dyn std::error::Error>> {
@@ -145,20 +139,7 @@ pub fn render(
             );
         }
     }
-    let spans = take_spans();
-    if !spans.is_empty() {
-        out.push_str("-- spans --\n");
-        out.push_str(&format!(
-            "  {:<24} {:>8}  {:>12}  {:>10}  {:>10}  {:>10}\n",
-            "span", "count", "total", "p50", "p99", "max"
-        ));
-        for s in &spans {
-            out.push_str(&format!(
-                "  {:<24} {:>8}x  {:>11.6}s  {:>9.6}s  {:>9.6}s  {:>9.6}s\n",
-                s.label, s.count, s.total_s, s.p50_s, s.p99_s, s.max_s
-            ));
-        }
-    }
+    out.push_str(&span_table(spans));
     if let Some(path) = json_path {
         let mut dump = meter.report();
         if let Some(heap) = heap {
@@ -205,15 +186,12 @@ pub fn explain_finish(
     Ok(())
 }
 
-/// Folds the command's [`WorkMeter`] and end-to-end latency into the
-/// process-wide metrics registry and writes its Prometheus text
+/// Folds the command's [`WorkMeter`] and end-to-end latency into a
+/// metrics registry of its own and writes its Prometheus text
 /// exposition to the file named by `--metrics FILE`. A no-op when the
-/// flag was absent.
+/// flag was absent. One CLI invocation is one scrape lifetime, so the
+/// dump reflects exactly this command's work.
 ///
-/// One CLI invocation is one scrape lifetime, so the registry is reset
-/// under the same lock that records and renders: the dump reflects
-/// exactly this command's work even when tests run several commands in
-/// one process, and nothing can interleave between reset and render.
 /// The counter section of the exposition inherits the meter's
 /// determinism — bitwise independent of `--threads` — while the
 /// `tsdtw_request_seconds` summary is wall-clock and varies run to run.
@@ -226,21 +204,18 @@ pub fn metrics_finish(
     let Some(path) = metrics_path else {
         return Ok(());
     };
-    let text = tsdtw_obs::metrics::with_registry(|r| {
-        r.reset();
-        r.record_meter(meter);
-        // Cascaded commands additionally export the per-stage funnel
-        // families (`tsdtw_cascade_stage_*`); a no-op when the command
-        // ran no cascade, so non-cascaded expositions are unchanged.
-        r.record_funnel(&meter.funnel);
-        r.observe_s(
-            "tsdtw_request_seconds",
-            "End-to-end command latency in seconds.",
-            wall_s,
-        );
-        r.render()
-    });
-    write_atomic(Path::new(path), &text)?;
+    let mut registry = MetricsRegistry::new();
+    registry.record_meter(meter);
+    // Cascaded commands additionally export the per-stage funnel
+    // families (`tsdtw_cascade_stage_*`); a no-op when the command ran
+    // no cascade, so non-cascaded expositions are unchanged.
+    registry.record_funnel(&meter.funnel);
+    registry.observe_s(
+        "tsdtw_request_seconds",
+        "End-to-end command latency in seconds.",
+        wall_s,
+    );
+    write_atomic(Path::new(path), &registry.render())?;
     out.push_str(&format!(
         "metrics written to {path} (Prometheus text exposition)\n"
     ));
@@ -299,15 +274,6 @@ pub fn run_invariant_view(out: &str) -> String {
 pub(crate) mod tests {
     use super::*;
 
-    /// Serializes the tests that start the sampling profiler: its
-    /// live-stack flag is process-wide, so one test's stop would blind
-    /// another's spans.
-    pub(crate) fn profiler_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn renders_summary_and_writes_json() {
         let dir = std::env::temp_dir().join("tsdtw-stats-test");
@@ -317,7 +283,7 @@ pub(crate) mod tests {
         meter.cells = 42;
         meter.window_cells = 42;
         let mut out = String::new();
-        render(&meter, None, path.to_str(), &mut out).unwrap();
+        render(&meter, None, &[], path.to_str(), &mut out).unwrap();
         assert!(out.contains("-- work --"), "{out}");
         assert!(out.contains("42 DP cells"), "{out}");
         assert!(out.contains("work JSON written"), "{out}");
@@ -345,7 +311,7 @@ pub(crate) mod tests {
             ..AllocDelta::default()
         };
         let mut out = String::new();
-        render(&meter, Some(&heap), path.to_str(), &mut out).unwrap();
+        render(&meter, Some(&heap), &[], path.to_str(), &mut out).unwrap();
         assert!(out.contains("memory: 3 allocs"), "{out}");
         if !tsdtw_obs::heap_telemetry_enabled() {
             assert!(out.contains("disarmed"), "{out}");
@@ -441,90 +407,98 @@ pub(crate) mod tests {
     fn no_json_path_writes_nothing() {
         let meter = WorkMeter::new();
         let mut out = String::new();
-        render(&meter, None, None, &mut out).unwrap();
+        render(&meter, None, &[], None, &mut out).unwrap();
         assert!(!out.contains("work JSON written"));
     }
 
     #[test]
-    fn write_atomic_handles_bare_file_names() {
-        let dir = std::env::temp_dir().join("tsdtw-stats-atomic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let prev = std::env::current_dir().unwrap();
-        // Bare names (no parent component) must land in the cwd.
-        std::env::set_current_dir(&dir).unwrap();
-        write_atomic(Path::new("bare.json"), "{}").unwrap();
-        let ok = std::fs::read_to_string(dir.join("bare.json"));
-        std::env::set_current_dir(prev).unwrap();
-        assert_eq!(ok.unwrap(), "{}");
-    }
-
-    #[test]
-    fn trace_flow_writes_a_valid_chrome_trace() {
+    fn trace_flow_writes_a_valid_chrome_trace_and_prints_spans_once() {
         let dir = std::env::temp_dir().join("tsdtw-stats-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
         let path_str = path.to_str().unwrap().to_string();
-        trace_start(Some(&path_str));
-        {
+        for stats in [false, true] {
+            let probes = Probes::start(stats, Some(&path_str), None);
+            {
+                let _s = tsdtw_obs::span("cli_stats_test");
+            }
+            let mut out = String::new();
+            let spans = probes.finish(0.0, &mut out).unwrap();
+            assert!(out.contains("trace written"), "{out}");
+            assert!(!out.contains("dropped"), "the default ring held it: {out}");
+            assert_eq!(spans.len(), 1, "{spans:?}");
+            assert_eq!(spans[0].label, "cli_stats_test");
+            // Under --stats, `render` prints the table; otherwise --trace.
+            assert_eq!(out.contains("-- spans --"), !stats, "{out}");
+            if stats {
+                render(&WorkMeter::new(), None, &spans, None, &mut out).unwrap();
+            }
+            assert_eq!(out.matches("-- spans --").count(), 1, "{out}");
+            let text = std::fs::read_to_string(&path).unwrap();
+            let parsed = tsdtw_obs::Json::parse(&text).unwrap();
+            let events = parsed["traceEvents"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .filter(|e| e["ph"].as_str() != Some("C"))
+                .count();
+            assert_eq!(events, 2, "the recorder armed the span: {text}");
+        }
+        // A wrapped ring says so: the printed table counts all three
+        // spans, the trace file holds only the newest events.
+        let probes = Probes::start(false, Some(&path_str), None);
+        tsdtw_obs::recorder_start(2);
+        for _ in 0..3 {
             let _s = tsdtw_obs::span("cli_stats_test");
         }
         let mut out = String::new();
-        trace_finish(Some(&path_str), &mut out).unwrap();
-        assert!(out.contains("trace written"), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let parsed = tsdtw_obs::Json::parse(&text).unwrap();
-        let spans = parsed["traceEvents"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .filter(|e| e["ph"].as_str() != Some("C"))
-            .count();
-        assert_eq!(spans, 2, "the recorder armed the span: {text}");
-        let _ = take_spans();
-    }
-
-    #[test]
-    fn trace_finish_without_flag_is_a_no_op() {
-        let mut out = String::new();
-        trace_finish(None, &mut out).unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn profile_flow_writes_collapsed_stacks() {
-        let dir = std::env::temp_dir().join("tsdtw-stats-profile-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profile.txt");
-        let path_str = path.to_str().unwrap().to_string();
-        let _serial = profiler_lock();
-        let profiler = profile_start(true);
-        assert!(profiler.is_some());
-        {
-            let _s = tsdtw_obs::span("cli_stats_profile_test");
-            std::thread::sleep(std::time::Duration::from_millis(30));
-        }
-        let mut out = String::new();
-        profile_finish(profiler, Some(&path_str), &mut out).unwrap();
-        let _ = take_spans();
-        assert!(out.contains("-- profile --"), "{out}");
-        assert!(out.contains("collapsed stacks written"), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        // The file round-trips through the parser `report flame` uses.
-        let folded = tsdtw_obs::profile::parse_collapsed(&text).unwrap();
-        assert!(out.contains("self%"), "{out}");
+        let spans = probes.finish(0.0, &mut out).unwrap();
+        assert_eq!(spans[0].count, 3, "{spans:?}");
         assert!(
-            folded
-                .iter()
-                .any(|(s, _)| s.contains("cli_stats_profile_test")),
-            "{folded:?}"
+            out.contains("(4 older events dropped at ring capacity 2)"),
+            "{out}"
         );
     }
 
     #[test]
-    fn profile_finish_without_flag_is_a_no_op() {
-        assert!(profile_start(false).is_none());
+    fn probes_without_flags_are_a_no_op() {
         let mut out = String::new();
-        profile_finish(None, None, &mut out).unwrap();
+        let spans = Probes::start(false, None, None)
+            .finish(0.0, &mut out)
+            .unwrap();
         assert!(out.is_empty());
+        assert!(spans.is_empty());
+    }
+
+    #[test]
+    fn profile_flow_writes_exact_collapsed_stacks() {
+        let dir = std::env::temp_dir().join("tsdtw-stats-profile-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("profile.txt");
+        let path_str = path.to_str().unwrap().to_string();
+        let probes = Probes::start(false, None, Some(Some(&path_str)));
+        {
+            let _outer = tsdtw_obs::span("cli_stats_profile_test");
+            let _inner = tsdtw_obs::span("cli_stats_profile_inner");
+        }
+        let mut out = String::new();
+        let spans = probes.finish(0.5, &mut out).unwrap();
+        assert!(out.contains("-- profile --"), "{out}");
+        assert!(out.contains("self%"), "{out}");
+        assert!(out.contains("collapsed stacks written"), "{out}");
+        assert!(!out.contains("-- spans --"), "{out}");
+        // The file round-trips through the parser `report flame` uses,
+        // and its weights add up to the outer span's total.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let folded = tsdtw_obs::profile::parse_collapsed(&text).unwrap();
+        let stacks: Vec<&str> = folded.iter().map(|(s, _)| s.as_str()).collect();
+        assert!(
+            stacks.contains(&"cli_stats_profile_test;cli_stats_profile_inner"),
+            "{folded:?}"
+        );
+        let weights: u64 = folded.iter().map(|(_, n)| n).sum();
+        let outer = spans.iter().find(|s| s.label == "cli_stats_profile_test");
+        let outer_ns = (outer.unwrap().total_s * 1e9).round() as u64;
+        assert!(weights.abs_diff(outer_ns) <= 1, "{weights} vs {outer_ns}");
     }
 }

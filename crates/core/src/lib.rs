@@ -28,8 +28,8 @@
 //! no-op default ([`obs::NoMeter`], what the plain entry points pass)
 //! compiles to the uninstrumented code. Kernels also open timing spans
 //! ([`obs::span`]), which record only while a consumer arms them (a
-//! flight recorder, the sampling profiler, or [`obs::arm_spans`]);
-//! disarmed, each costs one atomic load.
+//! flight recorder, or [`obs::arm_spans`] for `--stats` and
+//! `--profile`); disarmed, each costs one atomic load.
 //!
 //! ## Conventions
 //!

@@ -13,8 +13,9 @@
 //!   private meter shard ([`MeterShard::fresh`]) and the shards are
 //!   absorbed into the caller's meter **in item-index order**, so the
 //!   merged meter equals the serial one exactly — including the
-//!   order-sensitive FastDTW per-level list. The serial names run it at
-//!   [`ParConfig::serial`].
+//!   order-sensitive FastDTW per-level list. Workers claim items one at
+//!   a time, so every worker finds work however few items there are.
+//!   The serial names run it at [`ParConfig::serial`].
 //! * [`par_fold_argmin`] — best-so-far-pruned scans (the 1-NN cascade,
 //!   subsequence search, motif/discord rows). Items are processed in
 //!   *chunk-synchronous* rounds: within a chunk every item is evaluated
@@ -41,7 +42,7 @@
 //! [`AllocScope`] on whichever thread ran it, the deltas are credited
 //! to the caller in item-index order, and an
 //! [`AllocRegion`] erases the executor's own
-//! machinery (chunk lists, result vectors, spawn closures) from the
+//! machinery (result slots and vectors, spawn closures) from the
 //! account — so the caller's heap counters after a run are bitwise
 //! identical at any thread count for deterministic per-item workloads.
 //! (Meters that themselves allocate, like `WorkMeter`'s FastDTW level
@@ -66,9 +67,10 @@ pub struct ParConfig {
     /// Worker threads. `1` means run inline on the caller's thread
     /// (no spawn at all). Must be at least 1.
     pub n_threads: usize,
-    /// Items per scheduling chunk; also the granularity at which the
-    /// frozen best-so-far of [`par_fold_argmin`] advances. Must be at
-    /// least 1. Results depend on `chunk` only through the frozen-bound
+    /// Items per scheduling chunk of [`par_fold_argmin`], which is also
+    /// the granularity at which its frozen best-so-far advances
+    /// ([`par_map`] claims items one at a time). Must be at least 1.
+    /// Results depend on `chunk` only through the frozen-bound
     /// semantics — never on `n_threads`.
     pub chunk: usize,
 }
@@ -185,16 +187,18 @@ where
         return Ok(out);
     }
 
+    // Items are claimed one at a time: they are independent, so the
+    // schedule moves no outcome, shard or heap delta (all merge in item
+    // order below), and every worker finds work however few items there
+    // are. `cfg.chunk` shapes only the fold's frozen bound.
     let mut region = AllocRegion::begin();
-    let n_chunks = items.len().div_ceil(cfg.chunk);
-    let workers = cfg.n_threads.min(n_chunks);
+    let workers = cfg.n_threads.min(items.len());
     let next = AtomicUsize::new(0);
     let handoff = tsdtw_obs::recorder_handoff();
 
-    type EvalSlot<R, M> = Vec<(Result<R>, M, AllocDelta)>;
-    type ChunkOut<R, M> = (usize, EvalSlot<R, M>);
+    type Eval<R, M> = (Result<R>, M, AllocDelta);
     type WorkerYield<R, M> = (
-        Vec<ChunkOut<R, M>>,
+        Vec<(usize, Eval<R, M>)>,
         tsdtw_obs::RawSpans,
         Option<tsdtw_obs::Trace>,
     );
@@ -207,23 +211,16 @@ where
                     if let Some(h) = handoff {
                         tsdtw_obs::recorder_start_shard(h);
                     }
-                    let mut mine: Vec<ChunkOut<R, M>> = Vec::new();
+                    let mut mine = Vec::new();
                     loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
                             break;
-                        }
-                        let start = c * cfg.chunk;
-                        let end = (start + cfg.chunk).min(items.len());
-                        let mut chunk_out = Vec::with_capacity(end - start);
-                        for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            let mut shard = M::fresh();
-                            let probe = AllocScope::begin();
-                            let r = f(i, item, &mut shard);
-                            let heap = probe.end();
-                            chunk_out.push((r, shard, heap));
-                        }
-                        mine.push((c, chunk_out));
+                        };
+                        let mut shard = M::fresh();
+                        let probe = AllocScope::begin();
+                        let r = f(i, item, &mut shard);
+                        mine.push((i, (r, shard, probe.end())));
                     }
                     (mine, drain_raw_spans(), tsdtw_obs::recorder_stop())
                 })
@@ -232,13 +229,13 @@ where
         handles.into_iter().map(|h| h.join()).collect()
     });
 
-    let mut chunks: Vec<Option<EvalSlot<R, M>>> = (0..n_chunks).map(|_| None).collect();
+    let mut evals: Vec<Option<Eval<R, M>>> = (0..items.len()).map(|_| None).collect();
     let mut first_panic = None;
     for j in joined {
         match j {
             Ok((mine, raw, shard_trace)) => {
-                for (c, out) in mine {
-                    chunks[c] = Some(out);
+                for (i, eval) in mine {
+                    evals[i] = Some(eval);
                 }
                 absorb_raw_spans(raw);
                 if let Some(t) = shard_trace {
@@ -258,22 +255,21 @@ where
 
     let mut out = Vec::with_capacity(items.len());
     let mut first_err: Option<Error> = None;
-    'merge: for chunk in chunks {
-        for (r, shard, heap) in chunk.expect("every chunk was claimed by a worker") {
-            meter.absorb(shard);
-            region.credit(&heap);
-            match r {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    // Deltas up to and including the failing item are
-                    // credited — the same prefix the inline path keeps.
-                    // Breaking (rather than returning) lets the
-                    // remaining chunks drop *inside* the region, so
-                    // their worker-allocated storage is erased with the
-                    // rest of the machinery.
-                    first_err = Some(e);
-                    break 'merge;
-                }
+    for eval in evals {
+        let (r, shard, heap) = eval.expect("every item was claimed by a worker");
+        meter.absorb(shard);
+        region.credit(&heap);
+        match r {
+            Ok(v) => out.push(v),
+            Err(e) => {
+                // Deltas up to and including the failing item are
+                // credited — the same prefix the inline path keeps.
+                // Breaking (rather than returning) lets the remaining
+                // items drop *inside* the region, so their
+                // worker-allocated storage is erased with the rest of
+                // the machinery.
+                first_err = Some(e);
+                break;
             }
         }
     }
@@ -610,37 +606,67 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_leaves_no_stale_profile_frames() {
-        // Companion to the panic-containment test above, for the
-        // sampling profiler: a worker that dies mid-span must not leave
-        // its frame in any live-stack slot (the span guard pops during
-        // unwind and the dying thread's slot deregisters on teardown) —
-        // otherwise the sampler would keep attributing wall-clock to a
-        // dead span forever.
+    fn worker_panic_leaves_the_callers_next_span_at_the_root() {
+        // Companion to the panic-containment test above, for the span
+        // table: a worker that dies mid-span takes its table with it
+        // (the survivors' rows are absorbed at the root), and the
+        // caller's span around the scan still closes, so the caller's
+        // next span opens at the root — not under a stale row.
         let data = items(20);
         let cfg = ParConfig::with_chunk(4, 2).unwrap();
-        let profiler = tsdtw_obs::Profiler::start(tsdtw_obs::DEFAULT_SAMPLE_HZ);
-        let err = par_map(&cfg, &data, &mut NoMeter, |i, v, _| {
-            let _g = tsdtw_obs::span("par_panic_item");
-            if i == 9 {
-                panic!("poisoned worker mid-span");
+        let armed = tsdtw_obs::arm_spans();
+        let _ = tsdtw_obs::take_spans();
+        let err = {
+            let _scan = tsdtw_obs::span("par_panic_scan");
+            par_map(&cfg, &data, &mut NoMeter, |i, v, _| {
+                let _g = tsdtw_obs::span("par_panic_item");
+                if i == 9 {
+                    panic!("poisoned worker mid-span");
+                }
+                Ok(*v)
+            })
+            .unwrap_err()
+        };
+        assert!(matches!(err, Error::WorkerPanicked { .. }), "{err:?}");
+        {
+            let _next = tsdtw_obs::span("par_after_panic");
+        }
+        drop(armed);
+        let profile = tsdtw_obs::ProfileReport::new(0.0, &tsdtw_obs::drain_raw_spans());
+        let stacks: Vec<&str> = profile.folded.iter().map(|(s, _)| s.as_str()).collect();
+        assert!(stacks.contains(&"par_after_panic"), "{stacks:?}");
+        assert!(
+            !stacks.iter().any(|s| s.ends_with(";par_after_panic")),
+            "{stacks:?}"
+        );
+    }
+
+    #[test]
+    fn par_map_spreads_few_items_over_every_worker() {
+        // 30 items, fewer than one default chunk: each item waits until
+        // two distinct threads have started items, so a pool that hands
+        // every item to one worker times out instead of hanging.
+        let data = items(30);
+        let cfg = ParConfig::new(2).unwrap();
+        let seen = (std::sync::Mutex::new(Vec::new()), std::sync::Condvar::new());
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        par_map(&cfg, &data, &mut NoMeter, |_, v, _| {
+            let (lock, started) = &seen;
+            let mut threads = lock.lock().unwrap();
+            let me = std::thread::current().id();
+            if !threads.contains(&me) {
+                threads.push(me);
+                started.notify_all();
             }
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let _ = started
+                .wait_timeout_while(threads, left, |t| t.len() < 2)
+                .unwrap();
             Ok(*v)
         })
-        .unwrap_err();
-        drop(profiler.stop());
-        let _ = tsdtw_obs::take_spans();
-        assert!(matches!(err, Error::WorkerPanicked { .. }), "{err:?}");
-        // The workers are joined before par_map returns, so by now no
-        // live stack anywhere may still carry the item span. (Other
-        // concurrently-running tests own their slots; only our label is
-        // asserted on.)
-        for stack in tsdtw_obs::profile::live_snapshot() {
-            assert!(
-                !stack.contains(&"par_panic_item"),
-                "stale frame after worker panic: {stack:?}"
-            );
-        }
+        .unwrap();
+        let threads = seen.0.into_inner().unwrap();
+        assert_eq!(threads.len(), 2, "one worker ran every item");
     }
 
     /// A pruning-shaped item: cheap ("pruned", no value) when the bound
@@ -899,8 +925,19 @@ mod tests {
         // per-worker tracks; ids stay pairable after the merge.
         assert_eq!(trace.events.len(), 24, "{:?}", trace.events);
         assert!(trace.events.iter().all(|e| e.track >= 1));
-        let rows = trace.summary();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].count, 12);
+        // Twelve balanced begin/end pairs: every end echoes a begin.
+        let begun: std::collections::HashSet<u64> = trace
+            .events
+            .iter()
+            .filter(|e| e.phase == tsdtw_obs::TracePhase::Begin)
+            .map(|e| e.span_id)
+            .collect();
+        let ends = trace
+            .events
+            .iter()
+            .filter(|e| e.phase == tsdtw_obs::TracePhase::End && begun.contains(&e.span_id))
+            .filter(|e| e.label == "par_test_item")
+            .count();
+        assert_eq!(ends, 12);
     }
 }

@@ -32,6 +32,7 @@
 
 use crate::par::{par_fold_argmin, par_map, ParConfig, CONTINUOUS};
 use tsdtw_core::cost::SquaredCost;
+use tsdtw_core::dtw::banded::cdtw_distance_metered_with_buf;
 use tsdtw_core::dtw::early_abandon::{cdtw_distance_ea_metered_buf_kernel, EaOutcome};
 use tsdtw_core::dtw::windowed::DtwBuffer;
 use tsdtw_core::dtw::Kernel;
@@ -442,9 +443,11 @@ pub fn distance_profile(haystack: &[f64], query: &[f64], band: usize) -> Result<
 
 /// [`distance_profile`] on the deterministic parallel executor, with a
 /// meter accumulating the DP work of every window evaluation (no pruning
-/// here, so `cells == window_cells`): every window is an independent
-/// item, so the profile *and* the merged meter counters are bitwise
-/// identical at any `(n_threads, chunk)`.
+/// here, so `cells == window_cells`): the windows are independent, so
+/// the profile *and* the merged meter counters are bitwise identical at
+/// any `(n_threads, chunk)`. Each executor item is a run of `cfg.chunk`
+/// windows sharing one window buffer and one [`DtwBuffer`], so a run
+/// allocates only while its first window warms them.
 pub fn distance_profile_par<M: MeterShard>(
     haystack: &[f64],
     query: &[f64],
@@ -455,11 +458,26 @@ pub fn distance_profile_par<M: MeterShard>(
     let _span = tsdtw_obs::span("subsequence_search");
     let m = query.len();
     let (q, norms) = prepare(haystack, query)?;
-    par_map(cfg, &norms, meter, |pos, &norm, mm| {
+    let runs: Vec<&[Norm]> = norms.chunks(cfg.chunk.max(1)).collect();
+    let profile = par_map(cfg, &runs, meter, |r, run, mm| {
         let mut window = vec![0.0; m];
-        normalize_into(&mut window, &haystack[pos..pos + m], norm);
-        tsdtw_core::dtw::banded::cdtw_distance_metered(&q, &window, band, SquaredCost, mm)
-    })
+        let mut buf = DtwBuffer::new();
+        let first = r * cfg.chunk;
+        let mut out = Vec::with_capacity(run.len());
+        for (pos, &norm) in (first..).zip(run.iter()) {
+            normalize_into(&mut window, &haystack[pos..pos + m], norm);
+            out.push(cdtw_distance_metered_with_buf(
+                &q,
+                &window,
+                band,
+                SquaredCost,
+                &mut buf,
+                mm,
+            )?);
+        }
+        Ok(out)
+    })?;
+    Ok(profile.concat())
 }
 
 /// One match from a top-k query.

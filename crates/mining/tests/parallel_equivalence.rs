@@ -91,40 +91,3 @@ fn classify_metrics_exposition_is_bitwise_thread_invariant() {
         );
     }
 }
-
-#[test]
-fn shard_registries_fold_order_independently() {
-    // Worker shards each build a private registry; the owner absorbs
-    // them in index order by convention, but the exposition must be a
-    // pure function of the shard *set* — any absorption order, and any
-    // sharding of the same totals, renders the same bytes.
-    let meter_with = |cells: u64, peak: u64| {
-        let mut m = WorkMeter::new();
-        m.cells = cells;
-        m.window_cells = cells;
-        m.dp_peak_bytes = peak;
-        m
-    };
-    let shards = [
-        meter_with(10, 100),
-        meter_with(0, 400),
-        meter_with(7, 250),
-        meter_with(1, 399),
-    ];
-    let render_order = |idx: &[usize]| {
-        let mut owner = MetricsRegistry::new();
-        for &i in idx {
-            let mut shard_reg = MetricsRegistry::new();
-            shard_reg.record_meter(&shards[i]);
-            owner.absorb(&shard_reg);
-        }
-        owner.render()
-    };
-    let canonical = render_order(&[0, 1, 2, 3]);
-    assert_eq!(canonical, render_order(&[3, 2, 1, 0]));
-    assert_eq!(canonical, render_order(&[2, 0, 3, 1]));
-    // And the same totals recorded through one meter render identically.
-    let mut one = MetricsRegistry::new();
-    one.record_meter(&meter_with(18, 400));
-    assert_eq!(canonical, one.render());
-}

@@ -128,6 +128,12 @@ impl LatencyHist {
         self.total_ns as f64 * 1e-9
     }
 
+    /// Sum of all recorded durations, in integer nanoseconds: exact, so
+    /// span self times (a total minus its children's) are exact too.
+    pub fn total_ns(&self) -> u128 {
+        self.total_ns
+    }
+
     /// Mean duration in seconds; zero for an empty histogram.
     pub fn mean_s(&self) -> f64 {
         if self.count == 0 {
@@ -169,12 +175,12 @@ impl LatencyHist {
 
     /// Folds another histogram into this one.
     ///
-    /// Counts and totals saturate instead of overflowing: a registry
-    /// histogram that lives for the whole process may be merged into
-    /// long after its shards individually carry huge counts, and the
-    /// trend detector reads quantiles off the result — a wrapped count
-    /// would silently reorder every rank, while a pinned `u64::MAX`
-    /// keeps quantiles monotone (see `merge_saturates_at_extremes`).
+    /// Counts and totals saturate instead of overflowing: a histogram
+    /// may be merged into long after its shards individually carry huge
+    /// counts, and the trend detector reads quantiles off the result — a
+    /// wrapped count would silently reorder every rank, while a pinned
+    /// `u64::MAX` keeps quantiles monotone (see
+    /// `merge_saturates_at_extremes`).
     pub fn merge(&mut self, other: &LatencyHist) {
         if other.count == 0 {
             return;

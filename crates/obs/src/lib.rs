@@ -21,21 +21,23 @@
 //!   diff tooling.
 //! * [`span`] — timing probes armed at runtime. Disarmed (no
 //!   [`arm_spans`] token alive), a probe is one relaxed atomic load;
-//!   armed, per-label call counts, wall time, and a latency histogram
-//!   accumulate in a thread-local table drained by [`take_spans`].
+//!   armed, every guard lands in one thread-local table whose rows are
+//!   keyed by the path of open spans. One drain ([`drain_raw_spans`])
+//!   feeds every view: folded by label it is the per-kernel table of
+//!   `--stats`, `--trace` and the snapshot's `kernels` section
+//!   ([`take_spans`]); folded by path it is the profile.
 //! * [`recorder_start`] / [`recorder_stop`] — the flight recorder: a
 //!   fixed-capacity ring of structured begin/end span events with
 //!   nesting intact (a running recorder arms the spans), exportable as a
-//!   Chrome Trace Format file
-//!   ([`Trace::chrome_json`], openable in Perfetto) or a compact
-//!   per-span summary table.
-//! * [`Profiler`] / [`ProfileReport`](mod@profile) — the wall-clock
-//!   sampling profiler (`profile` module): every metered thread
-//!   publishes its live span stack into a per-thread slot; a sampler
-//!   thread folds the stacks at a configurable rate (default 997 Hz)
-//!   into `flamegraph.pl`-compatible collapsed stacks, per-span
-//!   self-vs-total attribution, and the advisory snapshot `profile`
-//!   section that drift attribution ranks suspects from.
+//!   Chrome Trace Format file ([`Trace::chrome_json`], openable in
+//!   Perfetto).
+//! * [`ProfileReport`] (`profile` module) — the span table folded by
+//!   path: each path of open spans weighted by its exact self time in
+//!   nanoseconds, as `flamegraph.pl`-compatible collapsed stacks,
+//!   per-span self-vs-total attribution, and the advisory snapshot
+//!   `profile` section that drift attribution ranks suspects from.
+//! * [`MetricsRegistry`] — named counters, gauges and summaries rendered
+//!   as the Prometheus text exposition behind the CLI's `--metrics`.
 //! * [`Funnel`] — the per-stage prune-funnel ledger behind the CLI's
 //!   `--explain` flag and the `funnel` bench experiment: candidates
 //!   entered / pruned / survived per cascade stage, deterministic
@@ -74,14 +76,14 @@ pub use funnel::{tightness_ppb, Funnel, FunnelStage, StageLedger, TIGHTNESS_ONE_
 pub use hist::{nearest_rank, LatencyHist};
 pub use json::{json_escape, json_escape_into, Json, JsonParseError, ToJson};
 pub use meter::{FastDtwLevel, LbKind, Meter, MeterShard, NoMeter, StageTag, WorkMeter};
-pub use metrics::{MetricsRegistry, MetricsSampler};
-pub use profile::{ProfileReport, Profiler, SpanProfile, DEFAULT_SAMPLE_HZ};
+pub use metrics::MetricsRegistry;
+pub use profile::{ProfileReport, SpanProfile};
 pub use recorder::{
     recorder_absorb, recorder_active, recorder_counter_samples, recorder_handoff, recorder_start,
     recorder_start_shard, recorder_stop, CounterSample, Recorder, RecorderHandoff, Trace,
-    TraceEvent, TracePhase, TraceSummaryRow, DEFAULT_TRACE_CAPACITY,
+    TraceEvent, TracePhase, DEFAULT_TRACE_CAPACITY,
 };
 pub use span::{
-    absorb_raw_spans, arm_spans, drain_raw_spans, span, spans_armed, take_spans, RawSpans,
-    SpanGuard, SpanStat, SpansArmed,
+    absorb_raw_spans, arm_spans, drain_raw_spans, span, span_table, spans_armed, take_spans,
+    RawSpans, SpanGuard, SpanStat, SpansArmed,
 };

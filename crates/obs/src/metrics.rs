@@ -1,13 +1,12 @@
-//! The process-wide metrics registry and its Prometheus exposition.
+//! The metrics registry and its Prometheus exposition.
 //!
 //! [`WorkMeter`] answers "how much work did *this call* do"; the bench
-//! snapshots answer "how much work did *this run* do". The registry is
-//! the third time horizon: a process-lifetime accumulation of named
-//! counters, gauges, and latency summaries that a serving front end can
-//! scrape at any moment. It is the data plane the planned `tsdtw-serve`
-//! `/metrics` endpoint mounts unchanged: [`MetricsRegistry::render`]
+//! snapshots answer "how much work did *this run* do". The registry
+//! holds the same numbers as named counters, gauges and latency
+//! summaries in the form a scraper reads: [`MetricsRegistry::render`]
 //! emits the Prometheus text exposition format, and the CLI's
-//! `--metrics FILE` writes the same bytes today.
+//! `--metrics FILE` builds one registry per command and writes its
+//! bytes.
 //!
 //! ## Determinism contract
 //!
@@ -16,7 +15,7 @@
 //! max, summaries merge bucket-wise (see [`LatencyHist::merge`]) — and
 //! [`MetricsRegistry::render`] emits metrics in sorted name order. A
 //! registry fed the same *values* therefore renders the same *bytes*,
-//! regardless of how work was sharded across threads: the PR 3 meter
+//! regardless of how work was sharded across threads: the meter
 //! invariance (merged [`WorkMeter`]s are bitwise thread-count-
 //! independent) extends through [`record_meter`](MetricsRegistry::record_meter)
 //! to the exposition text. The `parallel_equivalence` suite locks this.
@@ -32,36 +31,21 @@
 //!   dimensionless `tightness` summary per cascade stage), via
 //!   [`record_funnel`](MetricsRegistry::record_funnel).
 //! * `tsdtw_<subsystem>_<quantity>_<unit>` for everything else, e.g.
-//!   `tsdtw_request_seconds` (a summary), `tsdtw_corpus_bytes` (a
-//!   gauge). Base units, never prefixed units: seconds and bytes.
-//!
-//! ## Sampling onto the flight recorder
-//!
-//! [`MetricsSampler`] snapshots every numeric registry value on a fixed
-//! cadence from a background thread and, on stop, delivers the samples
-//! to the active flight recorder as counter tracks
-//! ([`CounterSample`], exported as Chrome-trace `ph: "C"` records) —
-//! so a Perfetto view of a run shows counter trajectories under the
-//! span waterfall. Timestamps come from the recorder's own epoch via
-//! [`RecorderHandoff::elapsed_us`](crate::RecorderHandoff::elapsed_us),
-//! so samples land at the right place on the span timeline.
-
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+//!   `tsdtw_request_seconds` (a summary). Base units, never prefixed
+//!   units: seconds and bytes.
 
 use crate::funnel::{Funnel, FunnelStage};
 use crate::hist::LatencyHist;
 use crate::json::json_escape;
 use crate::meter::WorkMeter;
-use crate::recorder::CounterSample;
 
 /// The value payload of one registered metric.
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
     /// Monotone accumulation; folds by saturating add.
     Counter(u64),
-    /// Instantaneous level; folds by max (deterministic under any
-    /// shard absorption order).
+    /// Instantaneous level; folds by max (deterministic in any
+    /// recording order).
     Gauge(f64),
     /// A duration distribution; folds bucket-wise. Rendered as a
     /// Prometheus `summary` (quantile series + `_sum` + `_count`).
@@ -86,12 +70,8 @@ struct Metric {
     value: Value,
 }
 
-/// A registry of named metrics, kept sorted by name.
-///
-/// Plain value type: build thread-local shard registries on workers and
-/// fold them into an owner with [`absorb`](MetricsRegistry::absorb)
-/// (index-ordered, like every other shard merge in the workspace), or
-/// use the process-wide instance behind [`with_registry`].
+/// A registry of named metrics, kept sorted by name. A plain value: the
+/// CLI builds one per command.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     metrics: Vec<Metric>,
@@ -101,21 +81,6 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether no metric has been registered yet.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Drops every registered metric (tests and per-run CLI isolation).
-    pub fn reset(&mut self) {
-        self.metrics.clear();
     }
 
     /// The slot for `name`, created with `make` on first touch.
@@ -148,17 +113,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Sets the gauge `name` to `v` (registering it on first touch).
-    pub fn gauge_set(&mut self, name: &str, help: &str, v: f64) {
-        match self.slot(name, help, || Value::Gauge(v)) {
-            Value::Gauge(g) => *g = v,
-            other => panic!("metric {name} is a {}, not a gauge", other.kind()),
-        }
-    }
-
     /// Raises the gauge `name` to at least `v` — the fold used for
     /// high-water marks like peak scratch bytes, and the only gauge
-    /// write that commutes across shard absorption.
+    /// write, so the fold commutes.
     pub fn gauge_max(&mut self, name: &str, help: &str, v: f64) {
         match self.slot(name, help, || Value::Gauge(v)) {
             Value::Gauge(g) => *g = g.max(v),
@@ -245,41 +202,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Folds another registry into this one, metric-by-metric with each
-    /// kind's own discipline (counters add saturating, gauges max,
-    /// summaries histogram-merge). Absorb shards in item-index order to
-    /// match the workspace-wide merge convention; the result is
-    /// value-identical under any order regardless.
-    pub fn absorb(&mut self, other: &MetricsRegistry) {
-        for m in &other.metrics {
-            match &m.value {
-                Value::Counter(v) => self.counter_add(&m.name, &m.help, *v),
-                Value::Gauge(v) => self.gauge_max(&m.name, &m.help, *v),
-                Value::Summary(h) => {
-                    match self.slot(&m.name, &m.help, || Value::Summary(LatencyHist::new())) {
-                        Value::Summary(mine) => mine.merge(h),
-                        other => panic!("metric {} is a {}, not a summary", m.name, other.kind()),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Every metric reduced to one instantaneous number, in name
-    /// order — what the sampler snapshots onto counter tracks.
-    /// Counters and gauges are themselves; a summary contributes its
-    /// sample count as `<name>_count`.
-    pub fn numeric_values(&self) -> Vec<(String, f64)> {
-        self.metrics
-            .iter()
-            .map(|m| match &m.value {
-                Value::Counter(v) => (m.name.clone(), *v as f64),
-                Value::Gauge(v) => (m.name.clone(), *v),
-                Value::Summary(h) => (format!("{}_count", m.name), h.count() as f64),
-            })
-            .collect()
-    }
-
     /// The registry in the Prometheus text exposition format (version
     /// 0.0.4): `# HELP` / `# TYPE` headers and one sample line per
     /// series, metrics in sorted name order. Help text goes through the
@@ -312,146 +234,15 @@ impl MetricsRegistry {
     }
 }
 
-/// The process-wide registry instance.
-fn global() -> &'static Mutex<MetricsRegistry> {
-    static GLOBAL: OnceLock<Mutex<MetricsRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(MetricsRegistry::new()))
-}
-
-/// Runs `f` with the process-wide registry locked. All the global
-/// convenience wrappers ([`counter_add`], [`record_meter`], …) go
-/// through here; use it directly for compound updates that must be
-/// atomic with respect to the sampler.
-pub fn with_registry<R>(f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
-    f(&mut global().lock().expect("metrics registry poisoned"))
-}
-
-/// [`MetricsRegistry::counter_add`] on the process-wide registry.
-pub fn counter_add(name: &str, help: &str, n: u64) {
-    with_registry(|r| r.counter_add(name, help, n));
-}
-
-/// [`MetricsRegistry::gauge_set`] on the process-wide registry.
-pub fn gauge_set(name: &str, help: &str, v: f64) {
-    with_registry(|r| r.gauge_set(name, help, v));
-}
-
-/// [`MetricsRegistry::gauge_max`] on the process-wide registry.
-pub fn gauge_max(name: &str, help: &str, v: f64) {
-    with_registry(|r| r.gauge_max(name, help, v));
-}
-
-/// [`MetricsRegistry::observe_s`] on the process-wide registry.
-pub fn observe_s(name: &str, help: &str, seconds: f64) {
-    with_registry(|r| r.observe_s(name, help, seconds));
-}
-
-/// [`MetricsRegistry::record_meter`] on the process-wide registry.
-pub fn record_meter(meter: &WorkMeter) {
-    with_registry(|r| r.record_meter(meter));
-}
-
-/// [`MetricsRegistry::record_funnel`] on the process-wide registry.
-pub fn record_funnel(funnel: &Funnel) {
-    with_registry(|r| r.record_funnel(funnel));
-}
-
-/// Renders the process-wide registry's Prometheus exposition.
-pub fn render() -> String {
-    with_registry(|r| r.render())
-}
-
-/// Clears the process-wide registry (tests and per-run isolation).
-pub fn reset() {
-    with_registry(|r| r.reset());
-}
-
-/// A background thread sampling the process-wide registry onto counter
-/// tracks.
-///
-/// Started with a cadence, it wakes every `period`, snapshots
-/// [`MetricsRegistry::numeric_values`], and timestamps the batch
-/// against the flight-recorder epoch captured at start (falling back to
-/// its own start instant when no recorder was active). One final
-/// snapshot is always taken at stop, so a run shorter than the period
-/// still yields a sample. [`stop_onto_recorder`](Self::stop_onto_recorder)
-/// hands everything to the active recorder as `ph: "C"` counter tracks.
-#[derive(Debug)]
-pub struct MetricsSampler {
-    signal: std::sync::Arc<(Mutex<bool>, Condvar)>,
-    handle: std::thread::JoinHandle<Vec<CounterSample>>,
-}
-
-impl MetricsSampler {
-    /// Spawns the sampling thread. Call on the thread whose recorder
-    /// (if any) should own the timeline — the recorder handoff is
-    /// captured here, exactly like handing off to a worker shard.
-    pub fn start(period: Duration) -> MetricsSampler {
-        let signal = std::sync::Arc::new((Mutex::new(false), Condvar::new()));
-        let inner = std::sync::Arc::clone(&signal);
-        let handoff = crate::recorder::recorder_handoff();
-        let own_epoch = Instant::now();
-        let handle = std::thread::spawn(move || {
-            let mut samples = Vec::new();
-            let (lock, cvar) = &*inner;
-            let mut stopped = lock.lock().expect("sampler signal poisoned");
-            loop {
-                if !*stopped {
-                    stopped = cvar
-                        .wait_timeout(stopped, period)
-                        .expect("sampler signal poisoned")
-                        .0;
-                }
-                let done = *stopped;
-                let ts_us = handoff.map_or_else(
-                    || own_epoch.elapsed().as_secs_f64() * 1e6,
-                    |h| h.elapsed_us(),
-                );
-                for (name, value) in with_registry(|r| r.numeric_values()) {
-                    samples.push(CounterSample { name, ts_us, value });
-                }
-                if done {
-                    return samples;
-                }
-            }
-        });
-        MetricsSampler { signal, handle }
-    }
-
-    /// Stops the thread and returns everything it sampled (including
-    /// the final at-stop snapshot), oldest first.
-    pub fn stop(self) -> Vec<CounterSample> {
-        {
-            let (lock, cvar) = &*self.signal;
-            *lock.lock().expect("sampler signal poisoned") = true;
-            cvar.notify_all();
-        }
-        self.handle.join().unwrap_or_default()
-    }
-
-    /// Stops the thread and delivers its samples to this thread's
-    /// active flight recorder as counter tracks; returns how many
-    /// samples were delivered (0 when no recorder is active).
-    pub fn stop_onto_recorder(self) -> usize {
-        let samples = self.stop();
-        if samples.is_empty() {
-            return 0;
-        }
-        crate::recorder::recorder_counter_samples(samples)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{recorder_start, recorder_stop};
-    use crate::Json;
 
     #[test]
     fn exposition_is_sorted_typed_and_stable() {
         let mut r = MetricsRegistry::new();
         r.counter_add("tsdtw_z_last", "Registered first, renders last.", 3);
-        r.gauge_set("tsdtw_a_first", "Registered last, renders first.", 1.5);
+        r.gauge_max("tsdtw_a_first", "Registered last, renders first.", 1.5);
         r.counter_add("tsdtw_m_mid", "Middle.", 7);
         r.counter_add("tsdtw_z_last", "Registered first, renders last.", 4);
         let text = r.render();
@@ -541,7 +332,7 @@ mod tests {
         // An empty funnel leaves the registry untouched.
         let mut r = MetricsRegistry::new();
         r.record_funnel(&Funnel::new());
-        assert!(r.is_empty());
+        assert_eq!(r.render(), "");
 
         let mut f = Funnel::new();
         for _ in 0..8 {
@@ -601,96 +392,10 @@ mod tests {
     }
 
     #[test]
-    fn absorb_matches_serial_accumulation_in_any_order() {
-        let shard = |c: u64, peak: f64, obs_ms: u64| {
-            let mut r = MetricsRegistry::new();
-            r.counter_add("tsdtw_c", "c", c);
-            r.gauge_max("tsdtw_g", "g", peak);
-            for i in 0..obs_ms {
-                r.observe_s("tsdtw_s_seconds", "s", (i + 1) as f64 * 1e-3);
-            }
-            r
-        };
-        let shards = [shard(1, 10.0, 3), shard(2, 5.0, 0), shard(4, 20.0, 7)];
-        let mut fwd = MetricsRegistry::new();
-        for s in &shards {
-            fwd.absorb(s);
-        }
-        let mut rev = MetricsRegistry::new();
-        for s in shards.iter().rev() {
-            rev.absorb(s);
-        }
-        assert_eq!(fwd, rev);
-        assert_eq!(fwd.render(), rev.render());
-        assert!(fwd.render().contains("tsdtw_c 7"));
-        assert!(fwd.render().contains("tsdtw_g 20"));
-        assert!(fwd.render().contains("tsdtw_s_seconds_count 10"));
-    }
-
-    #[test]
     #[should_panic(expected = "not a counter")]
     fn kind_collisions_are_programmer_errors() {
         let mut r = MetricsRegistry::new();
-        r.gauge_set("tsdtw_oops", "first a gauge", 1.0);
+        r.gauge_max("tsdtw_oops", "first a gauge", 1.0);
         r.counter_add("tsdtw_oops", "now a counter", 1);
-    }
-
-    #[test]
-    fn numeric_values_cover_every_kind() {
-        let mut r = MetricsRegistry::new();
-        r.counter_add("tsdtw_nv_c", "c", 5);
-        r.gauge_set("tsdtw_nv_g", "g", 2.5);
-        r.observe_s("tsdtw_nv_s_seconds", "s", 1e-3);
-        let vals = r.numeric_values();
-        assert_eq!(
-            vals,
-            vec![
-                ("tsdtw_nv_c".to_string(), 5.0),
-                ("tsdtw_nv_g".to_string(), 2.5),
-                ("tsdtw_nv_s_seconds_count".to_string(), 1.0),
-            ]
-        );
-    }
-
-    #[test]
-    fn sampler_lands_counter_tracks_on_the_recorder() {
-        // Global state: use names unique to this test; other tests may
-        // add their own globals concurrently, which is fine — we only
-        // assert on ours.
-        let _serial = crate::span::tests::arm_lock(); // the recorder arms spans
-        counter_add("tsdtw_sampler_test_ticks", "Sampler test counter.", 9);
-        recorder_start(1 << 10);
-        let sampler = MetricsSampler::start(Duration::from_millis(5));
-        std::thread::sleep(Duration::from_millis(25));
-        counter_add("tsdtw_sampler_test_ticks", "Sampler test counter.", 1);
-        let delivered = sampler.stop_onto_recorder();
-        assert!(delivered > 0, "at least the at-stop snapshot");
-        let trace = recorder_stop().expect("recorder active");
-        let ours: Vec<&CounterSample> = trace
-            .counters
-            .iter()
-            .filter(|s| s.name == "tsdtw_sampler_test_ticks")
-            .collect();
-        assert!(!ours.is_empty());
-        // Samples are timestamped on the recorder timeline, monotone,
-        // and the last one saw the final increment.
-        for w in ours.windows(2) {
-            assert!(w[1].ts_us >= w[0].ts_us);
-        }
-        assert_eq!(ours.last().unwrap().value, 10.0);
-        // They export as ph:"C" records that parse back.
-        let chrome = Json::parse(&trace.chrome_json().to_string_compact()).unwrap();
-        let has_track = chrome["traceEvents"].as_array().unwrap().iter().any(|e| {
-            e["ph"].as_str() == Some("C") && e["name"].as_str() == Some("tsdtw_sampler_test_ticks")
-        });
-        assert!(has_track, "counter track missing from Chrome export");
-    }
-
-    #[test]
-    fn sampler_without_recorder_discards_cleanly() {
-        let sampler = MetricsSampler::start(Duration::from_millis(500));
-        // Stop immediately: the final snapshot fires, but with no
-        // recorder on this thread delivery reports zero.
-        assert_eq!(sampler.stop_onto_recorder(), 0);
     }
 }

@@ -1,9 +1,9 @@
 //! The flight recorder: a fixed-capacity ring buffer of structured span
 //! events.
 //!
-//! The per-label aggregate table in [`span`](crate::span) answers "how
-//! much time went to each kernel"; the flight recorder answers *where in
-//! the run* it went. While a recorder is active on a thread, every span
+//! The span table in [`span`](crate::span) answers "how much time went
+//! to each kernel"; the flight recorder answers *when in the run* it
+//! went. While a recorder is active on a thread, every span
 //! guard additionally appends a begin event on open and an end event on
 //! drop, with the parent/child structure (nesting depth) intact — a
 //! FastDTW invocation shows each resolution level, its window
@@ -15,14 +15,13 @@
 //! memory and per-event cost. Dropped events are counted, never
 //! silently lost.
 //!
-//! Two exporters:
-//! * [`Trace::chrome_json`] — the Chrome Trace Format (the
-//!   `traceEvents` array of `ph: "B"` / `"E"` records), openable
-//!   directly in [Perfetto](https://ui.perfetto.dev) or
-//!   `chrome://tracing`. Only balanced begin/end pairs are exported, so
-//!   the file is always well-formed even after ring wrap-around.
-//! * [`Trace::summary_table`] — a compact per-label table (count,
-//!   total, p50/p99/max from a [`LatencyHist`]) for terminal output.
+//! The exporter is [`Trace::chrome_json`]: the Chrome Trace Format (the
+//! `traceEvents` array of `ph: "B"` / `"E"` records), openable directly
+//! in [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`. Only
+//! balanced begin/end pairs are exported, so the file is always
+//! well-formed even after ring wrap-around. The per-label numbers come
+//! from the span table, which counts every span however far the ring
+//! wrapped.
 //!
 //! Recording is wired through the span probes: a running recorder holds
 //! a [`SpansArmed`] token, so the probes record exactly while some
@@ -32,7 +31,6 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use crate::hist::LatencyHist;
 use crate::json::Json;
 use crate::span::SpansArmed;
 
@@ -78,11 +76,11 @@ pub struct TraceEvent {
 }
 
 /// One sample on a named counter track (a `ph: "C"` Chrome-trace
-/// record): the metrics sampler snapshots registry values onto the
-/// recorder timeline through these.
+/// record): the `funnel` experiment drops its per-stage counters onto
+/// the recorder timeline through these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterSample {
-    /// The counter-track name (a metrics-registry metric name).
+    /// The counter-track name (a Prometheus-style metric name).
     pub name: String,
     /// Microseconds since the recorder epoch.
     pub ts_us: f64,
@@ -128,10 +126,9 @@ impl Recorder {
     }
 
     /// Appends one counter-track sample. Samples share the span ring's
-    /// capacity bound (a sampler at any cadence stays at constant
-    /// memory); overflow drops the *newest* sample and counts it — the
-    /// early samples anchor the trajectory, the tail is the live edge
-    /// the sampler is still producing.
+    /// capacity bound, so they stay at constant memory; overflow drops
+    /// the *newest* sample and counts it — the early samples anchor the
+    /// trajectory.
     pub fn counter_sample(&mut self, sample: CounterSample) {
         if self.counters.len() >= self.capacity {
             self.dropped += 1;
@@ -232,7 +229,7 @@ impl Recorder {
 pub struct Trace {
     /// Retained events, oldest first.
     pub events: Vec<TraceEvent>,
-    /// Counter-track samples (metrics sampler output), oldest first.
+    /// Counter-track samples, oldest first.
     pub counters: Vec<CounterSample>,
     /// Events evicted by ring wrap-around, plus counter samples
     /// rejected at the capacity bound.
@@ -312,8 +309,8 @@ impl Trace {
                 });
             }
         }
-        // Metrics-sampler counter tracks: one "ph": "C" series per
-        // metric name, on the recording thread's track. Perfetto
+        // Counter tracks: one "ph": "C" series per metric name, on the
+        // recording thread's track. Perfetto
         // renders each name as its own counter lane under the spans.
         for s in &self.counters {
             events.push(crate::json_obj! {
@@ -336,101 +333,6 @@ impl Trace {
             },
         }
     }
-
-    /// Per-label aggregation over the balanced spans: count, total
-    /// time, and a latency histogram of span durations.
-    pub fn summary(&self) -> Vec<TraceSummaryRow> {
-        let balanced = self.balanced_ids();
-        let mut open: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
-        let mut rows: Vec<TraceSummaryRow> = Vec::new();
-        for ev in &self.events {
-            if !balanced.contains(&ev.span_id) {
-                continue;
-            }
-            match ev.phase {
-                TracePhase::Begin => {
-                    open.insert(ev.span_id, ev.ts_us);
-                }
-                TracePhase::End => {
-                    let Some(begin_us) = open.remove(&ev.span_id) else {
-                        continue;
-                    };
-                    let dur_s = (ev.ts_us - begin_us).max(0.0) * 1e-6;
-                    let row = match rows.iter_mut().find(|r| r.label == ev.label) {
-                        Some(row) => row,
-                        None => {
-                            rows.push(TraceSummaryRow {
-                                label: ev.label,
-                                count: 0,
-                                total_s: 0.0,
-                                alloc_bytes: 0,
-                                hist: LatencyHist::new(),
-                            });
-                            rows.last_mut().expect("just pushed")
-                        }
-                    };
-                    row.count += 1;
-                    row.total_s += dur_s;
-                    row.alloc_bytes += ev.alloc_bytes;
-                    row.hist.record_s(dur_s);
-                }
-            }
-        }
-        rows
-    }
-
-    /// The compact per-span summary table for terminal output.
-    pub fn summary_table(&self) -> String {
-        let rows = self.summary();
-        let heap = crate::heap_telemetry_enabled();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<24}{:>10}{:>14}{:>12}{:>12}{:>12}",
-            "span", "count", "total", "p50", "p99", "max"
-        ));
-        if heap {
-            out.push_str(&format!("{:>14}", "alloc_b"));
-        }
-        out.push('\n');
-        for r in &rows {
-            out.push_str(&format!(
-                "{:<24}{:>10}{:>14.6}{:>12.9}{:>12.9}{:>12.9}",
-                r.label,
-                r.count,
-                r.total_s,
-                r.hist.percentile_s(0.5),
-                r.hist.percentile_s(0.99),
-                r.hist.max_s(),
-            ));
-            if heap {
-                out.push_str(&format!("{:>14}", r.alloc_bytes));
-            }
-            out.push('\n');
-        }
-        if self.dropped > 0 {
-            out.push_str(&format!(
-                "({} older events dropped at ring capacity {})\n",
-                self.dropped, self.capacity
-            ));
-        }
-        out
-    }
-}
-
-/// One row of [`Trace::summary`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSummaryRow {
-    /// The span label.
-    pub label: &'static str,
-    /// Completed (balanced) spans with this label.
-    pub count: u64,
-    /// Total seconds across those spans.
-    pub total_s: f64,
-    /// Heap bytes allocated inside those spans; 0 without
-    /// `alloc-telemetry`.
-    pub alloc_bytes: u64,
-    /// Duration distribution.
-    pub hist: LatencyHist,
 }
 
 thread_local! {
@@ -477,9 +379,8 @@ pub struct RecorderHandoff {
 
 impl RecorderHandoff {
     /// Microseconds elapsed since the parent recorder's epoch — the
-    /// timestamp base every event on that recorder's timeline uses.
-    /// The metrics sampler calls this from its own thread so counter
-    /// samples land at the right place among the spans.
+    /// timestamp base every event on that recorder's timeline uses, so
+    /// counter samples land at the right place among the spans.
     pub fn elapsed_us(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64() * 1e6
     }
@@ -566,6 +467,16 @@ mod tests {
             .collect()
     }
 
+    /// Balanced begin/end pairs of `label` retained in the ring.
+    fn balanced_spans(t: &Trace, label: &str) -> usize {
+        let balanced = t.balanced_ids();
+        t.events
+            .iter()
+            .filter(|e| e.phase == TracePhase::End && e.label == label)
+            .filter(|e| balanced.contains(&e.span_id))
+            .count()
+    }
+
     fn ev(
         label: &'static str,
         phase: TracePhase,
@@ -612,13 +523,8 @@ mod tests {
         assert_eq!(ids.len(), 4, "span ids must be unique after the merge");
         let tracks: Vec<u32> = t.events.iter().map(|e| e.track).collect();
         assert_eq!(tracks, vec![0, 0, 1, 1, 2, 2, 0, 0]);
-        // Every pair stays balanced, so both exporters see all spans.
-        let rows = t.summary();
-        let worker: &TraceSummaryRow = rows
-            .iter()
-            .find(|r| r.label == "worker_work")
-            .expect("worker spans survive the merge");
-        assert_eq!(worker.count, 2);
+        // Every pair stays balanced, so the export sees all spans.
+        assert_eq!(balanced_spans(&t, "worker_work"), 2);
         let json = t.chrome_json().to_string_compact();
         assert!(
             json.contains("\"tid\": 2") || json.contains("\"tid\":2"),
@@ -642,10 +548,9 @@ mod tests {
         for w in t.events.windows(2) {
             assert!(w[1].ts_us >= w[0].ts_us);
         }
-        let rows = t.summary();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].label, "inner"); // inner closes first
-        assert_eq!(rows[0].count, 1);
+        assert_eq!(t.events[2].label, "inner"); // inner closes first
+        assert_eq!(balanced_spans(&t, "inner"), 1);
+        assert_eq!(balanced_spans(&t, "outer"), 1);
     }
 
     #[test]
@@ -718,19 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_table_mentions_labels_and_drops() {
-        let mut r = Recorder::new(2);
-        for _ in 0..3 {
-            let id = r.begin("kernel");
-            r.end("kernel", id);
-        }
-        let t = r.finish();
-        let table = t.summary_table();
-        assert!(table.contains("kernel"), "{table}");
-        assert!(table.contains("dropped"), "{table}");
-    }
-
-    #[test]
     fn thread_local_recorder_roundtrip() {
         let _serial = crate::span::tests::arm_lock();
         assert!(!recorder_active());
@@ -744,6 +636,45 @@ mod tests {
         assert!(!recorder_active());
         assert_eq!(t.capacity, 16);
         assert_eq!(t.events.len(), 2);
+    }
+
+    #[test]
+    fn counter_samples_land_on_the_recorder_as_counter_tracks() {
+        let _serial = crate::span::tests::arm_lock();
+        let sample = |name: &str, value: f64| CounterSample {
+            name: name.to_string(),
+            ts_us: 1.0,
+            value,
+        };
+        assert_eq!(recorder_counter_samples(vec![sample("lost", 1.0)]), 0);
+        recorder_start(2);
+        let delivered = recorder_counter_samples(vec![
+            sample("tsdtw_stage_entered", 8.0),
+            sample("tsdtw_stage_pruned", 5.0),
+            sample("over_capacity", 1.0),
+        ]);
+        assert_eq!(delivered, 3);
+        let t = recorder_stop().expect("recorder active");
+        assert_eq!(t.counters.len(), 2, "the newest sample past capacity drops");
+        assert_eq!(t.dropped, 1);
+        let chrome = Json::parse(&t.chrome_json().to_string_compact()).unwrap();
+        let tracks: Vec<(String, f64)> = chrome["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e["ph"].as_str() == Some("C") && e["name"] != "heap_live_bytes")
+            .map(|e| {
+                let name = e["name"].as_str().unwrap().to_string();
+                (name, e["args"]["value"].as_f64().unwrap())
+            })
+            .collect();
+        assert_eq!(
+            tracks,
+            [
+                ("tsdtw_stage_entered".to_string(), 8.0),
+                ("tsdtw_stage_pruned".to_string(), 5.0)
+            ]
+        );
     }
 
     #[test]

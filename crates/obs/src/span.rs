@@ -1,28 +1,40 @@
-//! Timing spans, armed at runtime.
+//! Timing spans, armed at runtime, aggregated in one table.
 //!
 //! A span brackets a region of interest — a DTW kernel, a FastDTW
 //! resolution level, a mining loop iteration — with a label. Every build
 //! compiles the probes, but they record only while some consumer holds
 //! an arm token ([`arm_spans`]): the flight recorder
-//! ([`recorder_start`](crate::recorder_start)), the sampling profiler
-//! ([`Profiler::start`](crate::Profiler::start)), or a caller that wants
-//! the aggregate table alone. Disarmed, [`span`] is one relaxed atomic
-//! load and its guard's drop does nothing, so library calls and timed
-//! experiments pay nothing else. Armed, each guard's drop adds its wall
-//! time to a thread-local per-label table that [`take_spans`] drains,
-//! folding the duration into a per-label
-//! [`LatencyHist`] so every kernel carries p50/p99/max alongside count
-//! and total.
+//! ([`recorder_start`](crate::recorder_start)), or a caller that wants
+//! the table (the CLI's `--stats` and `--profile`, `repro --profile`).
+//! Disarmed, [`span`] is one relaxed atomic load and its guard's drop
+//! does nothing, so library calls and timed experiments pay nothing
+//! else.
 //!
-//! When a flight recorder is active on the thread, each armed guard
-//! additionally records a begin event on open and an end event on drop,
-//! preserving the parent/child nesting — that is what turns the
-//! aggregate table into an openable Chrome trace.
+//! Armed, every guard lands in one thread-local table whose rows are
+//! keyed by the path of open spans: a row is a label under its parent
+//! row. It holds the duration histogram ([`LatencyHist`], which carries
+//! the count and the total in integer nanoseconds) and the heap bytes
+//! allocated inside. One drain ([`drain_raw_spans`]) feeds every view:
+//!
+//! * folded by label ([`RawSpans::stats`], or [`take_spans`]), it is the
+//!   per-kernel table of `--stats` and `--trace` and the snapshot's
+//!   `kernels` section;
+//! * folded by path ([`RawSpans::folded`]), it is the profile: each path
+//!   weighted by its row's exact self time, the row's total minus its
+//!   children's totals in nanoseconds, so the weights sum exactly to the
+//!   root rows' total.
+//!
+//! When a flight recorder is active on the thread, each armed guard also
+//! records a begin event on open and an end event on drop, preserving
+//! the nesting — that is what turns the table into an openable Chrome
+//! trace.
 //!
 //! The table is thread-local on purpose: the hot loops are spawned
 //! per-thread, and a global table would put a lock on the measured
-//! path. Callers that fan out drain per-thread and merge, the same
-//! pattern as [`WorkMeter::merge`](crate::WorkMeter::merge).
+//! path. Callers that fan out drain each worker's table and absorb it
+//! into their own ([`absorb_raw_spans`]), the same pattern as
+//! [`WorkMeter::merge`](crate::WorkMeter::merge). A worker's rows merge
+//! at the root: its paths start at its own outermost span.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,10 +75,39 @@ crate::impl_to_json!(SpanStat {
     alloc_bytes
 });
 
+/// Renders span stats as the `-- spans --` table that `--stats`,
+/// `--trace` and `repro --trace` print; empty for no spans. Builds with
+/// `alloc-telemetry` add each label's heap bytes as an `alloc_b` column.
+pub fn span_table(spans: &[SpanStat]) -> String {
+    if spans.is_empty() {
+        return String::new();
+    }
+    let heap = crate::heap_telemetry_enabled();
+    let mut out = format!(
+        "-- spans --\n  {:<24} {:>8}  {:>12}  {:>10}  {:>10}  {:>10}",
+        "span", "count", "total", "p50", "p99", "max"
+    );
+    if heap {
+        out.push_str(&format!("  {:>12}", "alloc_b"));
+    }
+    out.push('\n');
+    for s in spans {
+        out.push_str(&format!(
+            "  {:<24} {:>8}x  {:>11.6}s  {:>9.6}s  {:>9.6}s  {:>9.6}s",
+            s.label, s.count, s.total_s, s.p50_s, s.p99_s, s.max_s
+        ));
+        if heap {
+            out.push_str(&format!("  {:>12}", s.alloc_bytes));
+        }
+        out.push('\n');
+    }
+    out
+}
+
 /// Arm tokens alive in the process; spans record while this is non-zero.
-/// Relaxed is enough: the count publishes no other data (each sink keeps
-/// its own thread-local or flag), and a thread spawned after arming sees
-/// the count through the spawn itself.
+/// Relaxed is enough: the count publishes no other data (the table and
+/// the recorder are thread-local), and a thread spawned after arming
+/// sees the count through the spawn itself.
 static ARMED: AtomicUsize = AtomicUsize::new(0);
 
 /// Keeps span recording armed while alive; see [`arm_spans`].
@@ -76,7 +117,7 @@ pub struct SpansArmed(());
 
 /// Arms span recording process-wide until the returned token drops.
 /// Tokens nest: spans record while any one is alive. A running recorder
-/// or profiler holds one; the CLI's `--stats` takes its own.
+/// holds one; the CLI's `--stats` and `--profile` take their own.
 pub fn arm_spans() -> SpansArmed {
     ARMED.fetch_add(1, Ordering::Relaxed);
     SpansArmed(())
@@ -96,16 +137,162 @@ pub fn spans_armed() -> bool {
     ARMED.load(Ordering::Relaxed) != 0
 }
 
-struct Entry {
+/// One table row: the guards of `label` opened while the span of row
+/// `parent` was the innermost open one (`None`: at the root).
+#[derive(Debug)]
+struct Row {
     label: &'static str,
-    count: u64,
-    total_s: f64,
-    alloc_bytes: u64,
+    parent: Option<usize>,
     hist: LatencyHist,
+    alloc_bytes: u64,
+}
+
+/// One thread's span rows, drained with their histograms and paths
+/// intact: fold it by label ([`stats`](RawSpans::stats)) or by path
+/// ([`folded`](RawSpans::folded)), or hand a worker's back to a parent
+/// thread ([`absorb_raw_spans`]).
+#[must_use = "drained spans are lost unless folded or absorbed"]
+#[derive(Debug, Default)]
+pub struct RawSpans {
+    /// Rows in creation order, so a parent precedes its children.
+    rows: Vec<Row>,
+    /// Labels in the order their first guard closed.
+    labels: Vec<&'static str>,
+}
+
+impl RawSpans {
+    /// The row of `label` under `parent`, created on first use.
+    fn row(&mut self, label: &'static str, parent: Option<usize>) -> usize {
+        match self
+            .rows
+            .iter()
+            .position(|r| r.parent == parent && r.label == label)
+        {
+            Some(i) => i,
+            None => {
+                self.rows.push(Row {
+                    label,
+                    parent,
+                    hist: LatencyHist::new(),
+                    alloc_bytes: 0,
+                });
+                self.rows.len() - 1
+            }
+        }
+    }
+
+    /// Lists `label` in close order unless it is listed already.
+    fn note_label(&mut self, label: &'static str) {
+        if !self.labels.contains(&label) {
+            self.labels.push(label);
+        }
+    }
+
+    /// Counts one closed guard of `ns` nanoseconds into row `i`.
+    fn close(&mut self, i: usize, ns: u64, alloc_bytes: u64) {
+        let label = self.rows[i].label;
+        if self.rows[i].hist.count() == 0 {
+            self.note_label(label);
+        }
+        let row = &mut self.rows[i];
+        row.hist.record_ns(ns);
+        row.alloc_bytes += alloc_bytes;
+    }
+
+    /// Merges `other`'s rows under the same paths, its roots at the root.
+    fn absorb(&mut self, other: RawSpans) {
+        let mut at = Vec::with_capacity(other.rows.len());
+        for r in other.rows {
+            let i = self.row(r.label, r.parent.map(|p| at[p]));
+            self.rows[i].hist.merge(&r.hist);
+            self.rows[i].alloc_bytes += r.alloc_bytes;
+            at.push(i);
+        }
+        for label in other.labels {
+            self.note_label(label);
+        }
+    }
+
+    /// The rows folded by label, in the order each label's first guard
+    /// closed: counts and totals sum over the label's paths, and p50,
+    /// p99 and max come from the merged histograms (the bucket-wise
+    /// merge is exact). A label under itself counts both guards.
+    pub fn stats(&self) -> Vec<SpanStat> {
+        self.labels
+            .iter()
+            .map(|&label| {
+                let mut hist = LatencyHist::new();
+                let mut alloc_bytes = 0;
+                for r in self.rows.iter().filter(|r| r.label == label) {
+                    hist.merge(&r.hist);
+                    alloc_bytes += r.alloc_bytes;
+                }
+                SpanStat {
+                    label,
+                    count: hist.count(),
+                    total_s: hist.total_s(),
+                    p50_s: hist.percentile_s(0.50),
+                    p99_s: hist.percentile_s(0.99),
+                    max_s: hist.max_s(),
+                    alloc_bytes,
+                }
+            })
+            .collect()
+    }
+
+    /// The rows folded by path: `root;child;leaf` to the row's self
+    /// time, its total minus its children's totals, in integer
+    /// nanoseconds. Children run inside their parent on its thread, so
+    /// no self time is negative and the weights sum exactly to the root
+    /// rows' total. Sorted by path; rows without self time are left out.
+    /// This is the collapsed-stack profile (see
+    /// [`ProfileReport`](crate::ProfileReport)).
+    pub fn folded(&self) -> Vec<(String, u64)> {
+        let mut child_ns = vec![0u128; self.rows.len()];
+        for r in &self.rows {
+            if let Some(p) = r.parent {
+                child_ns[p] += r.hist.total_ns();
+            }
+        }
+        let mut paths: Vec<String> = Vec::with_capacity(self.rows.len());
+        let mut folded = Vec::new();
+        for (r, children) in self.rows.iter().zip(child_ns) {
+            let path = match r.parent {
+                Some(p) => format!("{};{}", paths[p], r.label),
+                None => r.label.to_string(),
+            };
+            let self_ns = r.hist.total_ns().saturating_sub(children);
+            if self_ns > 0 {
+                folded.push((path.clone(), u64::try_from(self_ns).unwrap_or(u64::MAX)));
+            }
+            paths.push(path);
+        }
+        folded.sort();
+        folded
+    }
+}
+
+/// A thread's span table and where its open spans stand.
+struct Table {
+    spans: RawSpans,
+    /// The row of the innermost open span; `None` at the root.
+    current: Option<usize>,
+    /// Bumped by every drain, so a guard opened before one does not
+    /// close into a row that no longer exists.
+    generation: u64,
 }
 
 thread_local! {
-    static TABLE: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
+    static TABLE: RefCell<Table> = const {
+        RefCell::new(Table {
+            spans: RawSpans {
+                rows: Vec::new(),
+                labels: Vec::new(),
+            },
+            current: None,
+            generation: 0,
+        })
+    };
 }
 
 /// Timing guard: idle when opened disarmed, records on drop otherwise.
@@ -115,12 +302,13 @@ pub struct SpanGuard(Option<OpenSpan>);
 /// What an armed guard carries from open to close.
 struct OpenSpan {
     label: &'static str,
+    row: usize,
+    /// The innermost open span's row when this one opened; restored on
+    /// close, so spans nest LIFO like their guards.
+    parent: Option<usize>,
+    generation: u64,
     start: Instant,
     recorder_id: Option<u64>,
-    // Whether this guard pushed a frame onto the profiler's live stack;
-    // only then does it pop one, so arming or disarming the sampler
-    // mid-span never unbalances the stack.
-    profiled: bool,
     // Unit-sized unless `alloc-telemetry` is on; spans nest LIFO, which
     // is exactly the discipline AllocScope requires.
     alloc: AllocScope,
@@ -140,12 +328,20 @@ pub fn span(label: &'static str) -> SpanGuard {
 #[inline(never)]
 fn open(label: &'static str) -> OpenSpan {
     let recorder_id = crate::recorder::recorder_begin(label);
-    let profiled = crate::profile::live_push(label);
+    let (row, parent, generation) = TABLE.with(|t| {
+        let mut t = t.borrow_mut();
+        let parent = t.current;
+        let row = t.spans.row(label, parent);
+        t.current = Some(row);
+        (row, parent, t.generation)
+    });
     OpenSpan {
         label,
+        row,
+        parent,
+        generation,
         start: Instant::now(),
         recorder_id,
-        profiled,
         alloc: AllocScope::begin(),
     }
 }
@@ -153,32 +349,21 @@ fn open(label: &'static str) -> OpenSpan {
 #[cold]
 #[inline(never)]
 fn close(span: OpenSpan) {
-    let label = span.label;
-    let dt = span.start.elapsed().as_secs_f64();
-    if span.profiled {
-        crate::profile::live_pop();
-    }
+    let ns = u64::try_from(span.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let heap = span.alloc.end();
-    crate::recorder::recorder_end(label, span.recorder_id, heap.bytes_allocated);
+    crate::recorder::recorder_end(span.label, span.recorder_id, heap.bytes_allocated);
     TABLE.with(|t| {
         let mut t = t.borrow_mut();
-        let entry = match t.iter_mut().find(|e| e.label == label) {
-            Some(e) => e,
-            None => {
-                t.push(Entry {
-                    label,
-                    count: 0,
-                    total_s: 0.0,
-                    alloc_bytes: 0,
-                    hist: LatencyHist::new(),
-                });
-                t.last_mut().expect("just pushed")
-            }
+        let row = if t.generation == span.generation {
+            t.current = span.parent;
+            span.row
+        } else {
+            // The table was drained while this span was open: count it
+            // once, under whatever is innermost now.
+            let parent = t.current;
+            t.spans.row(span.label, parent)
         };
-        entry.count += 1;
-        entry.total_s += dt;
-        entry.alloc_bytes += heap.bytes_allocated;
-        entry.hist.record_s(dt);
+        t.spans.close(row, ns, heap.bytes_allocated);
     });
 }
 
@@ -191,63 +376,40 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Drains this thread's span table, first-opened label first.
+/// Drains this thread's span table folded by label (see
+/// [`RawSpans::stats`]).
 pub fn take_spans() -> Vec<SpanStat> {
+    drain_raw_spans().stats()
+}
+
+/// Drains this thread's span table with histograms and paths intact:
+/// one value for every view of the spans this thread recorded, or for
+/// handing back to a parent thread (see [`absorb_raw_spans`]).
+pub fn drain_raw_spans() -> RawSpans {
     TABLE.with(|t| {
-        t.borrow_mut()
-            .drain(..)
-            .map(|e| SpanStat {
-                label: e.label,
-                count: e.count,
-                total_s: e.total_s,
-                p50_s: e.hist.percentile_s(0.50),
-                p99_s: e.hist.percentile_s(0.99),
-                max_s: e.hist.max_s(),
-                alloc_bytes: e.alloc_bytes,
-            })
-            .collect()
+        let mut t = t.borrow_mut();
+        t.current = None;
+        t.generation += 1;
+        std::mem::take(&mut t.spans)
     })
 }
 
-/// One worker thread's span aggregates, drained with their histograms
-/// intact so a parent thread can absorb them losslessly. Opaque.
-#[must_use = "drained spans are lost unless absorbed"]
-pub struct RawSpans(Vec<Entry>);
-
-/// Drains this thread's span table with histograms intact, for handing
-/// back to a parent thread (see [`absorb_raw_spans`]).
-pub fn drain_raw_spans() -> RawSpans {
-    RawSpans(TABLE.with(|t| t.borrow_mut().drain(..).collect()))
-}
-
-/// Folds a worker's drained span aggregates into this thread's table:
-/// counts and totals sum, histograms merge bucket-wise (preserving exact
-/// min/max). Callers absorb worker shards in a fixed order so the
-/// resulting label order is deterministic.
+/// Folds a worker's drained span rows into this thread's table: each
+/// row merges into the row of the same path, the worker's roots at the
+/// root; counts and totals sum and histograms merge bucket-wise. Callers
+/// absorb worker shards in a fixed order so the label order is
+/// deterministic.
 pub fn absorb_raw_spans(raw: RawSpans) {
-    TABLE.with(|t| {
-        let mut t = t.borrow_mut();
-        for e in raw.0 {
-            match t.iter_mut().find(|dst| dst.label == e.label) {
-                Some(dst) => {
-                    dst.count += e.count;
-                    dst.total_s += e.total_s;
-                    dst.alloc_bytes += e.alloc_bytes;
-                    dst.hist.merge(&e.hist);
-                }
-                None => t.push(e),
-            }
-        }
-    });
+    TABLE.with(|t| t.borrow_mut().spans.absorb(raw));
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
 
-    /// Serializes the unit tests that arm spans (directly, through a
-    /// recorder or through the profiler) with the ones that check
-    /// disarmed behaviour: arming is process-wide.
+    /// Serializes the unit tests that arm spans (directly or through a
+    /// recorder) with the ones that check disarmed behaviour: arming is
+    /// process-wide.
     pub(crate) fn arm_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock()
@@ -256,6 +418,19 @@ pub(crate) mod tests {
 
     fn armed() -> usize {
         ARMED.load(Ordering::Relaxed)
+    }
+
+    /// Every row's `;`-joined path, in row order.
+    fn paths(raw: &RawSpans) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        for r in &raw.rows {
+            let path = match r.parent {
+                Some(p) => format!("{};{}", out[p], r.label),
+                None => r.label.to_string(),
+            };
+            out.push(path);
+        }
+        out
     }
 
     #[test]
@@ -280,6 +455,15 @@ pub(crate) mod tests {
         assert!(stats[0].total_s >= 0.0);
         assert!(stats[0].max_s >= stats[0].p50_s || stats[0].count == 1);
         assert!(take_spans().is_empty(), "drained");
+        let table = span_table(&stats);
+        assert!(table.starts_with("-- spans --\n"), "{table}");
+        assert!(table.contains("unit_test_region"), "{table}");
+        assert_eq!(
+            table.contains("alloc_b"),
+            crate::heap_telemetry_enabled(),
+            "{table}"
+        );
+        assert_eq!(span_table(&[]), "");
     }
 
     #[test]
@@ -337,6 +521,150 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn self_times_sum_exactly_to_the_root_totals() {
+        let _serial = arm_lock();
+        let _armed = arm_spans();
+        let _ = take_spans();
+        let busy = || std::hint::black_box((0..2_000u64).sum::<u64>());
+        {
+            let _outer = span("prof_outer");
+            {
+                let _rec = span("prof_rec");
+                busy();
+                let _again = span("prof_rec");
+                busy();
+            }
+            let _leaf = span("prof_leaf");
+            busy();
+        }
+        let worker = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    {
+                        let _rec = span("prof_rec");
+                        let _leaf = span("prof_leaf");
+                        busy();
+                    }
+                    drain_raw_spans()
+                })
+                .join()
+                .expect("worker")
+        });
+        absorb_raw_spans(worker);
+        let raw = drain_raw_spans();
+        let all = paths(&raw);
+        assert_eq!(
+            all,
+            [
+                "prof_outer",
+                "prof_outer;prof_rec",
+                "prof_outer;prof_rec;prof_rec",
+                "prof_outer;prof_leaf",
+                "prof_rec",
+                "prof_rec;prof_leaf",
+            ],
+            "the worker's rows merge at the root"
+        );
+        let folded = raw.folded();
+        let weights: u128 = folded.iter().map(|(_, w)| u128::from(*w)).sum();
+        let roots: u128 = raw
+            .rows
+            .iter()
+            .filter(|r| r.parent.is_none())
+            .map(|r| r.hist.total_ns())
+            .sum();
+        assert_eq!(weights, roots);
+        // A label's inclusive time is the total of its outermost rows:
+        // the recursive prof_rec counts once, not twice.
+        let outermost = |label: &str| -> u128 {
+            raw.rows
+                .iter()
+                .zip(&all)
+                .filter(|(r, path)| {
+                    r.label == label && path.split(';').filter(|f| *f == label).count() == 1
+                })
+                .map(|(r, _)| r.hist.total_ns())
+                .sum()
+        };
+        for row in crate::profile::self_totals(&folded) {
+            assert_eq!(
+                u128::from(row.total_weight),
+                outermost(&row.label),
+                "{}",
+                row.label
+            );
+        }
+        // Folded by label, the same drain counts every guard, labels in
+        // the order their first guard closed (the inner prof_rec first).
+        let counts: Vec<(&str, u64)> = raw.stats().iter().map(|s| (s.label, s.count)).collect();
+        assert_eq!(
+            counts,
+            [("prof_rec", 3), ("prof_leaf", 2), ("prof_outer", 1)]
+        );
+    }
+
+    #[test]
+    fn a_span_open_across_a_drain_closes_once() {
+        let _serial = arm_lock();
+        let _armed = arm_spans();
+        let _ = take_spans();
+        let outer = span("drain_outer");
+        {
+            let _inner = span("drain_inner");
+        }
+        let before = take_spans();
+        assert_eq!(before.len(), 1, "{before:?}");
+        assert_eq!(before[0].label, "drain_inner");
+        {
+            let _after = span("drain_after");
+        }
+        drop(outer);
+        let raw = drain_raw_spans();
+        assert_eq!(paths(&raw), ["drain_after", "drain_outer"]);
+        let counts: Vec<(&str, u64)> = raw.stats().iter().map(|s| (s.label, s.count)).collect();
+        assert_eq!(counts, [("drain_after", 1), ("drain_outer", 1)]);
+    }
+
+    #[test]
+    fn a_panic_unwinding_through_nested_spans_leaves_the_root_current() {
+        let _serial = arm_lock();
+        let _armed = arm_spans();
+        let _ = take_spans();
+        let unwound = std::panic::catch_unwind(|| {
+            let _outer = span("unwind_outer");
+            let _inner = span("unwind_inner");
+            panic!("mid-span panic");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(TABLE.with(|t| t.borrow().current), None);
+        {
+            let _next = span("unwind_next");
+        }
+        let raw = drain_raw_spans();
+        assert_eq!(
+            paths(&raw),
+            ["unwind_outer", "unwind_outer;unwind_inner", "unwind_next"]
+        );
+        assert!(raw.stats().iter().all(|s| s.count == 1));
+    }
+
+    #[test]
+    fn a_child_armed_under_a_disarmed_span_opens_at_the_root() {
+        let _serial = arm_lock();
+        let _ = take_spans();
+        let outer = span("idle_outer");
+        let armed = arm_spans();
+        {
+            let _child = span("armed_child");
+        }
+        drop(outer);
+        drop(armed);
+        let raw = drain_raw_spans();
+        assert_eq!(paths(&raw), ["armed_child"]);
+        assert_eq!(raw.stats().len(), 1);
+    }
+
+    #[test]
     fn a_recorder_arms_spans_until_it_stops() {
         let _serial = arm_lock();
         crate::recorder_start(64);
@@ -354,8 +682,13 @@ pub(crate) mod tests {
         let trace = crate::recorder_stop().expect("recorder was started");
         assert_eq!(armed(), 0, "stopping disarms");
         let _ = take_spans(); // keep the aggregate table clean for other tests
+        let ends: Vec<&str> = trace
+            .events
+            .iter()
+            .filter(|e| e.phase == crate::TracePhase::End)
+            .map(|e| e.label)
+            .collect();
         assert_eq!(trace.events.len(), 4, "two begin/end pairs");
-        let rows = trace.summary();
-        assert_eq!(rows.len(), 2);
+        assert_eq!(ends, ["rec_inner", "rec_outer"]);
     }
 }

@@ -166,10 +166,10 @@ fn export_filters_orphans_created_by_wraparound() {
     assert_balanced(events);
     assert_eq!(spans_only[0]["name"], "child");
 
-    // The summary sees the same balanced view.
-    let rows = t.summary();
-    assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].label, "child");
-    assert_eq!(rows[0].count, 1);
-    assert!((rows[0].total_s - 10e-6).abs() < 1e-12);
+    // One balanced pair survives: the child's begin and end, 10 µs apart.
+    assert_eq!(spans_only[0]["ph"], "B");
+    assert_eq!(spans_only[1]["ph"], "E");
+    assert_eq!(spans_only[1]["name"], "child");
+    let dur_us = spans_only[1]["ts"].as_f64().unwrap() - spans_only[0]["ts"].as_f64().unwrap();
+    assert!((dur_us - 10.0).abs() < 1e-12, "{dur_us}");
 }

@@ -26,7 +26,7 @@ use tsdtw::core::norm::znorm;
 use tsdtw::core::{Envelope, Kernel, SearchWindow};
 use tsdtw::datasets::ecg::beats;
 use tsdtw::datasets::random_walk::random_walks;
-use tsdtw::mining::search::subsequence_search_par;
+use tsdtw::mining::search::{distance_profile_par, subsequence_search_par};
 use tsdtw::mining::{DistanceSpec, LabeledView, ParConfig};
 use tsdtw_obs::{heap_telemetry_enabled, AllocScope, NoMeter, WorkMeter};
 
@@ -419,6 +419,33 @@ fn warmed_subsequence_candidate_loop_never_allocates() {
             (short_heap.allocs, short_heap.reallocs),
             (long_heap.allocs, long_heap.reallocs),
             "the search's allocations grow with the haystack: {short_heap:?} vs {long_heap:?}"
+        );
+    }
+}
+
+/// The distance profile (`search --top K`) evaluates every window, so it
+/// cannot skip the DP the way the pruned search does, but it shares its
+/// scratch: each run of `chunk` windows reuses one window buffer and one
+/// [`DtwBuffer`], so the heap sees a handful of allocations per run, not
+/// several per window.
+#[test]
+fn distance_profile_allocates_per_run_not_per_window() {
+    let m = 64;
+    let haystack = random_walks(1, 4096, 0xD15C + 7)
+        .expect("generator")
+        .remove(0);
+    let query: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
+    let windows = haystack.len() - m + 1;
+    let probe = AllocScope::begin();
+    let profile = distance_profile_par(&haystack, &query, 6, &ParConfig::serial(), &mut NoMeter)
+        .expect("valid inputs");
+    let heap = probe.end();
+    assert_eq!(profile.len(), windows);
+    if heap_telemetry_enabled() {
+        assert!(
+            (heap.allocs as usize) < windows / 8,
+            "{} allocations for {windows} windows",
+            heap.allocs
         );
     }
 }

@@ -1,13 +1,13 @@
-//! Property tests over the profiler's collapsed-stack text format
+//! Property tests over the profile's collapsed-stack text format
 //! (proptest).
 //!
 //! `repro --profile` and `--profile=FILE` persist folded stacks as
-//! flamegraph.pl-compatible `stack count` lines, and `report flame`
+//! flamegraph.pl-compatible `stack weight` lines, and `report flame`
 //! parses them back. That round trip must be lossless and canonical:
 //! one `collapse → parse_collapsed` normalization pass (sort by stack,
 //! merge duplicates) reaches a fixpoint, after which re-collapsing is
 //! bitwise stable — otherwise committed flamegraph artifacts would
-//! churn between CI runs that sampled identical distributions.
+//! churn between CI runs that measured identical distributions.
 
 use proptest::prelude::*;
 use tsdtw_obs::profile::{collapse, parse_collapsed, self_totals};
@@ -70,11 +70,11 @@ proptest! {
 
     #[test]
     fn self_time_attribution_is_conserved(entries in folded()) {
-        // Leaf (self) samples partition the total: summing self over all
-        // labels recovers exactly the sampled total, parsed or not.
+        // Leaf (self) weights partition the total: summing self over all
+        // labels recovers exactly the total weight, parsed or not.
         let parsed = parse_collapsed(&collapse(&entries)).unwrap();
         let total: u64 = parsed.iter().map(|(_, n)| n).sum();
-        let self_sum: u64 = self_totals(&parsed).iter().map(|s| s.self_samples).sum();
+        let self_sum: u64 = self_totals(&parsed).iter().map(|s| s.self_weight).sum();
         prop_assert_eq!(self_sum, total);
     }
 
