@@ -572,7 +572,8 @@ pub struct Attribution {
 /// * `kernels.<span>.total_s` — wall-time growth (relative %),
 /// * `kernels.<span>.alloc_bytes` — allocation growth (relative %),
 /// * `profile.spans.<span>.self_share` — self-time share change
-///   (percentage points × 1, so "+12.0" means twelve points hotter).
+///   (percentage points × 1, so "+12.0" means twelve points hotter),
+///   mined only when both snapshots carry a `profile` object.
 ///
 /// A span's score is its worst positive signal; spans with no positive
 /// signal are dropped. Sorted worst-first, ties broken by label so the
@@ -592,6 +593,8 @@ pub fn attribute(baseline: &Json, current: &Json) -> Vec<Attribution> {
     collect(&current["kernels"]);
     collect(&baseline["profile"]["spans"]);
     collect(&current["profile"]["spans"]);
+    let both_profiled =
+        baseline["profile"].as_object().is_some() && current["profile"].as_object().is_some();
 
     let mut out: Vec<Attribution> = Vec::new();
     for label in labels {
@@ -617,15 +620,18 @@ pub fn attribute(baseline: &Json, current: &Json) -> Vec<Attribution> {
             }
             reasons.push(format!("{what} {base} -> {cur} ({pct:+.1}%)"));
         }
-        let base_share = baseline["profile"]["spans"][label.as_str()]["self_share"].as_f64();
-        let cur_share = current["profile"]["spans"][label.as_str()]["self_share"].as_f64();
-        // A span absent from one side's profile never ran there (or
-        // that side was not profiled); treat the missing share as zero
-        // so a newly hot span still surfaces.
-        let base_share = base_share.unwrap_or(0.0);
-        let cur_share = cur_share.unwrap_or(0.0);
+        // Shares compare only between two profiles: against a side that
+        // was not profiled, every span would read as newly hot. Between
+        // two profiles, a span absent from one never ran there, so its
+        // share there is zero and a newly hot span still surfaces.
+        let share = |snap: &Json| {
+            snap["profile"]["spans"][label.as_str()]["self_share"]
+                .as_f64()
+                .unwrap_or(0.0)
+        };
+        let (base_share, cur_share) = (share(baseline), share(current));
         let dpp = (cur_share - base_share) * 100.0;
-        if dpp > 0.0 {
+        if both_profiled && dpp > 0.0 {
             if dpp > score {
                 score = dpp;
             }
@@ -1312,6 +1318,33 @@ mod tests {
             "{suspects2:?}"
         );
         drop(suspects);
+    }
+
+    #[test]
+    fn attribution_skips_the_share_against_an_unprofiled_baseline() {
+        // CI's profile leg diffs a profiled run against a baseline whose
+        // profile is null: no span may rank on self-time share, while
+        // the kernels signals still do.
+        let mut base = snap(1000, 1.0);
+        base.set("profile", Json::Null);
+        let mut cur = snap(1000, 1.0);
+        let slowed = cur["kernels"]["lb_keogh"].clone().with("total_s", 0.375);
+        cur.set("kernels", cur["kernels"].clone().with("lb_keogh", slowed));
+        let suspects = attribute(&base, &cur);
+        assert_eq!(
+            suspects
+                .iter()
+                .map(|a| a.label.as_str())
+                .collect::<Vec<_>>(),
+            ["lb_keogh"],
+            "{suspects:?}"
+        );
+        assert_eq!(suspects[0].reasons.len(), 1, "{suspects:?}");
+        assert!(suspects[0].reasons[0].starts_with("wall time"));
+        // The other way round, too: a profiled baseline against an
+        // unprofiled run.
+        let suspects = attribute(&snap(1000, 1.0), &base);
+        assert!(suspects.is_empty(), "{suspects:?}");
     }
 
     #[test]

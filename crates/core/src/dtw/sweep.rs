@@ -27,8 +27,12 @@
 //! at every level, also records one traceback byte per cell into the
 //! row's slice of the direction plane. Its tie-break takes the minimum
 //! with [`neighbor_min`], like the other two, and derives the direction
-//! from the same comparisons without a branch, so a path cell costs
-//! about what a distance cell costs plus the byte store.
+//! from the same comparisons without a branch. A path cell still costs
+//! about 1.7× a distance cell, not a distance cell plus the byte store:
+//! timing the sweep loops alone on FastDTW's finest-level windows of the
+//! benchmark's shapes (shared 2-vCPU Xeon, best of 9), the path sweep
+//! ran 3.09 ns/cell against the distance sweep's 1.73 at N = 128 (width
+//! 58), and 2.98 against 1.78 at N = 24,000 (width 96).
 //!
 //! **Cost overflow.** The guards stand in `∞` for an out-of-window
 //! neighbor. A finite input pair whose cost overflows (`|x − y| ≳

@@ -26,15 +26,17 @@
 //! loop with the exact kernels (see [`windowed`](crate::dtw::windowed)),
 //! reuses buffers, stores its window as per-row ranges, and performs no
 //! per-cell allocation — FastDTW done as well as we know how. Each level
-//! pays for its cells and little else: the path sweep picks the traceback
-//! step without a branch and writes it through the row's slice of the
-//! direction plane, and [`SearchWindow::dilate`] reads two bounds per row
-//! (O(n), not O(n·r)). Only the coarser levels need a path; the distance
-//! entries ([`fastdtw_distance`], [`fastdtw_distance_metered`]) solve the
-//! finest level with the distance-only kernel, as `cDTW_w` does. What
-//! remains beyond `cDTW_w`'s cost is FastDTW's extra cells plus one
-//! traceback byte per coarser-level cell, which is the comparison the
-//! paper makes.
+//! pays for its cells: the path sweep picks the traceback step without a
+//! branch and writes it through the row's slice of the direction plane,
+//! and [`SearchWindow::dilate`] reads two bounds per row (O(n), not
+//! O(n·r)). A path cell still costs about 1.7× a distance cell (the
+//! measurement is in the row sweep's notes, `dtw/sweep.rs`, and
+//! DESIGN.md §5). Only the coarser levels need a path; the distance entries
+//! ([`fastdtw_distance`], [`fastdtw_distance_metered`]) solve the finest
+//! level with the distance-only kernel, as `cDTW_w` does. What remains
+//! beyond `cDTW_w`'s cost is FastDTW's extra cells, each coarser-level
+//! one at the path sweep's price, which is the comparison the paper
+//! makes.
 //!
 //! The [`reference`](mod@reference) submodule is a faithful transliteration of the
 //! *canonical* implementation (Salvador & Chan's reference, as consumed by

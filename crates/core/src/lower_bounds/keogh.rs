@@ -15,17 +15,26 @@
 use crate::envelope::Envelope;
 use crate::error::{check_finite, check_nonempty, Error, Result};
 
+/// Squared excursion of `c` outside `[lower, upper]`: the one term every
+/// envelope bound here charges (LB_Yi charges it against the query's
+/// range).
+///
+/// The textbook decision tree — above `upper` first, then below `lower`,
+/// else inside — held as two selects on the differences, so it compiles
+/// without a branch: where a point falls against a z-normalized query's
+/// envelope is close to a coin flip, and branches there mispredict. For
+/// finite operands `c - upper > 0` exactly when `c > upper` (a difference
+/// of finite doubles is zero only between equal values and keeps its sign
+/// when it overflows), and `lower - c > 0` exactly when `c < lower`, so
+/// the term has the branchy form's bits on every finite input, a crossed
+/// envelope (`lower > upper`) included.
 #[inline(always)]
-fn excursion(c: f64, upper: f64, lower: f64) -> f64 {
-    if c > upper {
-        let d = c - upper;
-        d * d
-    } else if c < lower {
-        let d = lower - c;
-        d * d
-    } else {
-        0.0
-    }
+pub(crate) fn excursion(c: f64, upper: f64, lower: f64) -> f64 {
+    let above = c - upper;
+    let below = lower - c;
+    let inside_or_below = if below > 0.0 { below } else { 0.0 };
+    let d = if above > 0.0 { above } else { inside_or_below };
+    d * d
 }
 
 fn check_len(c: &[f64], env: &Envelope) -> Result<()> {
@@ -155,14 +164,15 @@ pub fn suffix_sums_into(contrib: &[f64], cb: &mut Vec<f64>) {
 }
 
 /// Index order for reordered early abandoning: indices sorted by descending
-/// magnitude of the (ideally z-normalized) query.
+/// magnitude of the (ideally z-normalized) query, ties in index order.
+///
+/// Magnitudes compare by [`f64::total_cmp`], so any input, NaN included,
+/// yields a permutation of `0..q.len()`. On finite input every `|q[i]|`
+/// is a non-NaN value ≥ +0.0, where `total_cmp` agrees with the numeric
+/// order.
 pub fn sort_indices_by_magnitude(q: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..q.len()).collect();
-    order.sort_by(|&a, &b| {
-        q[b].abs()
-            .partial_cmp(&q[a].abs())
-            .expect("query checked finite")
-    });
+    order.sort_by(|&a, &b| q[b].abs().total_cmp(&q[a].abs()));
     order
 }
 
@@ -309,5 +319,31 @@ mod tests {
         assert_eq!(order[0], 1);
         order.sort_unstable();
         assert_eq!(order, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn sort_indices_takes_any_input_and_keeps_the_finite_order() {
+        let hostile = [
+            1.0,
+            f64::NAN,
+            f64::INFINITY,
+            -2.0,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            0.0,
+        ];
+        let mut order = sort_indices_by_magnitude(&hostile);
+        order.sort_unstable();
+        assert_eq!(order, (0..hostile.len()).collect::<Vec<_>>());
+
+        // Ties, ±0.0 and subnormals: the stable sort under the numeric
+        // comparison the bound used before, index by index.
+        let q: [f64; 10] = [
+            0.0, -1.5, 1.5, -0.0, 2.0, 4.9e-324, -4.9e-324, 0.0, -2.0, 1.5,
+        ];
+        let mut want: Vec<usize> = (0..q.len()).collect();
+        want.sort_by(|&a, &b| q[b].abs().partial_cmp(&q[a].abs()).unwrap());
+        assert_eq!(sort_indices_by_magnitude(&q), want);
+        assert_eq!(want, vec![4, 8, 1, 2, 9, 5, 6, 0, 3, 7]);
     }
 }

@@ -10,6 +10,8 @@
 
 use crate::error::{check_finite, check_nonempty, Result};
 
+use super::keogh::excursion;
+
 /// LB_Yi of candidate `c` against query `q` (squared-cost domain).
 ///
 /// Symmetric usage tip: `max(lb_yi(q, c), lb_yi(c, q))` is also a valid —
@@ -22,17 +24,7 @@ pub fn lb_yi(q: &[f64], c: &[f64]) -> Result<f64> {
     let _span = tsdtw_obs::span("lb_yi");
     let qmax = q.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let qmin = q.iter().cloned().fold(f64::INFINITY, f64::min);
-    Ok(c.iter()
-        .map(|&v| {
-            if v > qmax {
-                (v - qmax) * (v - qmax)
-            } else if v < qmin {
-                (qmin - v) * (qmin - v)
-            } else {
-                0.0
-            }
-        })
-        .sum())
+    Ok(c.iter().map(|&v| excursion(v, qmax, qmin)).sum())
 }
 
 /// The symmetric form: `max(lb_yi(q, c), lb_yi(c, q))`.

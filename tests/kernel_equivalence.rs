@@ -54,6 +54,12 @@
 //!   `LANES`, `1`, and `LANES − 1` live lanes, and the mining k-NN scan
 //!   (which takes the batched route) must produce one meter regardless
 //!   of worker count.
+//!
+//! The envelope bounds that gate the exact scans hold to the same
+//! contract: LB_Keogh's entry points, LB_Improved and LB_Yi charge one
+//! compare-select term, and each must return the bits of the textbook
+//! `if / else if / else` term written here, on adversarial inputs and on
+//! a hand-built envelope whose `lower` exceeds its `upper`.
 
 mod common;
 
@@ -68,7 +74,13 @@ use tsdtw::core::dtw::early_abandon::{cdtw_distance_ea_metered, EaOutcome};
 use tsdtw::core::dtw::full::dtw_distance;
 use tsdtw::core::dtw::kernel::WAVEFRONT_MIN_WIDTH;
 use tsdtw::core::dtw::windowed::{windowed_distance_metered_kernel, windowed_with_path, DtwBuffer};
+use tsdtw::core::envelope::Envelope;
 use tsdtw::core::fastdtw::{fastdtw_distance_metered, fastdtw_metered, fastdtw_ref_with_path};
+use tsdtw::core::lower_bounds::keogh::{
+    lb_keogh, lb_keogh_ea, lb_keogh_reordered, lb_keogh_reordered_by, lb_keogh_with_contrib,
+    sort_indices_by_magnitude,
+};
+use tsdtw::core::lower_bounds::{lb_improved, lb_yi};
 use tsdtw::core::paa::halve;
 use tsdtw::core::{Kernel, SearchWindow, WarpingPath};
 use tsdtw_obs::WorkMeter;
@@ -311,6 +323,92 @@ fn assert_batch_matches_scalar(x: &[f64], ys: &[Vec<f64>], band: usize) {
     assert_eq!(sans, m_scalar, "scan meters must agree modulo batch.*");
 }
 
+/// The textbook envelope term, branch for branch: above `upper` first,
+/// then below `lower`, else inside.
+fn branchy_excursion(c: f64, upper: f64, lower: f64) -> f64 {
+    if c > upper {
+        (c - upper) * (c - upper)
+    } else if c < lower {
+        (lower - c) * (lower - c)
+    } else {
+        0.0
+    }
+}
+
+/// The branchy term's visit stream along `order`, `(index, term bits)`,
+/// up to and including the index whose running sum reaches `bsf`, and
+/// that sum: what the reordered early-abandoning pass must see and
+/// return.
+fn branchy_pass(c: &[f64], env: &Envelope, order: &[usize], bsf: f64) -> (Vec<(usize, u64)>, f64) {
+    let mut seen = Vec::new();
+    let mut acc = 0.0;
+    for &i in order {
+        let e = branchy_excursion(c[i], env.upper[i], env.lower[i]);
+        seen.push((i, bits(e)));
+        acc += e;
+        if acc >= bsf {
+            break;
+        }
+    }
+    (seen, acc)
+}
+
+/// Runs candidate `c` against envelope `env` through every LB_Keogh
+/// entry point at threshold `bsf` (and at `+∞`); each must return the
+/// branchy term's bits, and the reordered pass must visit its stream.
+fn assert_keogh_family_matches_branchy(c: &[f64], env: &Envelope, order: &[usize], bsf: f64) {
+    let in_order: Vec<usize> = (0..c.len()).collect();
+    let terms: Vec<u64> = (0..c.len())
+        .map(|i| bits(branchy_excursion(c[i], env.upper[i], env.lower[i])))
+        .collect();
+    let (_, full) = branchy_pass(c, env, &in_order, f64::INFINITY);
+    assert_eq!(bits(lb_keogh(c, env).unwrap()), bits(full), "lb_keogh");
+    let mut contrib = Vec::new();
+    let sum = lb_keogh_with_contrib(c, env, &mut contrib).unwrap();
+    assert_eq!(bits(sum), bits(full), "lb_keogh_with_contrib");
+    assert_eq!(
+        contrib.iter().map(|&e| bits(e)).collect::<Vec<_>>(),
+        terms,
+        "contributions"
+    );
+    for t in [bsf, f64::INFINITY] {
+        let (_, want) = branchy_pass(c, env, &in_order, t);
+        let got = lb_keogh_ea(c, env, t).unwrap();
+        assert_eq!(bits(got), bits(want), "lb_keogh_ea at {t}");
+        let (stream, want) = branchy_pass(c, env, order, t);
+        let got = lb_keogh_reordered(c, env, order, t).unwrap();
+        assert_eq!(bits(got), bits(want), "lb_keogh_reordered at {t}");
+        let mut seen = Vec::new();
+        let got = lb_keogh_reordered_by(env, order, t, |i| c[i], |i, e| seen.push((i, bits(e))));
+        assert_eq!(bits(got), bits(want), "lb_keogh_reordered_by at {t}");
+        assert_eq!(seen, stream, "visit stream at {t}");
+    }
+}
+
+/// LB_Improved built from the branchy term: pass one on `q`'s envelope,
+/// pass two on the envelope of `c` projected onto it.
+fn branchy_improved(q: &[f64], c: &[f64], env: &Envelope, band: usize) -> f64 {
+    let in_order: Vec<usize> = (0..c.len()).collect();
+    let (_, first) = branchy_pass(c, env, &in_order, f64::INFINITY);
+    let h: Vec<f64> = (0..c.len())
+        .map(|i| c[i].clamp(env.lower[i], env.upper[i]))
+        .collect();
+    let h_env = Envelope::new(&h, band).unwrap();
+    let (_, second) = branchy_pass(q, &h_env, &in_order, f64::INFINITY);
+    first + second
+}
+
+/// LB_Yi built from the branchy term against the query's range.
+fn branchy_yi(q: &[f64], c: &[f64]) -> f64 {
+    let qmax = q.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let qmin = q.iter().cloned().fold(f64::INFINITY, f64::min);
+    let mut acc = 0.0;
+    for &v in c {
+        acc += branchy_excursion(v, qmax, qmin);
+    }
+    acc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -514,6 +612,52 @@ proptest! {
         assert_batch_matches_scalar(&xa, &ysa, band);
         assert_batch_matches_scalar(&xt, &yst, band);
     }
+
+    /// Every envelope bound charges one compare-select term; on
+    /// adversarial queries and candidates (±1e155 make `+∞` terms,
+    /// subnormals, ±0.0), at bands 0, 1, 3 and the whole series, each
+    /// entry point must return the branchy term's bits, and the
+    /// reordered pass must visit its stream, at a finite and an
+    /// infinite threshold.
+    #[test]
+    fn envelope_bounds_equal_the_branchy_term(
+        (q, c) in (adversarial(1..40), adversarial(40..41)),
+        bsf in 0.0f64..200.0,
+    ) {
+        let c = &c[..q.len()];
+        let order = sort_indices_by_magnitude(&q);
+        for band in [0, 1, 3, q.len()] {
+            let env = Envelope::new(&q, band).unwrap();
+            assert_keogh_family_matches_branchy(c, &env, &order, bsf);
+            let got = lb_improved(&q, c, &env, band).unwrap();
+            prop_assert_eq!(bits(got), bits(branchy_improved(&q, c, &env, band)), "band {}", band);
+        }
+        prop_assert_eq!(bits(lb_yi(&q, c).unwrap()), bits(branchy_yi(&q, c)), "lb_yi");
+        prop_assert_eq!(bits(lb_yi(c, &q).unwrap()), bits(branchy_yi(c, &q)), "lb_yi reversed");
+    }
+}
+
+/// `Envelope`'s fields are public, so an envelope can hold `lower >
+/// upper`. Where a point lies above `upper` and below `lower` at once,
+/// the term charges its excursion above `upper`, as the branchy form
+/// does; a term that tests `lower` first charges the other.
+#[test]
+fn envelope_bounds_charge_above_first_on_a_crossed_envelope() {
+    let env = Envelope {
+        upper: vec![-1.0, 2.0, 0.5, -3.0, 1.0, 4.0],
+        lower: vec![3.0, -2.0, 2.5, 1.0, -1.0, 3.0],
+    };
+    // Indices 0, 2 and 3 are crossed, with c between the two bounds and
+    // unequal differences: the above-first term charges 1, 0.25 and 9
+    // there, where a below-first one would charge 9, 2.25 and 1.
+    let c = [0.0, 3.0, 1.0, 0.0, -0.5, 4.5];
+    let order = [3, 0, 5, 2, 1, 4];
+    for bsf in [0.5, 5.0, 10.0] {
+        assert_keogh_family_matches_branchy(&c, &env, &order, bsf);
+    }
+    let mut contrib = Vec::new();
+    lb_keogh_with_contrib(&c, &env, &mut contrib).unwrap();
+    assert_eq!(contrib, [1.0, 1.0, 0.25, 9.0, 0.0, 0.25]);
 }
 
 /// Projected windows straight from a low-resolution path (the shape
